@@ -22,8 +22,19 @@ package pdes
 // nothing else is pending. Both disciplines therefore pop in the exact
 // total order (Time, Src, Seq) and produce byte-identical engine results
 // (property-tested in queue_test.go). Neither boxes events or allocates
-// per event; bucket, run, and overflow slabs are reused for the life of
-// the run.
+// per event.
+//
+// The ladder's memory circulates rather than staying pinned to a bucket
+// index: a merged bucket hands its slab to a per-ladder spare list, the
+// next bucket first touched takes one back, and a bucket that fills trades
+// its slab for a larger spare before it allocates. A respread moves the
+// rung's base, so which indices run hot keeps changing; slabs kept per
+// index would each grow to the high-water mark of every hot spell and copy
+// their events at each doubling. When the run is spent, a merged bucket's
+// slab simply becomes the run, and an already-ordered bucket skips its
+// sort, so most events are written once on push and read once on pop.
+
+import "math/bits"
 
 // evLess orders events by the total key (Time, Src, Seq). Seq is unique
 // per source, so no two events compare equal and pop order is a total
@@ -126,13 +137,23 @@ func (q *binHeap) peek() (float64, bool) {
 // ladderBuckets * width of virtual time ahead of base.
 const ladderBuckets = 256
 
+// minSlab is the capacity of a freshly allocated slab, so a first touch
+// skips the 1-2-4-... growth chain of memmoves. slabClasses sizes the
+// spare list: class k holds slabs of capacity [minSlab<<k, minSlab<<(k+1)),
+// the last class everything larger.
+const (
+	minSlab     = 64
+	slabClasses = 32
+)
+
 // ladder is the calendar-queue discipline. Invariants:
 //
 //   - every bucket with index <= cur is empty (already merged into run);
 //   - pending counts the events in buckets and over;
 //   - run[head:] is sorted by (Time, Src, Seq), and its head is safe to
 //     pop iff idx(run[head].Time) <= cur or nothing else is pending —
-//     otherwise an unmerged bucket could still hold an earlier event.
+//     otherwise an unmerged bucket could still hold an earlier event;
+//   - a slab is held by at most one of run, over, a bucket, or spares.
 type ladder struct {
 	base    float64 // virtual time of bucket 0's left edge
 	width   float64 // bucket width in virtual seconds
@@ -143,6 +164,7 @@ type ladder struct {
 	head    int     // next pop index into run
 	over    []Event // far-future events beyond the rung, unordered
 	buckets [ladderBuckets][]Event
+	spares  [slabClasses][][]Event // empty slabs by capacity class
 
 	merges    uint64 // buckets merged into the run
 	respreads uint64 // rung rebuilds from the overflow list
@@ -172,17 +194,87 @@ func (q *ladder) push(ev Event) {
 	case i <= q.cur:
 		q.pushRun(ev)
 	case i >= ladderBuckets:
-		q.over = append(q.over, ev)
-		q.pending++
+		q.toOver(ev)
 	default:
-		b := q.buckets[i]
-		if cap(b) == 0 {
-			// First touch: skip the 1-2-4-... growth chain of memmoves.
-			b = make([]Event, 0, 64)
-		}
-		q.buckets[i] = append(b, ev)
+		q.toBucket(i, ev)
 		q.pending++
 	}
+}
+
+// toOver appends ev to the overflow list, which grows through the spare
+// list like any bucket: it fills as the rung drains, so it can take the
+// slabs the drained buckets just gave up.
+func (q *ladder) toOver(ev Event) {
+	if len(q.over) == cap(q.over) {
+		q.over = q.grow(q.over, 1)
+	}
+	q.over = append(q.over, ev)
+	q.pending++
+}
+
+// toBucket appends ev to bucket i, drawing a slab from the spare list when
+// the bucket is untouched or full.
+func (q *ladder) toBucket(i int, ev Event) {
+	b := q.buckets[i]
+	if len(b) == cap(b) {
+		b = q.grow(b, 1)
+	}
+	q.buckets[i] = append(b, ev)
+}
+
+// grow returns s, or a slab holding s's events, with room for n more. An
+// untouched slice takes the smallest spare, leaving big ones for buckets
+// that fill; a full slab trades itself for the largest spare, so a hot
+// bucket trades once instead of climbing class by class. Only when no
+// spare is big enough does it allocate, at double the size, and the slab
+// it leaves joins the spare list.
+func (q *ladder) grow(s []Event, n int) []Event {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s
+	}
+	t := q.take(need, cap(s) == 0)
+	if t == nil {
+		t = make([]Event, 0, max(2*cap(s), need, minSlab))
+	}
+	t = append(t, s...)
+	q.give(s)
+	return t
+}
+
+// take pops a spare slab with room for need events, searching the classes
+// from the smallest or from the largest; nil when none is found. From the
+// largest end only the top non-empty class is tried: a slab below it that
+// fits would fit there too, bar the spread inside one class.
+func (q *ladder) take(need int, smallest bool) []Event {
+	for j := range q.spares {
+		k := slabClasses - 1 - j
+		if smallest {
+			k = j
+		}
+		sp := q.spares[k]
+		n := len(sp)
+		if n == 0 {
+			continue
+		}
+		if t := sp[n-1]; cap(t) >= need {
+			q.spares[k] = sp[:n-1]
+			return t
+		}
+		if !smallest {
+			return nil
+		}
+	}
+	return nil
+}
+
+// give returns s's slab to the spare list; a nil slice has none.
+func (q *ladder) give(s []Event) {
+	if cap(s) < minSlab {
+		return
+	}
+	k := min(bits.Len(uint(cap(s)/minSlab))-1, slabClasses-1)
+	q.spares[k] = append(q.spares[k], s[:0])
 }
 
 // pushRun inserts an event whose bucket has already been merged into the
@@ -200,7 +292,7 @@ func (q *ladder) pushRun(ev Event) {
 			hi = mid
 		}
 	}
-	q.run = append(q.run, Event{})
+	q.run = append(q.grow(q.run, 1), Event{})
 	copy(q.run[lo+1:], q.run[lo:])
 	q.run[lo] = ev
 }
@@ -236,18 +328,10 @@ func (q *ladder) pushSorted(evs []Event) {
 func (q *ladder) place(ev Event) {
 	i := q.idx(ev.Time)
 	if i >= ladderBuckets {
-		q.over = append(q.over, ev)
-		q.pending++
+		q.toOver(ev)
 		return
 	}
-	if i < 0 {
-		i = 0
-	}
-	b := q.buckets[i]
-	if cap(b) == 0 {
-		b = make([]Event, 0, 64)
-	}
-	q.buckets[i] = append(b, ev)
+	q.toBucket(max(i, 0), ev)
 	q.pending++
 }
 
@@ -292,28 +376,33 @@ func (q *ladder) ensure() bool {
 // rung is exhausted — rebases it on the overflow list's minimum and
 // respreads. Merging is concatenation: every event in an unmerged bucket
 // follows every event already in the run (bucket monotonicity), so the
-// bucket is sorted in isolation and appended.
+// bucket is sorted in isolation and appended — or, when the run is spent,
+// the bucket's slab becomes the run and its spent slab goes spare.
 func (q *ladder) advance() {
 	for i := q.cur + 1; i < ladderBuckets; i++ {
-		if len(q.buckets[i]) == 0 {
+		b := q.buckets[i]
+		if len(b) == 0 {
 			continue
 		}
 		q.cur = i
-		b := q.buckets[i]
+		q.buckets[i] = nil
 		q.pending -= len(b)
-		if q.head == len(q.run) {
-			q.run = q.run[:0]
-			q.head = 0
-		} else if q.head > 32 && q.head > len(q.run)-q.head {
-			// Compact the consumed prefix so the run slab stops growing.
-			n := copy(q.run, q.run[q.head:])
-			q.run = q.run[:n]
-			q.head = 0
+		if !eventsSorted(b) {
+			sortEvents(b)
 		}
-		start := len(q.run)
-		q.run = append(q.run, b...)
-		sortEvents(q.run[start:])
-		q.buckets[i] = b[:0]
+		if q.head == len(q.run) {
+			q.give(q.run)
+			q.run, q.head = b, 0
+		} else {
+			if q.head > 32 && q.head > len(q.run)-q.head {
+				// Compact the consumed prefix so the run slab stops growing.
+				n := copy(q.run, q.run[q.head:])
+				q.run = q.run[:n]
+				q.head = 0
+			}
+			q.run = append(q.grow(q.run, len(b)), b...)
+			q.give(b)
+		}
 		q.merges++
 		return
 	}
@@ -338,15 +427,25 @@ func (q *ladder) respread() {
 	kept := q.over[:0]
 	for _, ev := range q.over {
 		if i := q.idx(ev.Time); i < ladderBuckets {
-			if i < 0 {
-				i = 0 // ev.Time == min lands exactly on the new base
-			}
-			q.buckets[i] = append(q.buckets[i], ev)
+			// Clamp to bucket 0: ev.Time == min lands exactly on the new base.
+			q.toBucket(max(i, 0), ev)
 		} else {
 			kept = append(kept, ev)
 		}
 	}
 	q.over = kept
+}
+
+// eventsSorted reports whether a is already in (Time, Src, Seq) order: one
+// linear pass that lets an in-order bucket — common when pushes arrive in
+// time order, as in the idle wave — skip the sort.
+func eventsSorted(a []Event) bool {
+	for i := 1; i < len(a); i++ {
+		if evLess(&a[i], &a[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortEvents sorts in place by (Time, Src, Seq): median-of-three quicksort

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -19,50 +20,76 @@ func mix64(x uint64) uint64 {
 // same interleaved push/pop stream — pushes never travel backwards past the
 // last pop, the engine's usage pattern — and demands identical pop
 // sequences. The width sweep forces every ladder path: tiny widths respread
-// constantly, huge widths funnel everything through one bucket.
+// constantly, huge widths funnel everything through one bucket. The streams
+// aim at the slab paths: monotone pushes fill buckets already in order (the
+// sorted-bucket skip) that merge into a spent run (the swap merge); skewed
+// pushes pile onto one instant, so its bucket outgrows every spare slab
+// (trade-up, then allocation) while the rest stay small.
 func TestLadderMatchesHeapOnRandomStream(t *testing.T) {
-	for _, width := range []float64{1e-8, 1e-7, 1e-6, 5e-6, 1e-3} {
-		h := &binHeap{}
-		l := newLadder(width)
-		g := uint64(0xfeed)
-		now := 0.0
-		live := 0
-		for i := 0; i < 20000; i++ {
-			g = mix64(g)
-			if live > 0 && g%3 == 0 {
-				th, okh := h.peek()
-				tl, okl := l.peek()
-				if okh != okl || th != tl {
-					t.Fatalf("width=%g step %d: peek (%g,%v) heap vs (%g,%v) ladder", width, i, th, okh, tl, okl)
+	// Each stream maps step i, its hash g, and the last popped time to a
+	// push. A coarse 16-bit time grid makes exact ties exercise the
+	// (Time, Src, Seq) tie-break.
+	random := func(i int, g uint64, now float64) Event {
+		dt := float64(g%(1<<16)) / float64(1<<16) * 10e-6
+		return Event{Time: now + dt, Src: int32(g % 64), Seq: uint32(i)}
+	}
+	streams := []struct {
+		name string
+		next func(i int, g uint64, now float64) Event
+	}{
+		{"random", random},
+		{"monotone", func(i int, g uint64, now float64) Event {
+			return Event{Time: float64(i) * 1e-9, Src: int32(g % 64), Seq: uint32(i)}
+		}},
+		{"skewed", func(i int, g uint64, now float64) Event {
+			if g%8 == 0 {
+				return random(i, g>>3, now)
+			}
+			hot := (math.Floor(now/5e-6) + 2) * 5e-6
+			return Event{Time: hot, Src: int32(g % 64), Seq: uint32(i)}
+		}},
+	}
+	for _, s := range streams {
+		for _, width := range []float64{1e-8, 1e-7, 1e-6, 5e-6, 1e-3} {
+			h := &binHeap{}
+			l := newLadder(width)
+			g := uint64(0xfeed)
+			now := 0.0
+			live := 0
+			for i := 0; i < 20000; i++ {
+				g = mix64(g)
+				if live > 0 && g%3 == 0 {
+					th, okh := h.peek()
+					tl, okl := l.peek()
+					if okh != okl || th != tl {
+						t.Fatalf("%s width=%g step %d: peek (%g,%v) heap vs (%g,%v) ladder", s.name, width, i, th, okh, tl, okl)
+					}
+					evh, evl := h.pop(), l.pop()
+					if evh != evl {
+						t.Fatalf("%s width=%g step %d: pop %+v heap vs %+v ladder", s.name, width, i, evh, evl)
+					}
+					now = evh.Time
+					live--
+				} else {
+					g = mix64(g)
+					ev := s.next(i, g, now)
+					h.push(ev)
+					l.push(ev)
+					live++
 				}
+				if h.len() != l.len() {
+					t.Fatalf("%s width=%g step %d: len %d heap vs %d ladder", s.name, width, i, h.len(), l.len())
+				}
+			}
+			for h.len() > 0 {
 				evh, evl := h.pop(), l.pop()
 				if evh != evl {
-					t.Fatalf("width=%g step %d: pop %+v heap vs %+v ladder", width, i, evh, evl)
+					t.Fatalf("%s width=%g drain: pop %+v heap vs %+v ladder", s.name, width, evh, evl)
 				}
-				now = evh.Time
-				live--
-			} else {
-				g = mix64(g)
-				// Coarse 16-bit time grid so exact ties exercise the
-				// (Time, Src, Seq) tie-break.
-				dt := float64(g%(1<<16)) / float64(1<<16) * 10e-6
-				ev := Event{Time: now + dt, Src: int32(g % 64), Seq: uint32(i)}
-				h.push(ev)
-				l.push(ev)
-				live++
 			}
-			if h.len() != l.len() {
-				t.Fatalf("width=%g step %d: len %d heap vs %d ladder", width, i, h.len(), l.len())
+			if l.len() != 0 {
+				t.Fatalf("%s width=%g: ladder still holds %d events after drain", s.name, width, l.len())
 			}
-		}
-		for h.len() > 0 {
-			evh, evl := h.pop(), l.pop()
-			if evh != evl {
-				t.Fatalf("width=%g drain: pop %+v heap vs %+v ladder", width, evh, evl)
-			}
-		}
-		if l.len() != 0 {
-			t.Fatalf("width=%g: ladder still holds %d events after drain", width, l.len())
 		}
 	}
 }
@@ -195,9 +222,11 @@ func TestQueueEquivalenceProperty(t *testing.T) {
 }
 
 // TestWindowLoopSteadyStateZeroAlloc is the slab-arena acceptance gate:
-// once the ladder rungs, sorted runs, and chunk free lists reach their
-// high-water marks, the window loop must not allocate at all — across
-// bucket merges, overflow respreads, and cross-partition chunk recycling.
+// once each ladder's spare list holds a slab for every bucket, run, and
+// overflow that needs one, and the chunk free lists reach their high-water
+// marks, the window loop must not allocate at all — across bucket merges
+// (swapped or copied into the run), overflow respreads, slab trade-ups, and
+// cross-partition chunk recycling.
 func TestWindowLoopSteadyStateZeroAlloc(t *testing.T) {
 	w := mustWave(t, 512, 400, 50e-6, 0, []int{1, 4}, []float64{2e-6, 2.5e-6})
 	cfg := Config{Partitions: 4, Workers: 1, Lookahead: w.MinDelay()}
@@ -226,6 +255,29 @@ func TestWindowLoopSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if failed {
 		t.Fatal(e.firstError())
+	}
+}
+
+// TestLadderMemoryWithinTwiceHeap gates the ladder's memory against the
+// heap's on BenchmarkPDESIdleWave's configuration (2^14 ranks, 6 steps, 8
+// partitions): the bytes one run allocates, workload construction included
+// as in the benchmark's B/op, must stay within twice the heap's. A ladder
+// whose slabs stay pinned to their bucket index allocates about 6x.
+func TestLadderMemoryWithinTwiceHeap(t *testing.T) {
+	alloc := func(q QueueKind) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := mustWave(t, 1<<14, 6, 50e-6, 400e-6, []int{1, 4}, []float64{2e-6, 2.5e-6})
+		if _, err := Run(w, Config{Partitions: 8, Queue: q, Lookahead: w.MinDelay()}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ladder, heap := alloc(QueueLadder), alloc(QueueHeap)
+	t.Logf("bytes allocated per run: ladder %d, heap %d (%.2fx)", ladder, heap, float64(ladder)/float64(heap))
+	if ladder > 2*heap {
+		t.Errorf("ladder allocates %d bytes per run, more than twice the heap's %d", ladder, heap)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -141,9 +142,11 @@ func TestStealingBalancesSkewedWork(t *testing.T) {
 	}
 }
 
-var sinkF float64
+// sinkF keeps work's loop from being optimized away; the pool's workers
+// store to it concurrently, hence the atomic.
+var sinkF atomic.Uint64
 
-func sinkFloat(x float64) { sinkF = x }
+func sinkFloat(x float64) { sinkF.Store(math.Float64bits(x)) }
 
 func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
 	d := &Deque{}
