@@ -33,13 +33,12 @@ fix-clean: fix
 
 # Tier-2 verify: static analysis + race detector. The pdes package runs
 # again under its non-default disciplines (binary-heap queue +
-# chan-broadcast barrier, then optimistic Time-Warp sync) so every engine
-# hot path stays race-clean and result-identical.
+# chan-broadcast barrier) so every engine hot path stays race-clean and
+# result-identical.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race ./internal/pdes -args -pdes-queue=heap -pdes-barrier=chan
-	$(GO) test -race ./internal/pdes -args -pdes-sync=optimistic
 
 # Full benchmark suite (use BENCH=<regex> to narrow).
 BENCH ?= .

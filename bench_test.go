@@ -338,10 +338,9 @@ func BenchmarkDESKernel(b *testing.B) {
 // F28 idle-wave workload across partition counts — the scaling curve that
 // justifies the windowed design over the serial kernel (partitions=1 is the
 // serial baseline with the same queue and batch machinery in the loop).
-// The queue=, barrier=, and sync= axes pin each discipline at the widest
-// partition count so bench-diff can certify the ladder/sense rewrite and
-// the Time-Warp engine against the committed baseline and catch any
-// discipline regressing independently.
+// The queue= and barrier= axes pin each discipline at the widest partition
+// count so bench-diff can certify the ladder/sense rewrite against the
+// committed baseline and catch either discipline regressing independently.
 func BenchmarkPDESIdleWave(b *testing.B) {
 	ranks := 1 << 14
 	if testing.Short() {
@@ -376,11 +375,6 @@ func BenchmarkPDESIdleWave(b *testing.B) {
 	for _, bar := range []pdes.BarrierKind{pdes.BarrierSense, pdes.BarrierChan} {
 		b.Run("parts=8/workers=4/barrier="+bar.String(), func(b *testing.B) {
 			run(b, pdes.Config{Partitions: 8, Workers: 4, Barrier: bar})
-		})
-	}
-	for _, sync := range []pdes.SyncKind{pdes.SyncConservative, pdes.SyncOptimistic} {
-		b.Run("parts=8/workers=4/sync="+sync.String(), func(b *testing.B) {
-			run(b, pdes.Config{Partitions: 8, Workers: 4, Sync: sync})
 		})
 	}
 }

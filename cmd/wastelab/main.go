@@ -45,9 +45,7 @@ func main() {
 		csvDir      = flag.String("csv", "", "directory to write figure CSVs into")
 		seed        = flag.Uint64("seed", 0, "chaos scenario seed for T8/F22-F25 (0 = default; same seed, same tables)")
 		tuneID      = flag.String("tune", "", "tune one remedy parameter by id (e.g. W1-block, f25), or 'all'")
-		pdesSync    tenways.PDESSyncKind
 	)
-	flag.Var(&pdesSync, "pdes-sync", "PDES engine sync discipline for F28/F29: conservative or optimistic (F30 tables both)")
 	flag.Parse()
 
 	lab := tenways.NewLab()
@@ -88,7 +86,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wastelab: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := tenways.Config{Machine: spec, Quick: *quick, Seed: *seed, PDESSync: pdesSync}
+	cfg := tenways.Config{Machine: spec, Quick: *quick, Seed: *seed}
 
 	if *tuneID != "" {
 		if err := runTune(*tuneID, spec, *quick); err != nil {

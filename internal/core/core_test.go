@@ -19,7 +19,7 @@ func TestLabHasFullSuite(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "T4", "T5",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
 		"F11", "F12", "F13", "F14", "T6", "T7", "F15", "F16", "F17", "F18", "F19", "F20", "F21",
-		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "F27", "T11", "T12", "F28", "F29", "F30", "T13"}
+		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "F27", "T11", "T12", "F28", "F29", "T13"}
 	ids := l.IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("got %d experiments, want %d", len(ids), len(want))

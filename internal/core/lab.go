@@ -10,7 +10,6 @@ import (
 	"tenways/internal/chaos"
 	"tenways/internal/machine"
 	"tenways/internal/obs"
-	"tenways/internal/pdes"
 	"tenways/internal/report"
 )
 
@@ -29,11 +28,6 @@ type Config struct {
 	// registry; RunAll gives every experiment its own so per-experiment
 	// snapshots stay attributable under parallel execution.
 	Obs *obs.Registry
-	// PDESSync selects the partitioned engine's synchronisation discipline
-	// for the experiments that run it (F28, F29): conservative windows by
-	// default, optimistic Time-Warp when set. F30 tables both regardless.
-	// Virtual results are byte-identical either way, so tables stay valid.
-	PDESSync pdes.SyncKind
 }
 
 func (c Config) machine() *machine.Spec {
@@ -90,7 +84,7 @@ func (o Output) RenderWith(w io.Writer, r report.Renderer) error {
 
 // Experiment regenerates one table or figure of the evaluation suite.
 type Experiment struct {
-	ID    string // "T1".."T12", "F1".."F30"
+	ID    string // "T1".."T13", "F1".."F29"
 	Title string
 	// Measured marks experiments whose cells come from host wall-clock
 	// measurement (T10, F27) rather than the deterministic simulation:
@@ -211,7 +205,6 @@ func allExperiments() []Experiment {
 		{ID: "T12", Title: "wastelabd self-measurement: request-path policies vs daemon waste modes", Run: runT12},
 		{ID: "F28", Title: "Idle-wave propagation at scale: measured vs analytic wave speed (partitioned PDES)", Run: runF28},
 		{ID: "F29", Title: "Engine hot path: queue discipline and window barrier, wasteful vs remedied", Run: runF29, Measured: true},
-		{ID: "F30", Title: "Optimistic Time-Warp vs conservative windows: committed-event efficiency", Run: runF30, Measured: true},
 		{ID: "T13", Title: "wastevet autofix coverage: per-package findings at-intro vs post-fix", Run: runT13},
 	}
 }

@@ -76,7 +76,6 @@ func runF28(ctx context.Context, cfg Config) (Output, error) {
 		}
 		eng := f28Engine
 		eng.Lookahead = w.MinDelay()
-		eng.Sync = cfg.PDESSync
 		eng.Obs = cfg.metrics()
 		res, err := pdes.Run(w, eng)
 		if err != nil {
@@ -152,7 +151,6 @@ func runF29(ctx context.Context, cfg Config) (Output, error) {
 			Lookahead: w.MinDelay(),
 			Queue:     row.queue,
 			Barrier:   row.barrier,
-			Sync:      cfg.PDESSync,
 			Obs:       cfg.metrics(),
 		}
 		start := time.Now()
@@ -179,116 +177,6 @@ func runF29(ctx context.Context, cfg Config) (Output, error) {
 			fmt.Sprintf("%.2f", float64(res.Events)/wall/1e6),
 			report.FormatFactor(baseWall/wall),
 		)
-	}
-	return Output{Table: tbl}, nil
-}
-
-// runF30 tables the optimistic Time-Warp engine against the conservative
-// window engine on the same spiked idle wave across noise and lookahead
-// regimes. The committed virtual results are byte-identical by
-// construction — the table's waste metric is committed-event efficiency
-// (committed/executed): every handler invocation speculation later rolls
-// back is work the machine did and threw away, the optimistic cousin of
-// the idle waves the conservative engine spends on barriers instead.
-// Measured: the wall columns are host wall-clock and vary run to run.
-func runF30(ctx context.Context, cfg Config) (Output, error) {
-	spec := cfg.machine()
-	const compute = 50e-6
-	base := spec.Net.AlphaSec + 2*spec.Net.OverheadSec + 128/spec.Net.BytesPerSec
-
-	ranks, steps := 1<<16, 8
-	if cfg.Quick {
-		ranks, steps = 1<<12, 6
-	}
-
-	// Noise axis: spike magnitude (how hard the straggler hits).
-	// Lookahead axis: the halo delay itself — tighter delay means narrower
-	// windows, so speculation has more chances to run ahead and be wrong.
-	regimes := []struct {
-		name  string
-		spike float64
-		delay float64
-	}{
-		{"quiet, wide lookahead", 0, base},
-		{"quiet, tight lookahead", 0, base / 4},
-		{"spiked 3c, wide lookahead", 3 * compute, base},
-		{"spiked 8c, wide lookahead", 8 * compute, base},
-		{"spiked 8c, tight lookahead", 8 * compute, base / 4},
-	}
-
-	tbl := report.NewTable("F30",
-		fmt.Sprintf("optimistic Time-Warp vs conservative windows on the idle wave (%d ranks, %d steps, c=%s, 8 partitions, 4 workers, measured): committed results byte-identical, efficiency = committed/executed counts the speculated work rollback threw away",
-			ranks, steps, report.FormatSeconds(compute)),
-		"regime", "events", "executed", "rollbacks", "rolled back", "efficiency", "cons ms", "opt ms", "opt/cons")
-
-	var spikedRollbacks uint64
-	for _, rg := range regimes {
-		if err := ctx.Err(); err != nil {
-			return Output{}, err
-		}
-		run := func(sync pdes.SyncKind) (pdes.Result, []float64, float64, error) {
-			w, err := pdes.NewIdleWave(ranks, steps, compute, rg.spike, []int{1, 4}, []float64{rg.delay, 1.5 * rg.delay})
-			if err != nil {
-				return pdes.Result{}, nil, 0, err
-			}
-			eng := pdes.Config{
-				Partitions: 8, Workers: 4,
-				Lookahead: w.MinDelay(),
-				Sync:      sync,
-				Obs:       cfg.metrics(),
-			}
-			start := time.Now()
-			res, err := pdes.Run(w, eng)
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				return pdes.Result{}, nil, 0, err
-			}
-			arr := make([]float64, ranks)
-			for r := range arr {
-				arr[r] = w.Arrival(r)
-			}
-			return res, arr, wall, nil
-		}
-		cres, carr, cwall, err := run(pdes.SyncConservative)
-		if err != nil {
-			return Output{}, fmt.Errorf("F30 %s (conservative): %w", rg.name, err)
-		}
-		ores, oarr, owall, err := run(pdes.SyncOptimistic)
-		if err != nil {
-			return Output{}, fmt.Errorf("F30 %s (optimistic): %w", rg.name, err)
-		}
-		if ores.Events != cres.Events || ores.VirtualTime != cres.VirtualTime {
-			return Output{}, fmt.Errorf(
-				"F30 %s: optimistic committed results diverged (events %d vs %d, vt %g vs %g) — Time Warp must be result-identical",
-				rg.name, ores.Events, cres.Events, ores.VirtualTime, cres.VirtualTime)
-		}
-		for r := range carr {
-			if carr[r] != oarr[r] {
-				return Output{}, fmt.Errorf("F30 %s: rank %d wave arrival diverged (%g vs %g)", rg.name, r, carr[r], oarr[r])
-			}
-		}
-		if rg.spike > 0 {
-			spikedRollbacks += ores.Rollbacks
-		}
-		if cwall <= 0 {
-			cwall = 1e-9
-		}
-		if owall <= 0 {
-			owall = 1e-9
-		}
-		tbl.AddRow(rg.name,
-			fmt.Sprintf("%d", ores.Events),
-			fmt.Sprintf("%d", ores.Executed),
-			fmt.Sprintf("%d", ores.Rollbacks),
-			fmt.Sprintf("%d", ores.RolledBack),
-			fmt.Sprintf("%.3f", ores.Efficiency()),
-			fmt.Sprintf("%.2f", cwall*1e3),
-			fmt.Sprintf("%.2f", owall*1e3),
-			report.FormatFactor(owall/cwall),
-		)
-	}
-	if spikedRollbacks == 0 {
-		return Output{}, fmt.Errorf("F30: no rollbacks in any spiked regime — speculation never ran ahead, the table shows nothing")
 	}
 	return Output{Table: tbl}, nil
 }

@@ -30,13 +30,6 @@ type engine struct {
 	// Chunks drain back into the receiving partition's arena.
 	bufs [2][]batch
 
-	// antis[parity][sp*p+dp] carries anti-messages (full Event values to
-	// annihilate) under SyncOptimistic, with the same owner-exclusive
-	// parity discipline as bufs: rollback in window w appends to parity
-	// w&1, the receiver drains the opposite parity before the positives,
-	// and resets the slot it drained. Nil under SyncConservative.
-	antis [2][][]Event
-
 	// Serial-path window bookkeeping (multi-worker paths track the window
 	// index per worker and count windows in the coordinator loop).
 	window  int
@@ -51,7 +44,6 @@ type partState struct {
 	q     evQueue
 	sched partSched
 	arena arena
-	tw    *twPart // Time-Warp state; nil under SyncConservative
 
 	crossMin float64 // min timestamp buffered cross-partition this window
 	lastT    float64 // timestamp of the partition's last processed event
@@ -102,23 +94,11 @@ func (s *partSched) At(dst int, t float64, kind, step int32, data float64) {
 	e.seq[s.src]++
 	ev := Event{Time: t, Data: data, Src: s.src, Dst: int32(dst), Seq: e.seq[s.src], Kind: kind, Step: step}
 	dp := e.part(dst)
-	if tw := s.ps.tw; tw != nil && tw.active {
-		if tw.coasting {
-			// Coast-forward replay: the original emission (or its
-			// anti-message) is already in flight; only the seq side effect
-			// is wanted so re-execution regenerates identical keys.
-			return
-		}
-		tw.out = append(tw.out, twEmit{pos: len(tw.log), dst: int32(dp), ev: ev})
-	}
 	if dp == s.part {
 		s.ps.q.push(ev)
 		return
 	}
-	if s.wend > 0 && t < s.wend && s.ps.tw == nil {
-		// The conservative engine rejects a cross-partition event inside
-		// the current window; the optimistic engine accepts it and repairs
-		// with a rollback if it arrives in the receiver's past.
+	if s.wend > 0 && t < s.wend {
 		s.fail(fmt.Errorf(
 			"pdes: lookahead violation: rank %d -> rank %d at t=%g lands inside the window ending at %g; cross-rank messages need delay >= lookahead (%g)",
 			s.src, dst, t, s.wend, e.look))
@@ -159,18 +139,6 @@ func newEngine(w Workload, n, p int, cfg Config) *engine {
 		ps.sched = partSched{eng: e, ps: ps, part: d}
 		ps.crossMin = math.Inf(1)
 		ps.lastT = math.Inf(-1)
-	}
-	if cfg.Sync == SyncOptimistic {
-		sw := w.(StatefulWorkload) // Run rejected non-stateful workloads
-		interval := cfg.CheckpointInterval
-		if interval <= 0 {
-			interval = defaultCheckpointInterval
-		}
-		e.antis[0] = make([][]Event, p*p)
-		e.antis[1] = make([][]Event, p*p)
-		for d := 0; d < p; d++ {
-			e.parts[d].tw = newTwPart(sw, interval)
-		}
 	}
 	return e
 }
@@ -222,9 +190,6 @@ func windowEnd(gmin, look float64) float64 {
 // bound on future work (min of queue head and freshly buffered cross
 // events) and whether the partition has failed.
 func (e *engine) runWindow(d int, wend float64, window int) (lmin float64, failed bool) {
-	if e.parts[d].tw != nil {
-		return e.runWindowTW(d, wend, window)
-	}
 	lmin = math.Inf(1)
 	ps := &e.parts[d]
 	defer func() {
@@ -425,11 +390,6 @@ func Run(w Workload, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Sync == SyncOptimistic {
-		if _, ok := w.(StatefulWorkload); !ok {
-			return Result{}, fmt.Errorf("%w: %T does not implement StatefulWorkload (Snapshot/Restore), required for optimistic rollback", ErrNotStateful, w)
-		}
-	}
 	p := cfg.Partitions
 	if p <= 0 {
 		p = 8
@@ -455,14 +415,6 @@ func Run(w Workload, cfg Config) (Result, error) {
 	if err := e.seed(); err != nil {
 		return Result{}, err
 	}
-	// Init emissions are committed ground truth: only events emitted after
-	// this point can be rolled back, so only now do the schedulers start
-	// recording the emission log.
-	for d := 0; d < p; d++ {
-		if tw := e.parts[d].tw; tw != nil {
-			tw.active = true
-		}
-	}
 	gmin := e.initialMin()
 
 	switch {
@@ -478,7 +430,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 	}
 
 	res := Result{Windows: e.windows, Partitions: p, Workers: nw}
-	var chunkAllocs, respreads, annihilated uint64
+	var chunkAllocs, respreads uint64
 	ladders := false
 	for d := 0; d < p; d++ {
 		ps := &e.parts[d]
@@ -494,14 +446,6 @@ func Run(w Workload, cfg Config) (Result, error) {
 			ladders = true
 			respreads += lq.respreads
 		}
-		if tw := ps.tw; tw != nil {
-			res.Executed += tw.executed
-			res.Rollbacks += tw.rollbacks
-			res.RolledBack += tw.undone
-			res.AntiMessages += tw.antis
-			res.Checkpoints += tw.checkpoints
-			annihilated += tw.annihilated
-		}
 	}
 	if reg := cfg.Obs; reg != nil {
 		reg.Counter("pdes.runs").Inc()
@@ -514,14 +458,6 @@ func Run(w Workload, cfg Config) (Result, error) {
 		reg.Gauge("pdes.virtual_seconds").Add(res.VirtualTime)
 		if ladders {
 			reg.Counter("pdes.ladder_respreads").Add(int64(respreads))
-		}
-		if cfg.Sync == SyncOptimistic {
-			reg.Counter("pdes.tw_executed").Add(int64(res.Executed))
-			reg.Counter("pdes.tw_rollbacks").Add(int64(res.Rollbacks))
-			reg.Counter("pdes.tw_rolled_back").Add(int64(res.RolledBack))
-			reg.Counter("pdes.tw_antis").Add(int64(res.AntiMessages))
-			reg.Counter("pdes.tw_annihilated").Add(int64(annihilated))
-			reg.Counter("pdes.tw_checkpoints").Add(int64(res.Checkpoints))
 		}
 		if res.CrossBatches > 0 {
 			reg.Histogram("pdes.batch_events").Observe(float64(res.CrossEvents) / float64(res.CrossBatches))

@@ -158,40 +158,6 @@ func (w *IdleWave) Handle(s Sched, ev Event) {
 	}
 }
 
-// idleWaveState is one rank's complete mutable state, the StatefulWorkload
-// snapshot payload. A plain value: Snapshot copies it out, Restore copies
-// it back.
-type idleWaveState struct {
-	step   int32
-	recv   int32
-	recvN  int32
-	done   bool
-	arrive float64
-}
-
-// Snapshot implements StatefulWorkload: rank state is only touched by the
-// rank's own handlers, so a value copy between two of its events captures
-// everything a replay observes.
-func (w *IdleWave) Snapshot(rank int) any {
-	return idleWaveState{
-		step:   w.step[rank],
-		recv:   w.recv[rank],
-		recvN:  w.recvN[rank],
-		done:   w.done[rank],
-		arrive: w.arrive[rank],
-	}
-}
-
-// Restore implements StatefulWorkload.
-func (w *IdleWave) Restore(rank int, snap any) {
-	st := snap.(idleWaveState)
-	w.step[rank] = st.step
-	w.recv[rank] = st.recv
-	w.recvN[rank] = st.recvN
-	w.done[rank] = st.done
-	w.arrive[rank] = st.arrive
-}
-
 // degree counts the rank's neighbours on the non-periodic chain.
 func (w *IdleWave) degree(r int32) int32 {
 	deg := int32(0)

@@ -3,9 +3,8 @@ package pdes
 import "fmt"
 
 // This file is the one shared home of the engine's enum knobs. Every kind
-// has a canonical String form and a Parse function, and implements
-// flag.Value, so the bench flags, wastelab, and the daemon's query params
-// all route through the same parser instead of growing per-site switches.
+// has a canonical String form and a Parse function, so the benchmarks'
+// sub-test names and the package test flags agree on one spelling.
 
 // QueueKind selects the per-partition pending-event structure. Both kinds
 // pop in the identical (Time, Src, Seq) total order, so results are
@@ -29,16 +28,6 @@ func (k QueueKind) String() string {
 		return "heap"
 	}
 	return "ladder"
-}
-
-// Set implements flag.Value via ParseQueueKind.
-func (k *QueueKind) Set(s string) error {
-	v, err := ParseQueueKind(s)
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
 }
 
 // ParseQueueKind parses the canonical String form of a QueueKind.
@@ -77,16 +66,6 @@ func (k BarrierKind) String() string {
 	return "sense"
 }
 
-// Set implements flag.Value via ParseBarrierKind.
-func (k *BarrierKind) Set(s string) error {
-	v, err := ParseBarrierKind(s)
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
 // ParseBarrierKind parses the canonical String form of a BarrierKind.
 func ParseBarrierKind(s string) (BarrierKind, error) {
 	switch s {
@@ -96,51 +75,4 @@ func ParseBarrierKind(s string) (BarrierKind, error) {
 		return BarrierChan, nil
 	}
 	return 0, fmt.Errorf("%w: barrier %q (want sense or chan)", ErrConfig, s)
-}
-
-// SyncKind selects the synchronisation discipline: wait out the window
-// bound (conservative) or speculate past it and repair (optimistic
-// Time Warp). Results are byte-identical either way — optimism only
-// changes how much work is executed to commit them.
-type SyncKind int
-
-const (
-	// SyncConservative (the default) processes only events below the
-	// window bound gvt+lookahead; no event is ever rolled back.
-	SyncConservative SyncKind = iota
-	// SyncOptimistic speculates past the window bound with periodic state
-	// checkpoints, rolling back on straggler arrival and cancelling
-	// in-flight emissions with anti-messages. Requires the workload to
-	// implement StatefulWorkload.
-	SyncOptimistic
-)
-
-// String returns the canonical spelling ("conservative", "optimistic")
-// accepted by ParseSyncKind.
-func (k SyncKind) String() string {
-	if k == SyncOptimistic {
-		return "optimistic"
-	}
-	return "conservative"
-}
-
-// Set implements flag.Value via ParseSyncKind.
-func (k *SyncKind) Set(s string) error {
-	v, err := ParseSyncKind(s)
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// ParseSyncKind parses the canonical String form of a SyncKind.
-func ParseSyncKind(s string) (SyncKind, error) {
-	switch s {
-	case "conservative":
-		return SyncConservative, nil
-	case "optimistic":
-		return SyncOptimistic, nil
-	}
-	return 0, fmt.Errorf("%w: sync %q (want conservative or optimistic)", ErrConfig, s)
 }

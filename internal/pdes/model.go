@@ -25,9 +25,6 @@ type CostModel struct {
 	// BucketSec is the ladder queue's per-bucket advance cost (frontier
 	// scan, slab swap, sort setup) — only LadderWall uses it.
 	BucketSec float64
-	// SnapSec is the per-rank Snapshot/Restore copy cost — only
-	// TimeWarpWall uses it.
-	SnapSec float64
 }
 
 // Wall estimates the wall-clock seconds for a run split into parts
@@ -87,50 +84,4 @@ func (m CostModel) LadderWall(parts, cores int, lookahead, bucket float64) float
 	windows := math.Ceil(m.Horizon / lookahead)
 	sync := windows * (m.BarrierSec + m.PartSec*float64(parts))
 	return work + scan + sync
-}
-
-// TimeWarpWall estimates wall-clock seconds for the optimistic engine as a
-// function of the checkpoint interval (events per segment). On top of the
-// conservative Wall, speculation pays two interval-dependent costs pulling
-// in opposite directions:
-//
-//   - checkpointing: every segment snapshots the ranks it touches, so the
-//     save cost scales with Events/interval — dense segments (interval 1)
-//     snapshot before every event, huge intervals amortise it away;
-//   - coast-forward: a rollback rewinds to a segment start and replays on
-//     average interval/2 committed events before reaching the straggler,
-//     so the replay cost scales with rollbacks*interval.
-//
-// The sum is a U in the interval — the same shape F25's checkpoint spacing
-// tunable walks — so golden-section applies; tunable F30-interval searches
-// it. rollbackFrac is the observed rollback density (rollback episodes per
-// committed event), the workload/partitioning property the model cannot
-// know a priori; F30 reports it as 1 - efficiency's companion.
-func (m CostModel) TimeWarpWall(parts, cores, interval int, lookahead, rollbackFrac float64) float64 {
-	if interval < 1 || rollbackFrac < 0 {
-		return math.Inf(1)
-	}
-	base := m.Wall(parts, cores, lookahead)
-	if math.IsInf(base, 1) {
-		return base
-	}
-	conc := parts
-	if conc > cores {
-		conc = cores
-	}
-	if conc > 1 {
-		// Speculation overlaps the straggler wait: partitions that would
-		// have idled at the window barrier run ahead instead, so the
-		// conservative sync term partially converts to useful work.
-		base -= 0.5 * math.Ceil(m.Horizon/lookahead) * m.BarrierSec
-	}
-	// Ranks touched per segment saturate at the partition's rank count;
-	// each segment also pays a fixed setup cost (the snapshot maps) worth
-	// a few rank copies, which is what makes interval 1 ruinous.
-	touched := math.Min(float64(interval), float64(m.Ranks)/float64(parts))
-	segments := float64(m.Events) / float64(interval)
-	save := segments * (4 + touched) * m.SnapSec / float64(conc)
-	rollbacks := rollbackFrac * float64(m.Events)
-	replay := rollbacks * (float64(interval)/2*m.EventSec + touched*m.SnapSec) / float64(conc)
-	return base + save + replay
 }

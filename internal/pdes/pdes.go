@@ -78,24 +78,6 @@ type Workload interface {
 	Handle(s Sched, ev Event)
 }
 
-// StatefulWorkload is the optional capability a Workload needs before the
-// optimistic engine will run it: per-rank state save and restore, so
-// speculated events can be rolled back. The contract mirrors Workload's
-// concurrency rule — rank r's state is only read and written by handlers
-// running on rank r, so Snapshot(r) taken between two of r's events fully
-// captures everything a replay of the later one observes. Restore must
-// accept exactly what Snapshot returned. Stateless workloads may return
-// nil and ignore Restore. Workloads without this interface still run
-// conservatively; Run under SyncOptimistic rejects them with
-// ErrNotStateful.
-type StatefulWorkload interface {
-	Workload
-	// Snapshot returns an owned copy of rank's mutable state.
-	Snapshot(rank int) any
-	// Restore rewinds rank's mutable state to a prior Snapshot value.
-	Restore(rank int, snap any)
-}
-
 // maxPartitions bounds the P x P cross-partition batch matrix.
 const maxPartitions = 256
 
@@ -125,27 +107,15 @@ type Config struct {
 	// Barrier selects the multi-worker window hand-off; the zero value is
 	// the remedied BarrierSense.
 	Barrier BarrierKind
-	// Sync selects the synchronisation discipline; the zero value is
-	// SyncConservative. SyncOptimistic requires a StatefulWorkload and
-	// produces byte-identical committed results — see Result.Executed for
-	// what the speculation cost.
-	Sync SyncKind
-	// CheckpointInterval is the number of speculatively processed events
-	// between state checkpoints under SyncOptimistic; <= 0 selects 64.
-	// Small intervals pay snapshot overhead, large ones pay longer
-	// coast-forward replays at rollback. Tunable F30-interval searches
-	// this knob against the engine cost model. Setting it under
-	// SyncConservative is a Validate error.
-	CheckpointInterval int
 	// Obs receives the run's engine metrics (pdes.events, pdes.windows,
 	// pdes.window_stalls, pdes.cross_events, pdes.cross_batches,
-	// pdes.chunk_allocs, pdes.ladder_respreads, and under SyncOptimistic
-	// the pdes.tw_* speculation counters); nil keeps the engine silent.
+	// pdes.chunk_allocs, pdes.ladder_respreads); nil keeps the engine
+	// silent.
 	Obs *obs.Registry
 }
 
 // Validate checks the configuration without resolving defaults (Run still
-// resolves Partitions/Workers/BucketWidth/CheckpointInterval zero values).
+// resolves Partitions/Workers/BucketWidth zero values).
 // Every failure wraps ErrConfig plus one of the specific sentinels, so
 // callers can branch with errors.Is at either granularity.
 func (c Config) Validate() error {
@@ -161,17 +131,8 @@ func (c Config) Validate() error {
 	if c.Barrier != BarrierSense && c.Barrier != BarrierChan {
 		return fmt.Errorf("%w: barrier kind %d out of range", ErrConfig, int(c.Barrier))
 	}
-	if c.Sync != SyncConservative && c.Sync != SyncOptimistic {
-		return fmt.Errorf("%w: sync kind %d out of range", ErrSync, int(c.Sync))
-	}
 	if c.BucketWidth > 0 && c.Queue == QueueHeap {
 		return fmt.Errorf("%w: BucketWidth %g is a ladder knob, meaningless under QueueHeap", ErrBucketWidth, c.BucketWidth)
-	}
-	if c.CheckpointInterval < 0 {
-		return fmt.Errorf("%w: CheckpointInterval %d must be non-negative", ErrCheckpoint, c.CheckpointInterval)
-	}
-	if c.CheckpointInterval > 0 && c.Sync != SyncOptimistic {
-		return fmt.Errorf("%w: CheckpointInterval %d is an optimistic knob, meaningless under %s sync", ErrCheckpoint, c.CheckpointInterval, c.Sync)
 	}
 	return nil
 }
@@ -188,30 +149,10 @@ type Result struct {
 	CrossBatches uint64  // non-empty (src, dst) batches delivered
 	Partitions   int     // resolved partition count
 	Workers      int     // resolved worker count
-
-	// Speculation accounting, zero under SyncConservative (where
-	// Executed == Events by construction).
-	Executed     uint64 // handler invocations, including rolled-back and replayed work
-	Rollbacks    uint64 // rollback episodes across all partitions
-	RolledBack   uint64 // committed-log entries undone by rollbacks
-	AntiMessages uint64 // cross-partition cancellations sent
-	Checkpoints  uint64 // state-checkpoint segments opened
-}
-
-// Efficiency is the committed-event efficiency: events the answer needed
-// divided by events the machine executed. 1.0 under SyncConservative;
-// below 1.0 exactly when speculation wasted work.
-func (r Result) Efficiency() float64 {
-	if r.Executed == 0 {
-		return 1
-	}
-	return float64(r.Events) / float64(r.Executed)
 }
 
 // ErrConfig is the sentinel every configuration error wraps: Validate
-// failures, kind-parse failures, and the optimistic engine's capability
-// rejection all satisfy errors.Is(err, ErrConfig). The daemon maps it to
-// HTTP 400.
+// failures and kind-parse failures both satisfy errors.Is(err, ErrConfig).
 var ErrConfig = errors.New("pdes: invalid config")
 
 var (
@@ -222,12 +163,4 @@ var (
 	ErrPartitions = fmt.Errorf("%w: too many partitions", ErrConfig)
 	// ErrBucketWidth reports Config.BucketWidth set under QueueHeap.
 	ErrBucketWidth = fmt.Errorf("%w: bucket width", ErrConfig)
-	// ErrCheckpoint reports an unusable Config.CheckpointInterval.
-	ErrCheckpoint = fmt.Errorf("%w: checkpoint interval", ErrConfig)
-	// ErrSync reports an out-of-range Config.Sync.
-	ErrSync = fmt.Errorf("%w: sync kind", ErrConfig)
-	// ErrNotStateful reports a SyncOptimistic run over a workload that
-	// does not implement StatefulWorkload, so nothing could be rolled
-	// back.
-	ErrNotStateful = fmt.Errorf("%w: workload cannot roll back", ErrConfig)
 )

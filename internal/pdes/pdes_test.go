@@ -11,31 +11,14 @@ import (
 var (
 	flagQueue   = flag.String("pdes-queue", "", `override Config.Queue in package tests ("heap" or "ladder")`)
 	flagBarrier = flag.String("pdes-barrier", "", `override Config.Barrier in package tests ("chan" or "sense")`)
-	flagSync    = flag.String("pdes-sync", "", `override Config.Sync in package tests ("conservative" or "optimistic")`)
 )
 
-// testCfg applies the package test flags — through the same Parse*
-// functions every other consumer uses — so CI can re-run the whole
-// determinism suite under any queue, barrier, and sync discipline:
+// testCfg applies the package test flags through the kinds' Parse
+// functions, so CI can re-run the whole determinism suite under the
+// non-default queue and barrier disciplines:
 //
 //	go test -race ./internal/pdes -args -pdes-queue=heap -pdes-barrier=chan
-//	go test -race ./internal/pdes -args -pdes-sync=optimistic
 func testCfg(cfg Config) Config {
-	cfg = testCfgCons(cfg)
-	if *flagSync != "" {
-		k, err := ParseSyncKind(*flagSync)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Sync = k
-	}
-	return cfg
-}
-
-// testCfgCons applies only the queue and barrier flags — for tests probing
-// conservative-only behaviour (the emission-time lookahead gate) that the
-// optimistic engine deliberately repairs instead of reporting.
-func testCfgCons(cfg Config) Config {
 	if *flagQueue != "" {
 		k, err := ParseQueueKind(*flagQueue)
 		if err != nil {
@@ -226,18 +209,10 @@ func (w *crossEmit) Handle(s Sched, ev Event) {
 	}
 }
 
-// crossEmit has no mutable state, so the capability is a pair of no-ops —
-// the smallest possible StatefulWorkload.
-func (w *crossEmit) Snapshot(int) any { return nil }
-func (w *crossEmit) Restore(int, any) {}
-
 func TestLookaheadViolationReported(t *testing.T) {
 	const look = 1e-6
 	w := &crossEmit{n: 2, at: look, delay: look / 2}
-	// The gate is conservative-only behaviour: the optimistic engine
-	// accepts the same emission and repairs it (see timewarp_test.go), so
-	// this case pins the sync discipline instead of taking the flag.
-	_, err := Run(w, testCfgCons(Config{Partitions: 2, Lookahead: look}))
+	_, err := Run(w, testCfg(Config{Partitions: 2, Lookahead: look}))
 	if err == nil || !strings.Contains(err.Error(), "lookahead violation") {
 		t.Fatalf("got %v, want a lookahead violation", err)
 	}
@@ -263,8 +238,6 @@ func (w *badDst) Init(s Sched, rank int) {
 	}
 }
 func (w *badDst) Handle(Sched, Event) {}
-func (w *badDst) Snapshot(int) any    { return nil }
-func (w *badDst) Restore(int, any)    {}
 
 func TestBadDestinationReported(t *testing.T) {
 	_, err := Run(&badDst{n: 4}, testCfg(Config{Partitions: 2, Lookahead: 1e-6}))
@@ -284,8 +257,6 @@ func (w *panicky) Handle(s Sched, ev Event) {
 		panic("boom")
 	}
 }
-func (w *panicky) Snapshot(int) any { return nil }
-func (w *panicky) Restore(int, any) {}
 
 func TestHandlerPanicRecovered(t *testing.T) {
 	_, err := Run(&panicky{n: 4}, testCfg(Config{Partitions: 4, Lookahead: 1e-6}))
@@ -305,9 +276,6 @@ func TestConfigErrors(t *testing.T) {
 		{"negative lookahead", Config{Lookahead: -1}, ErrLookahead},
 		{"too many partitions", Config{Lookahead: 1e-6, Partitions: 1 << 20}, ErrPartitions},
 		{"bucket width under heap", Config{Lookahead: 1e-6, Queue: QueueHeap, BucketWidth: 1e-7}, ErrBucketWidth},
-		{"negative checkpoint interval", Config{Lookahead: 1e-6, Sync: SyncOptimistic, CheckpointInterval: -1}, ErrCheckpoint},
-		{"checkpoint interval without optimism", Config{Lookahead: 1e-6, CheckpointInterval: 16}, ErrCheckpoint},
-		{"sync kind out of range", Config{Lookahead: 1e-6, Sync: SyncKind(7)}, ErrSync},
 		{"queue kind out of range", Config{Lookahead: 1e-6, Queue: QueueKind(7)}, ErrConfig},
 		{"barrier kind out of range", Config{Lookahead: 1e-6, Barrier: BarrierKind(7)}, ErrConfig},
 	}
@@ -326,10 +294,8 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
-// TestKindParseRoundTrip pins the canonical parse surface every consumer
-// (bench flags, wastelab, the daemon's query params) routes through: each
-// kind's String form parses back to itself, each implements flag.Value,
-// and failures are typed ErrConfig.
+// TestKindParseRoundTrip pins the canonical parse surface: each kind's
+// String form parses back to itself, and failures are typed ErrConfig.
 func TestKindParseRoundTrip(t *testing.T) {
 	for _, q := range []QueueKind{QueueLadder, QueueHeap} {
 		got, err := ParseQueueKind(q.String())
@@ -343,38 +309,11 @@ func TestKindParseRoundTrip(t *testing.T) {
 			t.Errorf("ParseBarrierKind(%q) = %v, %v", b.String(), got, err)
 		}
 	}
-	for _, s := range []SyncKind{SyncConservative, SyncOptimistic} {
-		got, err := ParseSyncKind(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseSyncKind(%q) = %v, %v", s.String(), got, err)
-		}
-	}
 	if _, err := ParseQueueKind("splay"); !errors.Is(err, ErrConfig) {
 		t.Errorf("bad queue kind: got %v, want ErrConfig", err)
 	}
 	if _, err := ParseBarrierKind("tree"); !errors.Is(err, ErrConfig) {
 		t.Errorf("bad barrier kind: got %v, want ErrConfig", err)
-	}
-	if _, err := ParseSyncKind("psychic"); !errors.Is(err, ErrConfig) {
-		t.Errorf("bad sync kind: got %v, want ErrConfig", err)
-	}
-
-	// flag.Value: a flag.FlagSet can own a kind directly.
-	var q QueueKind
-	var b BarrierKind
-	var s SyncKind
-	fs := flag.NewFlagSet("kinds", flag.ContinueOnError)
-	fs.Var(&q, "queue", "")
-	fs.Var(&b, "barrier", "")
-	fs.Var(&s, "sync", "")
-	if err := fs.Parse([]string{"-queue=heap", "-barrier=chan", "-sync=optimistic"}); err != nil {
-		t.Fatalf("flag parse: %v", err)
-	}
-	if q != QueueHeap || b != BarrierChan || s != SyncOptimistic {
-		t.Errorf("flag.Value parse got %v/%v/%v", q, b, s)
-	}
-	if err := fs.Parse([]string{"-sync=never"}); err == nil {
-		t.Error("flag.Value accepted a bad sync kind")
 	}
 }
 
@@ -438,51 +377,6 @@ func TestLadderCostModelShape(t *testing.T) {
 			rising = true
 		} else if rising {
 			t.Fatalf("ladder cost model not unimodal: dips again at divisor=%d", div)
-		}
-		prev = wall
-	}
-}
-
-func TestTimeWarpCostModelShape(t *testing.T) {
-	m := CostModel{
-		Events: 1 << 22, Ranks: 1 << 20, Horizon: 1e-3,
-		EventSec: 100e-9, BarrierSec: 5e-6, PartSec: 2e-6, SnapSec: 40e-9,
-	}
-	const cores = 8
-	const look = 2e-6
-	const rbFrac = 0.01
-
-	if !math.IsInf(m.TimeWarpWall(8, cores, 0, look, rbFrac), 1) {
-		t.Error("interval below 1 should cost +Inf")
-	}
-	if !math.IsInf(m.TimeWarpWall(8, cores, 64, 0, rbFrac), 1) {
-		t.Error("zero lookahead should cost +Inf")
-	}
-	// Both interval extremes must lose to the middle: interval 1 drowns in
-	// snapshots, a huge interval drowns in coast-forward replay.
-	mid := m.TimeWarpWall(8, cores, 64, look, rbFrac)
-	if m.TimeWarpWall(8, cores, 1, look, rbFrac) <= mid {
-		t.Error("checkpoint-every-event should cost more than the default interval")
-	}
-	if m.TimeWarpWall(8, cores, 1<<16, look, rbFrac) <= mid {
-		t.Error("a giant interval should pay replay cost above the default")
-	}
-	// With no rollbacks the replay term vanishes, so cost is monotone
-	// nonincreasing in the interval.
-	if m.TimeWarpWall(8, cores, 1<<12, look, 0) > m.TimeWarpWall(8, cores, 64, look, 0) {
-		t.Error("with zero rollbacks, larger intervals should never cost more")
-	}
-
-	// Unimodal in the interval over a doubling grid — required by the
-	// golden-section tuner owning F30-interval.
-	prev := math.Inf(1)
-	rising := false
-	for iv := 1; iv <= 1<<16; iv *= 2 {
-		wall := m.TimeWarpWall(8, cores, iv, look, rbFrac)
-		if wall > prev {
-			rising = true
-		} else if rising {
-			t.Fatalf("time-warp cost model not unimodal: dips again at interval=%d", iv)
 		}
 		prev = wall
 	}

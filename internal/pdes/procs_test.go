@@ -1,7 +1,6 @@
 package pdes
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -123,19 +122,6 @@ func TestProcsResumeLadderFrontierAtBoundaries(t *testing.T) {
 					cfg.Partitions, cfg.BucketWidth, r, ledger[r], base[r])
 			}
 		}
-	}
-}
-
-// TestProcsOptimisticRejected: the procs adapter hides rank state inside
-// goroutine stacks, which no checkpoint can capture, so the optimistic
-// engine must refuse it with the typed capability error.
-func TestProcsOptimisticRejected(t *testing.T) {
-	_, err := RunProcs(4, Config{Partitions: 2, Lookahead: 1e-6, Sync: SyncOptimistic}, func(p *Proc) {})
-	if !errors.Is(err, ErrNotStateful) {
-		t.Fatalf("got %v, want ErrNotStateful", err)
-	}
-	if !errors.Is(err, ErrConfig) {
-		t.Fatalf("capability rejection %v should wrap ErrConfig", err)
 	}
 }
 

@@ -54,10 +54,6 @@ func evLess(a, b *Event) bool {
 // changes the pop order.
 type evQueue interface {
 	push(ev Event)
-	// pushSorted reinserts a (Time, Src, Seq)-sorted batch — a rollback's
-	// undone log suffix. Must be equivalent to pushing each event in order;
-	// the ladder overrides the per-event slow path with one merge pass.
-	pushSorted(evs []Event)
 	// peek returns the minimum pending timestamp; ok is false when empty.
 	peek() (t float64, ok bool)
 	// pop removes and returns the minimum event. The caller guarantees the
@@ -117,14 +113,6 @@ type binHeap struct {
 func (q *binHeap) push(ev Event) { heapPush(&q.h, ev) }
 func (q *binHeap) pop() Event    { return heapPop(&q.h) }
 func (q *binHeap) len() int      { return len(q.h) }
-
-// pushSorted for the heap is just k sift-ups — O(k log n) already, no
-// quadratic path to avoid.
-func (q *binHeap) pushSorted(evs []Event) {
-	for _, ev := range evs {
-		heapPush(&q.h, ev)
-	}
-}
 
 func (q *binHeap) peek() (float64, bool) {
 	if len(q.h) == 0 {
@@ -295,44 +283,6 @@ func (q *ladder) pushRun(ev Event) {
 	q.run = append(q.grow(q.run, 1), Event{})
 	copy(q.run[lo+1:], q.run[lo:])
 	q.run[lo] = ev
-}
-
-// pushSorted reinserts a rollback's undone log suffix (sorted, since it was
-// recorded in pop order) and rewinds the merge frontier. Reinserting behind
-// the frontier one event at a time would take pushRun's O(run) tail memmove
-// per event — and, worse, leaving cur at its speculative high-water mark
-// would route every emission of the post-rollback re-execution through the
-// same memmove (a measured 180x wall blowup at 64k-rank F30 scale). So the
-// rollback path rebuilds the rung instead: the live run and the undone
-// batch both go back into buckets, cur rewinds to -1, and re-execution's
-// pushes are O(1) appends again. Pop order is unchanged — the rung merges
-// buckets in index order and sorts each on merge, which reproduces the
-// total (Time, Src, Seq) order from any placement.
-func (q *ladder) pushSorted(evs []Event) {
-	live := q.run[q.head:]
-	q.cur = -1
-	for i := range live {
-		q.place(live[i])
-	}
-	for i := range evs {
-		q.place(evs[i])
-	}
-	q.run = q.run[:0]
-	q.head = 0
-}
-
-// place routes an event to its bucket or the overflow without consulting
-// the merge frontier (the caller has just rewound it). Times at or below
-// the rung origin clamp to bucket 0, which is merged first and sorted in
-// isolation, so bucket monotonicity still holds.
-func (q *ladder) place(ev Event) {
-	i := q.idx(ev.Time)
-	if i >= ladderBuckets {
-		q.toOver(ev)
-		return
-	}
-	q.toBucket(max(i, 0), ev)
-	q.pending++
 }
 
 func (q *ladder) len() int { return len(q.run) - q.head + q.pending }

@@ -17,7 +17,6 @@ import (
 	"tenways/internal/core"
 	"tenways/internal/machine"
 	"tenways/internal/obs"
-	"tenways/internal/pdes"
 	"tenways/internal/report"
 	"tenways/internal/trace"
 	"tenways/internal/tune"
@@ -29,7 +28,7 @@ import (
 //	GET  /metrics          the daemon's obs.Snapshot (json; ?format=text)
 //	GET  /v1/experiments   the experiment catalog
 //	GET  /v1/run           run one experiment (?id, ?machine, ?seed, ?quick,
-//	                       ?sync, ?format, ?timeout) through cache + coalescing +
+//	                       ?format, ?timeout) through cache + coalescing +
 //	                       admission; sets a per-format ETag and answers
 //	                       If-None-Match revalidations with a bodyless 304
 //	GET  /v1/runall        run many experiments (?ids=F1,F2,... or the whole
@@ -182,11 +181,10 @@ type reqParams struct {
 	spec    *machine.Spec
 	seed    uint64
 	quick   bool
-	sync    pdes.SyncKind
 	timeout time.Duration
 }
 
-// params parses machine/seed/quick/sync/timeout, writing the 400 itself on
+// params parses machine/seed/quick/timeout, writing the 400 itself on
 // malformed input.
 func (s *Server) params(w http.ResponseWriter, r *http.Request) (reqParams, bool) {
 	q := r.URL.Query()
@@ -215,14 +213,6 @@ func (s *Server) params(w http.ResponseWriter, r *http.Request) (reqParams, bool
 		}
 		p.quick = quick
 	}
-	if v := q.Get("sync"); v != "" {
-		sync, err := pdes.ParseSyncKind(v)
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err.Error())
-			return p, false
-		}
-		p.sync = sync
-	}
 	if v := q.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
@@ -240,8 +230,8 @@ func (s *Server) params(w http.ResponseWriter, r *http.Request) (reqParams, bool
 // runKey builds the result-cache / coalescing key for a run request. The
 // format parameter is deliberately absent: rendering is cheap, so one
 // cached result serves every format.
-func runKey(m string, id string, seed uint64, quick bool, sync pdes.SyncKind) string {
-	return "run|" + m + "|" + id + "|" + strconv.FormatUint(seed, 10) + "|" + strconv.FormatBool(quick) + "|" + sync.String()
+func runKey(m string, id string, seed uint64, quick bool) string {
+	return "run|" + m + "|" + id + "|" + strconv.FormatUint(seed, 10) + "|" + strconv.FormatBool(quick)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -271,8 +261,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
-	key := runKey(p.spec.Name, e.ID, p.seed, p.quick, p.sync)
-	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed, PDESSync: p.sync}
+	key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
+	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed}
 	ent, cached, coalesced, err := s.runShared(ctx, key, e.ID, cfg)
 	if err != nil {
 		s.writeRunErr(w, err)
@@ -377,7 +367,7 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp := runAllResponse{Machine: p.spec.Name, Seed: p.seed, Quick: p.quick,
 		Results: make([]runAllRecord, 0, len(exps))}
-	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed, PDESSync: p.sync}
+	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed}
 	for i, e := range exps {
 		rec := runAllRecord{ID: e.ID, Title: e.Title}
 		if err := ctx.Err(); err != nil {
@@ -390,7 +380,7 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 			}
 			break
 		}
-		key := runKey(p.spec.Name, e.ID, p.seed, p.quick, p.sync)
+		key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
 		ent, cached, coalesced, err := s.runShared(ctx, key, e.ID, cfg)
 		if err != nil {
 			rec.Error = err.Error()
@@ -463,12 +453,9 @@ func (s *Server) runShared(ctx context.Context, key, id string, cfg core.Config)
 }
 
 // writeRunErr maps request-path errors to status codes: queue overflow to
-// 429 + Retry-After, deadline to 504, client cancellation to 499-ish 503,
-// engine configuration rejections (pdes.ErrConfig) to 400.
+// 429 + Retry-After, deadline to 504, client cancellation to 499-ish 503.
 func (s *Server) writeRunErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, pdes.ErrConfig):
-		s.writeErr(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, errQueueFull):
 		s.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))

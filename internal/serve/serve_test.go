@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"tenways/internal/core"
-	"tenways/internal/pdes"
 	"tenways/internal/report"
 )
 
@@ -201,55 +199,11 @@ func TestRunEndpointErrors(t *testing.T) {
 		{"/v1/run?id=E1&quick=banana", http.StatusBadRequest},
 		{"/v1/run?id=E1&timeout=banana", http.StatusBadRequest},
 		{"/v1/run?id=E1&format=nope", http.StatusBadRequest},
-		{"/v1/run?id=E1&sync=banana", http.StatusBadRequest},
 	} {
 		if code, _, body := get(t, ts.URL+tc.url); code != tc.want {
 			t.Errorf("%s = %d, want %d (%s)", tc.url, code, tc.want, body)
 		}
 	}
-}
-
-// TestRunSyncParam: ?sync= routes through the shared pdes parser, lands in
-// the experiment's core.Config, and is part of the cache identity — the
-// optimistic and conservative runs of the same experiment never share an
-// entry. An engine-config rejection surfaces as a 400, not a 500.
-func TestRunSyncParam(t *testing.T) {
-	lab := &syncEchoLab{}
-	_, ts := newTestServer(t, lab, Options{})
-
-	code, _, body := get(t, ts.URL+"/v1/run?id=E1&sync=optimistic")
-	if code != http.StatusOK {
-		t.Fatalf("sync=optimistic run = %d: %s", code, body)
-	}
-	if !bytes.Contains(body, []byte(`"optimistic"`)) {
-		t.Fatalf("run config did not carry the sync kind: %s", body)
-	}
-	// The conservative twin must miss the optimistic run's cache entry.
-	if code, hdr, _ := get(t, ts.URL+"/v1/run?id=E1"); code != http.StatusOK || hdr.Get("X-Cache") != "miss" {
-		t.Fatalf("conservative run after optimistic: code=%d X-Cache=%q, want 200 miss", code, hdr.Get("X-Cache"))
-	}
-	if n := lab.runs.Load(); n != 2 {
-		t.Fatalf("lab ran %d times, want 2 (one per sync kind)", n)
-	}
-
-	lab.fail = fmt.Errorf("%w: stub rejection", pdes.ErrConfig)
-	if code, _, body := get(t, ts.URL+"/v1/run?id=E2&sync=optimistic"); code != http.StatusBadRequest {
-		t.Fatalf("engine-config rejection = %d, want 400 (%s)", code, body)
-	}
-}
-
-// syncEchoLab echoes cfg.PDESSync into its table so tests can see what the
-// handler actually passed down.
-type syncEchoLab struct{ stubLab }
-
-func (l *syncEchoLab) RunContext(ctx context.Context, id string, cfg core.Config) (core.Output, error) {
-	l.runs.Add(1)
-	if l.fail != nil {
-		return core.Output{}, l.fail
-	}
-	tbl := report.NewTable(id, "stub output", "k", "v")
-	tbl.AddRow("sync", cfg.PDESSync.String())
-	return core.Output{Table: tbl}, nil
 }
 
 func TestRunEndpointLabError(t *testing.T) {

@@ -89,7 +89,6 @@ func Tunables(quick bool) []Tunable {
 		f28Partitions(quick),
 		f28Lookahead(quick),
 		f29Bucket(quick),
-		f30Interval(quick),
 	}
 	for i := range ts {
 		ts[i].Quick = quick
@@ -358,7 +357,6 @@ func f28Model(m *machine.Spec, quick bool) (pdes.CostModel, float64) {
 		BarrierSec: 20000 * m.CycleSec(), // per-window worker wakeup and GVT reduction
 		PartSec:    400 * m.CycleSec(),   // per-partition per-window batch scan
 		BucketSec:  150 * m.CycleSec(),   // ladder rung advance: frontier scan + slab swap
-		SnapSec:    60 * m.CycleSec(),    // time-warp per-rank snapshot/restore copy
 	}, delta
 }
 
@@ -433,34 +431,6 @@ func f29Bucket(quick bool) Tunable {
 			return func(p Point) (Cost, error) {
 				bucket := delta / float64(space.Int(p, "bucket-div"))
 				return Cost{Seconds: model.LadderWall(8, m.CoresPerNode, delta, bucket)}, nil
-			}
-		},
-	}
-}
-
-// f30Interval tunes the Time-Warp checkpoint interval (F30), in events per
-// segment: interval 1 snapshots before every event, huge intervals pay the
-// coast-forward replay on every rollback — the optimistic engine's own
-// F25-shaped U-curve, unimodal, so golden-section applies. The rollback
-// density is the F30 campaign's observed episodes-per-committed-event on
-// the spiked idle wave.
-func f30Interval(quick bool) Tunable {
-	axis := LogRange("interval", 1, 4096, 2)
-	space := NewSpace(axis)
-	ranks := f28Ranks(quick)
-	const rollbackFrac = 0.01
-	return Tunable{
-		ID:       "F30-interval",
-		ModeID:   "F30",
-		Title:    fmt.Sprintf("pdes time-warp checkpoint interval (idle wave, %d ranks, modeled)", ranks),
-		Space:    space,
-		Default:  Point{indexOf(axis, 64)}, // the engine's defaultCheckpointInterval
-		Unimodal: true,
-		objective: func(m *machine.Spec) Objective {
-			model, delta := f28Model(m, quick)
-			return func(p Point) (Cost, error) {
-				iv := space.Int(p, "interval")
-				return Cost{Seconds: model.TimeWarpWall(8, m.CoresPerNode, iv, delta, rollbackFrac)}, nil
 			}
 		},
 	}

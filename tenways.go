@@ -34,7 +34,6 @@ import (
 	"tenways/internal/core"
 	"tenways/internal/machine"
 	"tenways/internal/obs"
-	"tenways/internal/pdes"
 	"tenways/internal/pgas"
 	"tenways/internal/report"
 	"tenways/internal/sched"
@@ -93,25 +92,10 @@ type Config = core.Config
 // Output is an experiment's result: a table, a figure, or both.
 type Output = core.Output
 
-// PDESSyncKind selects the partitioned discrete-event engine's
-// synchronisation discipline for the experiments that run it (F28–F30):
-// conservative lookahead windows or optimistic Time Warp. It implements
-// flag.Value, so commands can register it directly.
-type PDESSyncKind = pdes.SyncKind
-
-// The two engine synchronisation disciplines.
-const (
-	PDESSyncConservative = pdes.SyncConservative
-	PDESSyncOptimistic   = pdes.SyncOptimistic
-)
-
-// ParsePDESSyncKind parses "conservative" or "optimistic".
-func ParsePDESSyncKind(s string) (PDESSyncKind, error) { return pdes.ParseSyncKind(s) }
-
 // Experiment is one registered table or figure generator.
 type Experiment = core.Experiment
 
-// NewLab returns the full evaluation suite: T1–T10 and F1–F27.
+// NewLab returns the full evaluation suite: T1–T13 and F1–F29.
 func NewLab() *Lab { return core.NewLab() }
 
 // RunOptions parameterises Lab.RunAll: worker-pool width, the experiment
