@@ -31,14 +31,10 @@ fix:
 fix-clean: fix
 	git diff --exit-code
 
-# Tier-2 verify: static analysis + race detector. The pdes package runs
-# again under its non-default disciplines (binary-heap queue +
-# chan-broadcast barrier) so every engine hot path stays race-clean and
-# result-identical.
+# Tier-2 verify: static analysis + race detector.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/pdes -args -pdes-queue=heap -pdes-barrier=chan
 
 # Full benchmark suite (use BENCH=<regex> to narrow).
 BENCH ?= .

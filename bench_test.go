@@ -338,9 +338,6 @@ func BenchmarkDESKernel(b *testing.B) {
 // F28 idle-wave workload across partition counts — the scaling curve that
 // justifies the windowed design over the serial kernel (partitions=1 is the
 // serial baseline with the same queue and batch machinery in the loop).
-// The queue= and barrier= axes pin each discipline at the widest partition
-// count so bench-diff can certify the ladder/sense rewrite against the
-// committed baseline and catch either discipline regressing independently.
 func BenchmarkPDESIdleWave(b *testing.B) {
 	ranks := 1 << 14
 	if testing.Short() {
@@ -365,16 +362,6 @@ func BenchmarkPDESIdleWave(b *testing.B) {
 	for _, parts := range []int{1, 2, 4, 8} {
 		b.Run("parts="+strconv.Itoa(parts), func(b *testing.B) {
 			run(b, pdes.Config{Partitions: parts})
-		})
-	}
-	for _, q := range []pdes.QueueKind{pdes.QueueLadder, pdes.QueueHeap} {
-		b.Run("parts=8/queue="+q.String(), func(b *testing.B) {
-			run(b, pdes.Config{Partitions: 8, Queue: q})
-		})
-	}
-	for _, bar := range []pdes.BarrierKind{pdes.BarrierSense, pdes.BarrierChan} {
-		b.Run("parts=8/workers=4/barrier="+bar.String(), func(b *testing.B) {
-			run(b, pdes.Config{Partitions: 8, Workers: 4, Barrier: bar})
 		})
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"tenways/internal/machine"
 	"tenways/internal/pgas"
 	"tenways/internal/trace"
+	"tenways/internal/tune"
+	"tenways/internal/waste"
 	"tenways/internal/workload"
 )
 
@@ -19,7 +21,7 @@ func TestLabHasFullSuite(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "T4", "T5",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
 		"F11", "F12", "F13", "F14", "T6", "T7", "F15", "F16", "F17", "F18", "F19", "F20", "F21",
-		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "F27", "T11", "T12", "F28", "F29", "T13"}
+		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "F27", "T11", "T12", "F28", "T13"}
 	ids := l.IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("got %d experiments, want %d", len(ids), len(want))
@@ -34,6 +36,24 @@ func TestLabHasFullSuite(t *testing.T) {
 	}
 	if _, err := l.Get("X9"); err == nil {
 		t.Fatal("expected error for unknown id")
+	}
+}
+
+// TestTunablesNameKnownModes: every tunable's ModeID must name a lab
+// experiment or one of the ten waste modes, so an experiment cannot be
+// deleted while a tunable (and T9's row for it) still points at it.
+func TestTunablesNameKnownModes(t *testing.T) {
+	known := make(map[string]bool)
+	for _, id := range NewLab().IDs() {
+		known[id] = true
+	}
+	for _, m := range waste.Modes() {
+		known[m.ID] = true
+	}
+	for _, tn := range tune.Tunables(true) {
+		if !known[tn.ModeID] {
+			t.Errorf("tunable %s names ModeID %q, which is neither a lab experiment nor a waste mode", tn.ID, tn.ModeID)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func (o Output) RenderWith(w io.Writer, r report.Renderer) error {
 
 // Experiment regenerates one table or figure of the evaluation suite.
 type Experiment struct {
-	ID    string // "T1".."T13", "F1".."F29"
+	ID    string // "T1".."T13", "F1".."F28"
 	Title string
 	// Measured marks experiments whose cells come from host wall-clock
 	// measurement (T10, F27) rather than the deterministic simulation:
@@ -204,7 +204,6 @@ func allExperiments() []Experiment {
 		{ID: "T11", Title: "wastevet self-audit: rule-to-waste-mode map and finding counts", Run: runT11},
 		{ID: "T12", Title: "wastelabd self-measurement: request-path policies vs daemon waste modes", Run: runT12},
 		{ID: "F28", Title: "Idle-wave propagation at scale: measured vs analytic wave speed (partitioned PDES)", Run: runF28},
-		{ID: "F29", Title: "Engine hot path: queue discipline and window barrier, wasteful vs remedied", Run: runF29, Measured: true},
 		{ID: "T13", Title: "wastevet autofix coverage: per-package findings at-intro vs post-fix", Run: runT13},
 	}
 }

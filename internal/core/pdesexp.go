@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tenways/internal/netsim"
 	"tenways/internal/pdes"
@@ -13,8 +12,9 @@ import (
 // f28Engine is the engine configuration F28 runs under. It is a package
 // variable so the determinism tests can vary the partition and worker
 // count and assert byte-identical output; none of its fields may influence
-// the table. The lookahead is always the workload's minimum halo delay.
-var f28Engine = pdes.Config{Partitions: 8, Workers: 8}
+// the table. The lookahead is always the workload's minimum halo delay,
+// and the worker count is the engine's default, capped at GOMAXPROCS.
+var f28Engine = pdes.Config{Partitions: 8}
 
 // runF28 reruns the F22 idle-wave physics at cluster scale on the
 // partitioned engine: up to 2^20 simulated ranks run a blocking halo chain,
@@ -94,88 +94,6 @@ func runF28(ctx context.Context, cfg Config) (Output, error) {
 			report.FormatG(analytic),
 			report.FormatFactor(speed/analytic),
 			fmt.Sprintf("%.4f", fit.R2),
-		)
-	}
-	return Output{Table: tbl}, nil
-}
-
-// runF29 turns the engine's own hot path into a waste-mode table: the same
-// idle-wave workload under each combination of queue discipline (binary
-// heap vs ladder) and window barrier (chan hand-off vs padded
-// sense-reversing), measured on the host. The wasteful corner is PR 6's
-// engine verbatim; the remedied corner is the current default. The virtual
-// columns (events, windows, virtual time) are asserted identical across
-// all four runs — the rewrite may only change wall time, never results.
-// Measured: wall and speedup cells are host wall-clock and vary run to
-// run.
-func runF29(ctx context.Context, cfg Config) (Output, error) {
-	spec := cfg.machine()
-	const compute = 50e-6
-	delay := spec.Net.AlphaSec + 2*spec.Net.OverheadSec + 128/spec.Net.BytesPerSec
-
-	ranks, steps := 1<<16, 8
-	if cfg.Quick {
-		ranks, steps = 1<<12, 6
-	}
-
-	// Workers > 1 so the barrier actually synchronises; 4 strided workers
-	// over 8 partitions is the engine's own default shape for this table.
-	rows := []struct {
-		name    string
-		queue   pdes.QueueKind
-		barrier pdes.BarrierKind
-	}{
-		{"heap queue + chan barrier (wasteful)", pdes.QueueHeap, pdes.BarrierChan},
-		{"heap queue + sense barrier", pdes.QueueHeap, pdes.BarrierSense},
-		{"ladder queue + chan barrier", pdes.QueueLadder, pdes.BarrierChan},
-		{"ladder queue + sense barrier (remedied)", pdes.QueueLadder, pdes.BarrierSense},
-	}
-
-	tbl := report.NewTable("F29",
-		fmt.Sprintf("engine hot-path disciplines on the idle wave (%d ranks, %d steps, c=%s, 8 partitions, 4 workers, measured): binary heap vs ladder queue, chan vs sense-reversing window barrier; virtual results byte-identical across rows by construction",
-			ranks, steps, report.FormatSeconds(compute)),
-		"configuration", "events", "windows", "virtual s", "wall ms", "Mev/s", "speedup")
-
-	var baseEvents, baseWindows uint64
-	var baseVT, baseWall float64
-	for i, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return Output{}, err
-		}
-		w, err := pdes.NewIdleWave(ranks, steps, compute, 3*compute, []int{1}, []float64{delay})
-		if err != nil {
-			return Output{}, fmt.Errorf("F29 %s: %w", row.name, err)
-		}
-		eng := pdes.Config{
-			Partitions: 8, Workers: 4,
-			Lookahead: w.MinDelay(),
-			Queue:     row.queue,
-			Barrier:   row.barrier,
-			Obs:       cfg.metrics(),
-		}
-		start := time.Now()
-		res, err := pdes.Run(w, eng)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			return Output{}, fmt.Errorf("F29 %s: %w", row.name, err)
-		}
-		if i == 0 {
-			baseEvents, baseWindows, baseVT, baseWall = res.Events, res.Windows, res.VirtualTime, wall
-		} else if res.Events != baseEvents || res.Windows != baseWindows || res.VirtualTime != baseVT {
-			return Output{}, fmt.Errorf(
-				"F29 %s: virtual results diverged from the wasteful baseline (events %d vs %d, windows %d vs %d, vt %g vs %g) — the disciplines must be result-identical",
-				row.name, res.Events, baseEvents, res.Windows, baseWindows, res.VirtualTime, baseVT)
-		}
-		if wall <= 0 {
-			wall = 1e-9
-		}
-		tbl.AddRow(row.name,
-			fmt.Sprintf("%d", res.Events),
-			fmt.Sprintf("%d", res.Windows),
-			report.FormatSeconds(res.VirtualTime),
-			fmt.Sprintf("%.2f", wall*1e3),
-			fmt.Sprintf("%.2f", float64(res.Events)/wall/1e6),
-			report.FormatFactor(baseWall/wall),
 		)
 	}
 	return Output{Table: tbl}, nil

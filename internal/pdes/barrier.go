@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// senseBarrier is the window hand-off for multi-worker runs under
-// Config.BarrierSense: a sense-reversing barrier with an inline min-reduce,
-// replacing the chan-broadcast + report-channel pair (two channel
-// operations per worker per window — send/recv futex traffic the paper
-// would file under synchronisation waste) with one atomic publish and one
-// bounded spin per worker per window.
+// senseBarrier is the window hand-off for multi-worker runs: a
+// sense-reversing barrier with an inline min-reduce — one atomic publish
+// and one bounded spin per worker per window, where a chan broadcast plus
+// a report channel would cost two channel operations per worker per window
+// (send/recv futex traffic the paper would file under synchronisation
+// waste).
 //
 // Protocol, per window w (epoch e = w+1 so the zero value means "idle"):
 //

@@ -9,8 +9,8 @@ import (
 
 // simSched adapts the classic single-heap sim.Kernel to the Sched
 // interface, so any pdes.Workload also runs on the old engine — the
-// cross-check used by the determinism tests and the fallback when a
-// workload cannot promise lookahead-sized message delays.
+// cross-engine reference the determinism tests compare the partitioned
+// engine against.
 type simSched struct {
 	k    *sim.Kernel
 	w    Workload

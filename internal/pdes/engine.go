@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// engine is the per-run state: one queue, one arena, and one Sched per
+// engine is the per-run state: one ladder, one arena, and one Sched per
 // partition, plus per-partition counters summed at the end so the window
 // loop itself is atomic-free.
 type engine struct {
@@ -41,7 +41,7 @@ type engine struct {
 // other's cache lines — without it the per-window counter writes of
 // adjacent partitions false-share (the paper's W9 in our own engine).
 type partState struct {
-	q     evQueue
+	q     *ladder
 	sched partSched
 	arena arena
 
@@ -115,27 +115,20 @@ func (s *partSched) At(dst int, t float64, kind, step int32, data float64) {
 	}
 }
 
-// newEngine builds the per-run state for n ranks over p partitions. The
-// caller has validated n, p, and cfg.Lookahead.
-func newEngine(w Workload, n, p int, cfg Config) *engine {
+// newEngine builds the per-run state for n ranks over p partitions with
+// the given window length and ladder bucket width. The caller has
+// validated n, p, and look.
+func newEngine(w Workload, n, p int, look, width float64) *engine {
 	e := &engine{
-		w: w, n: n, p: p, look: cfg.Lookahead,
+		w: w, n: n, p: p, look: look,
 		seq:   make([]uint32, n),
 		parts: make([]partState, p),
 	}
 	e.bufs[0] = make([]batch, p*p)
 	e.bufs[1] = make([]batch, p*p)
-	width := cfg.BucketWidth
-	if width <= 0 {
-		width = cfg.Lookahead / 4
-	}
 	for d := 0; d < p; d++ {
 		ps := &e.parts[d]
-		if cfg.Queue == QueueHeap {
-			ps.q = &binHeap{h: make([]Event, 0, 2*n/p+4)}
-		} else {
-			ps.q = newLadder(width)
-		}
+		ps.q = newLadder(width)
 		ps.sched = partSched{eng: e, ps: ps, part: d}
 		ps.crossMin = math.Inf(1)
 		ps.lastT = math.Inf(-1)
@@ -273,72 +266,10 @@ func (e *engine) stepWindow(gmin float64) (float64, bool) {
 	return next, failed
 }
 
-// workerReport is one worker's per-window reduction over its partitions
-// (chan-barrier path).
-type workerReport struct {
-	min  float64
-	fail bool
-}
-
-// runChan is the wasteful multi-worker window loop F29 tables: persistent
-// strided workers, a chan broadcast of the window end, and a report
-// channel reduced by the coordinator — two channel operations per worker
-// per window.
-func (e *engine) runChan(nw int, gmin float64) {
-	start := make([]chan float64, nw)
-	reports := make(chan workerReport, nw)
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		start[wi] = make(chan float64, 1)
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			window := 0
-			for wend := range start[wi] {
-				rep := workerReport{min: math.Inf(1)}
-				for d := wi; d < e.p; d += nw {
-					lmin, failed := e.runWindow(d, wend, window)
-					if lmin < rep.min {
-						rep.min = lmin
-					}
-					if failed {
-						rep.fail = true
-					}
-				}
-				window++
-				reports <- rep
-			}
-		}(wi)
-	}
-	failed := false
-	for !failed && !math.IsInf(gmin, 1) {
-		wend := windowEnd(gmin, e.look)
-		for _, ch := range start {
-			//lint:ignore chanbatch window broadcast: exactly one value per worker per window, nothing to batch
-			ch <- wend
-		}
-		gmin = math.Inf(1)
-		for range start {
-			rep := <-reports
-			if rep.min < gmin {
-				gmin = rep.min
-			}
-			if rep.fail {
-				failed = true
-			}
-		}
-		e.windows++
-	}
-	for _, ch := range start {
-		close(ch)
-	}
-	wg.Wait()
-}
-
-// runSense is the remedied multi-worker window loop: a padded
-// sense-reversing barrier with the GVT min-reduce inlined into the
-// coordinator's collect — one atomic publish and one bounded spin per
-// worker per window.
+// runSense is the multi-worker window loop: persistent strided workers
+// synchronised by a padded sense-reversing barrier with the GVT min-reduce
+// inlined into the coordinator's collect — one atomic publish and one
+// bounded spin per worker per window.
 func (e *engine) runSense(nw int, gmin float64) {
 	bar := newSenseBarrier(nw)
 	var wg sync.WaitGroup
@@ -378,11 +309,21 @@ func (e *engine) runSense(nw int, gmin float64) {
 	wg.Wait()
 }
 
+// bucketsPerWindow fixes the ladder's bucket width at Lookahead divided by
+// this count, for Run and RunProcs alike.
+const bucketsPerWindow = 4
+
 // Run executes the workload to completion and returns the run summary. The
 // first failing partition's error (lookahead violation, bad destination, or
 // a recovered handler panic) is returned; partitions are scanned in index
 // order so the reported error does not depend on worker scheduling.
 func Run(w Workload, cfg Config) (Result, error) {
+	return run(w, cfg, cfg.Lookahead/bucketsPerWindow)
+}
+
+// run is Run with an explicit ladder bucket width, which package tests pin
+// to extremes (constant respreads, one giant bucket).
+func run(w Workload, cfg Config, width float64) (Result, error) {
 	n := w.Ranks()
 	if n < 1 {
 		return Result{}, fmt.Errorf("pdes: workload has %d ranks, need at least 1", n)
@@ -411,27 +352,23 @@ func Run(w Workload, cfg Config) (Result, error) {
 		nw = 1
 	}
 
-	e := newEngine(w, n, p, cfg)
+	e := newEngine(w, n, p, cfg.Lookahead, width)
 	if err := e.seed(); err != nil {
 		return Result{}, err
 	}
 	gmin := e.initialMin()
 
-	switch {
-	case nw == 1:
+	if nw == 1 {
 		failed := false
 		for !failed && !math.IsInf(gmin, 1) {
 			gmin, failed = e.stepWindow(gmin)
 		}
-	case cfg.Barrier == BarrierChan:
-		e.runChan(nw, gmin)
-	default:
+	} else {
 		e.runSense(nw, gmin)
 	}
 
 	res := Result{Windows: e.windows, Partitions: p, Workers: nw}
 	var chunkAllocs, respreads uint64
-	ladders := false
 	for d := 0; d < p; d++ {
 		ps := &e.parts[d]
 		res.Events += ps.events
@@ -442,10 +379,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 			res.VirtualTime = ps.lastT
 		}
 		chunkAllocs += ps.arena.allocs
-		if lq, ok := ps.q.(*ladder); ok {
-			ladders = true
-			respreads += lq.respreads
-		}
+		respreads += ps.q.respreads
 	}
 	if reg := cfg.Obs; reg != nil {
 		reg.Counter("pdes.runs").Inc()
@@ -456,9 +390,7 @@ func Run(w Workload, cfg Config) (Result, error) {
 		reg.Counter("pdes.cross_batches").Add(int64(res.CrossBatches))
 		reg.Counter("pdes.chunk_allocs").Add(int64(chunkAllocs))
 		reg.Gauge("pdes.virtual_seconds").Add(res.VirtualTime)
-		if ladders {
-			reg.Counter("pdes.ladder_respreads").Add(int64(respreads))
-		}
+		reg.Counter("pdes.ladder_respreads").Add(int64(respreads))
 		if res.CrossBatches > 0 {
 			reg.Histogram("pdes.batch_events").Observe(float64(res.CrossEvents) / float64(res.CrossBatches))
 		}

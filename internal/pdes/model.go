@@ -22,9 +22,6 @@ type CostModel struct {
 	// PartSec is the per-partition per-window cost (batch delivery scan
 	// and window bookkeeping).
 	PartSec float64
-	// BucketSec is the ladder queue's per-bucket advance cost (frontier
-	// scan, slab swap, sort setup) — only LadderWall uses it.
-	BucketSec float64
 }
 
 // Wall estimates the wall-clock seconds for a run split into parts
@@ -52,36 +49,4 @@ func (m CostModel) Wall(parts, cores int, lookahead float64) float64 {
 	windows := math.Ceil(m.Horizon / lookahead)
 	sync := windows * (m.BarrierSec + m.PartSec*float64(parts))
 	return work + sync
-}
-
-// LadderWall estimates wall-clock seconds for the same run under the
-// ladder queue with the given bucket width (virtual seconds). Per-event
-// cost pays the log of the per-bucket occupancy instead of the partition
-// depth — the ladder's whole point — while each bucket advance costs
-// BucketSec, so the curve is a U in the width: wide buckets degenerate
-// toward one big sorted heap, narrow buckets pay the frontier scan per
-// handful of events. Tunable F29-bucket searches this knob; it is unimodal
-// along the width axis, so golden-section applies.
-func (m CostModel) LadderWall(parts, cores int, lookahead, bucket float64) float64 {
-	if parts < 1 {
-		parts = 1
-	}
-	if cores < 1 {
-		cores = 1
-	}
-	if lookahead <= 0 || bucket <= 0 || m.Horizon <= 0 {
-		return math.Inf(1)
-	}
-	conc := parts
-	if conc > cores {
-		conc = cores
-	}
-	// Events per partition landing in one bucket of virtual time.
-	occ := float64(m.Events) / float64(parts) * bucket / m.Horizon
-	work := float64(m.Events) * m.EventSec * math.Log2(occ+2) / float64(conc)
-	advances := m.Horizon / bucket * float64(parts)
-	scan := advances * m.BucketSec / float64(conc)
-	windows := math.Ceil(m.Horizon / lookahead)
-	sync := windows * (m.BarrierSec + m.PartSec*float64(parts))
-	return work + scan + sync
 }

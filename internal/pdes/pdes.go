@@ -1,22 +1,20 @@
 // Package pdes is the partitioned, conservatively-synchronized parallel
 // discrete-event simulation engine — the million-rank successor to the
 // single-heap internal/sim kernel. Ranks are split into contiguous
-// partitions, each with its own pending-event queue (a ladder/calendar
-// queue by default, a binary heap via Config.Queue); partitions advance
-// together through fixed virtual-time windows of one lookahead, the lower
-// bound on any cross-partition message delay. Within a window every
-// partition processes its events independently; events bound for another
-// partition are buffered into per-(src,dst) chunk chains drawn from
-// per-partition slab arenas and delivered at the next window boundary —
-// the paper's W7 aggregation remedy applied to the engine itself, with
-// zero steady-state allocation. Multi-worker runs synchronise windows
-// through a padded sense-reversing barrier with an inline GVT min-reduce
-// (Config.Barrier selects the old chan hand-off for comparison), and a
-// resolved worker count of 1 runs the window loop inline with no
-// goroutines at all.
+// partitions, each with its own ladder (calendar) queue of pending events;
+// partitions advance together through fixed virtual-time windows of one
+// lookahead, the lower bound on any cross-partition message delay. Within
+// a window every partition processes its events independently; events
+// bound for another partition are buffered into per-(src,dst) chunk chains
+// drawn from per-partition slab arenas and delivered at the next window
+// boundary — the paper's W7 aggregation remedy applied to the engine
+// itself, with zero steady-state allocation. Multi-worker runs synchronise
+// windows through a padded sense-reversing barrier with an inline GVT
+// min-reduce, and a resolved worker count of 1 runs the window loop inline
+// with no goroutines at all.
 //
 // Determinism: every event carries the key (Time, Src, Seq) where Seq is a
-// per-source emission counter, so keys are unique and heap order is total.
+// per-source emission counter, so keys are unique and queue order is total.
 // A workload whose cross-rank messages all have delay >= the lookahead
 // produces byte-identical results at any partition and worker count: such
 // an event always crosses a window boundary, so it is delivered before the
@@ -26,9 +24,9 @@
 // emission time — a cross-partition event timestamped inside the current
 // window is an error, not a silent reordering.
 //
-// The same Workload runs unchanged on the classic kernel via RunOnSim, and
-// sim.Proc-style goroutine-per-rank programs run on this engine via
-// RunProcs.
+// The same Workload also runs on the classic kernel via RunOnSim, the
+// reference the cross-engine tests compare against, and sim.Proc-style
+// goroutine-per-rank programs run on this engine via RunProcs.
 package pdes
 
 import (
@@ -52,7 +50,7 @@ type Event struct {
 }
 
 // Sched is the emission interface handlers see. Both engines implement it:
-// the partitioned engine with per-partition heaps and batched
+// the partitioned engine with per-partition queues and batched
 // cross-partition channels, the classic sim.Kernel with one global heap.
 type Sched interface {
 	// Now returns the timestamp of the event being handled (0 during Init).
@@ -97,16 +95,6 @@ type Config struct {
 	// on incoming cross-partition timestamps. Must be positive and no
 	// larger than the workload's minimum cross-rank message delay.
 	Lookahead float64
-	// Queue selects the pending-event discipline; the zero value is the
-	// remedied QueueLadder.
-	Queue QueueKind
-	// BucketWidth is the ladder queue's bucket width in virtual seconds;
-	// <= 0 derives Lookahead/4. Ignored under QueueHeap. Tunable
-	// F29-bucket searches this knob against the engine cost model.
-	BucketWidth float64
-	// Barrier selects the multi-worker window hand-off; the zero value is
-	// the remedied BarrierSense.
-	Barrier BarrierKind
 	// Obs receives the run's engine metrics (pdes.events, pdes.windows,
 	// pdes.window_stalls, pdes.cross_events, pdes.cross_batches,
 	// pdes.chunk_allocs, pdes.ladder_respreads); nil keeps the engine
@@ -115,7 +103,7 @@ type Config struct {
 }
 
 // Validate checks the configuration without resolving defaults (Run still
-// resolves Partitions/Workers/BucketWidth zero values).
+// resolves Partitions/Workers zero values).
 // Every failure wraps ErrConfig plus one of the specific sentinels, so
 // callers can branch with errors.Is at either granularity.
 func (c Config) Validate() error {
@@ -124,15 +112,6 @@ func (c Config) Validate() error {
 	}
 	if c.Partitions > maxPartitions {
 		return fmt.Errorf("%w: Partitions %d exceeds the %d-partition batch matrix", ErrPartitions, c.Partitions, maxPartitions)
-	}
-	if c.Queue != QueueLadder && c.Queue != QueueHeap {
-		return fmt.Errorf("%w: queue kind %d out of range", ErrConfig, int(c.Queue))
-	}
-	if c.Barrier != BarrierSense && c.Barrier != BarrierChan {
-		return fmt.Errorf("%w: barrier kind %d out of range", ErrConfig, int(c.Barrier))
-	}
-	if c.BucketWidth > 0 && c.Queue == QueueHeap {
-		return fmt.Errorf("%w: BucketWidth %g is a ladder knob, meaningless under QueueHeap", ErrBucketWidth, c.BucketWidth)
 	}
 	return nil
 }
@@ -151,8 +130,8 @@ type Result struct {
 	Workers      int     // resolved worker count
 }
 
-// ErrConfig is the sentinel every configuration error wraps: Validate
-// failures and kind-parse failures both satisfy errors.Is(err, ErrConfig).
+// ErrConfig is the sentinel every configuration error wraps: every Validate
+// failure satisfies errors.Is(err, ErrConfig).
 var ErrConfig = errors.New("pdes: invalid config")
 
 var (
@@ -161,6 +140,4 @@ var (
 	// ErrPartitions reports Config.Partitions beyond maxPartitions —
 	// previously clamped silently, now a typed error.
 	ErrPartitions = fmt.Errorf("%w: too many partitions", ErrConfig)
-	// ErrBucketWidth reports Config.BucketWidth set under QueueHeap.
-	ErrBucketWidth = fmt.Errorf("%w: bucket width", ErrConfig)
 )

@@ -2,39 +2,10 @@ package pdes
 
 import (
 	"errors"
-	"flag"
 	"math"
 	"strings"
 	"testing"
 )
-
-var (
-	flagQueue   = flag.String("pdes-queue", "", `override Config.Queue in package tests ("heap" or "ladder")`)
-	flagBarrier = flag.String("pdes-barrier", "", `override Config.Barrier in package tests ("chan" or "sense")`)
-)
-
-// testCfg applies the package test flags through the kinds' Parse
-// functions, so CI can re-run the whole determinism suite under the
-// non-default queue and barrier disciplines:
-//
-//	go test -race ./internal/pdes -args -pdes-queue=heap -pdes-barrier=chan
-func testCfg(cfg Config) Config {
-	if *flagQueue != "" {
-		k, err := ParseQueueKind(*flagQueue)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Queue = k
-	}
-	if *flagBarrier != "" {
-		k, err := ParseBarrierKind(*flagBarrier)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Barrier = k
-	}
-	return cfg
-}
 
 func mustWave(t *testing.T, n, steps int, compute, spike float64, offsets []int, delays []float64) *IdleWave {
 	t.Helper()
@@ -56,7 +27,7 @@ func TestIdleWaveDeterministicAcrossConfigs(t *testing.T) {
 	}
 
 	base := mk()
-	bres, err := Run(base, testCfg(Config{Partitions: 1, Workers: 1, Lookahead: base.MinDelay()}))
+	bres, err := Run(base, Config{Partitions: 1, Workers: 1, Lookahead: base.MinDelay()})
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
@@ -75,7 +46,7 @@ func TestIdleWaveDeterministicAcrossConfigs(t *testing.T) {
 	for _, cfg := range configs {
 		w := mk()
 		cfg.Lookahead = w.MinDelay()
-		res, err := Run(w, testCfg(cfg))
+		res, err := Run(w, cfg)
 		if err != nil {
 			t.Fatalf("run %d/%d: %v", cfg.Partitions, cfg.Workers, err)
 		}
@@ -105,7 +76,7 @@ func TestIdleWaveMatchesClassicKernel(t *testing.T) {
 	offsets, delays := []int{1, 3}, []float64{2e-6, 4e-6}
 
 	pw := mustWave(t, n, steps, c, 3*c, offsets, delays)
-	pres, err := Run(pw, testCfg(Config{Partitions: 8, Workers: 4, Lookahead: pw.MinDelay()}))
+	pres, err := Run(pw, Config{Partitions: 8, Workers: 4, Lookahead: pw.MinDelay()})
 	if err != nil {
 		t.Fatalf("partitioned run: %v", err)
 	}
@@ -135,7 +106,7 @@ func TestIdleWaveSpeedMatchesAnalytic(t *testing.T) {
 	const n, steps = 2048, 12
 	const c = 50e-6
 	w := mustWave(t, n, steps, c, 3*c, []int{1}, []float64{2e-6})
-	if _, err := Run(w, testCfg(Config{Partitions: 8, Lookahead: w.MinDelay()})); err != nil {
+	if _, err := Run(w, Config{Partitions: 8, Lookahead: w.MinDelay()}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	speed, fit, perturbed, err := w.WaveSpeed()
@@ -162,7 +133,7 @@ func TestIdleWaveQuietStaysOnSchedule(t *testing.T) {
 	const n, steps = 128, 6
 	const c = 50e-6
 	w := mustWave(t, n, steps, c, 0, []int{1, 2}, []float64{2e-6, 3e-6})
-	res, err := Run(w, testCfg(Config{Partitions: 4, Lookahead: w.MinDelay()}))
+	res, err := Run(w, Config{Partitions: 4, Lookahead: w.MinDelay()})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -212,19 +183,19 @@ func (w *crossEmit) Handle(s Sched, ev Event) {
 func TestLookaheadViolationReported(t *testing.T) {
 	const look = 1e-6
 	w := &crossEmit{n: 2, at: look, delay: look / 2}
-	_, err := Run(w, testCfg(Config{Partitions: 2, Lookahead: look}))
+	_, err := Run(w, Config{Partitions: 2, Lookahead: look})
 	if err == nil || !strings.Contains(err.Error(), "lookahead violation") {
 		t.Fatalf("got %v, want a lookahead violation", err)
 	}
 
 	// The same emission with delay >= lookahead is legal.
 	ok := &crossEmit{n: 2, at: look, delay: look}
-	if _, err := Run(ok, testCfg(Config{Partitions: 2, Lookahead: look})); err != nil {
+	if _, err := Run(ok, Config{Partitions: 2, Lookahead: look}); err != nil {
 		t.Fatalf("legal delay rejected: %v", err)
 	}
 
 	// And on a single partition nothing crosses, so no gate applies.
-	if _, err := Run(&crossEmit{n: 2, at: look, delay: look / 2}, testCfg(Config{Partitions: 1, Lookahead: look})); err != nil {
+	if _, err := Run(&crossEmit{n: 2, at: look, delay: look / 2}, Config{Partitions: 1, Lookahead: look}); err != nil {
 		t.Fatalf("single-partition run rejected: %v", err)
 	}
 }
@@ -240,7 +211,7 @@ func (w *badDst) Init(s Sched, rank int) {
 func (w *badDst) Handle(Sched, Event) {}
 
 func TestBadDestinationReported(t *testing.T) {
-	_, err := Run(&badDst{n: 4}, testCfg(Config{Partitions: 2, Lookahead: 1e-6}))
+	_, err := Run(&badDst{n: 4}, Config{Partitions: 2, Lookahead: 1e-6})
 	if err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("got %v, want an out-of-range destination error", err)
 	}
@@ -259,7 +230,7 @@ func (w *panicky) Handle(s Sched, ev Event) {
 }
 
 func TestHandlerPanicRecovered(t *testing.T) {
-	_, err := Run(&panicky{n: 4}, testCfg(Config{Partitions: 4, Lookahead: 1e-6}))
+	_, err := Run(&panicky{n: 4}, Config{Partitions: 4, Lookahead: 1e-6})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("got %v, want the recovered handler panic", err)
 	}
@@ -275,9 +246,6 @@ func TestConfigErrors(t *testing.T) {
 		{"zero lookahead", Config{}, ErrLookahead},
 		{"negative lookahead", Config{Lookahead: -1}, ErrLookahead},
 		{"too many partitions", Config{Lookahead: 1e-6, Partitions: 1 << 20}, ErrPartitions},
-		{"bucket width under heap", Config{Lookahead: 1e-6, Queue: QueueHeap, BucketWidth: 1e-7}, ErrBucketWidth},
-		{"queue kind out of range", Config{Lookahead: 1e-6, Queue: QueueKind(7)}, ErrConfig},
-		{"barrier kind out of range", Config{Lookahead: 1e-6, Barrier: BarrierKind(7)}, ErrConfig},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); !errors.Is(err, tc.want) {
@@ -291,29 +259,6 @@ func TestConfigErrors(t *testing.T) {
 	// Run still resolves defaults Validate leaves alone.
 	if err := (Config{Lookahead: 1e-6, Partitions: -3, Workers: -2}).Validate(); err != nil {
 		t.Errorf("defaults should validate: %v", err)
-	}
-}
-
-// TestKindParseRoundTrip pins the canonical parse surface: each kind's
-// String form parses back to itself, and failures are typed ErrConfig.
-func TestKindParseRoundTrip(t *testing.T) {
-	for _, q := range []QueueKind{QueueLadder, QueueHeap} {
-		got, err := ParseQueueKind(q.String())
-		if err != nil || got != q {
-			t.Errorf("ParseQueueKind(%q) = %v, %v", q.String(), got, err)
-		}
-	}
-	for _, b := range []BarrierKind{BarrierSense, BarrierChan} {
-		got, err := ParseBarrierKind(b.String())
-		if err != nil || got != b {
-			t.Errorf("ParseBarrierKind(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	if _, err := ParseQueueKind("splay"); !errors.Is(err, ErrConfig) {
-		t.Errorf("bad queue kind: got %v, want ErrConfig", err)
-	}
-	if _, err := ParseBarrierKind("tree"); !errors.Is(err, ErrConfig) {
-		t.Errorf("bad barrier kind: got %v, want ErrConfig", err)
 	}
 }
 
@@ -345,38 +290,6 @@ func TestCostModelShape(t *testing.T) {
 			rising = true
 		} else if rising {
 			t.Fatalf("cost model not unimodal: dips again at parts=%d", parts)
-		}
-		prev = wall
-	}
-}
-
-func TestLadderCostModelShape(t *testing.T) {
-	m := CostModel{
-		Events: 1 << 22, Ranks: 1 << 20, Horizon: 1e-3,
-		EventSec: 100e-9, BarrierSec: 5e-6, PartSec: 2e-6, BucketSec: 1e-6,
-	}
-	const cores = 8
-	const look = 2e-6
-
-	if !math.IsInf(m.LadderWall(8, cores, look, 0), 1) {
-		t.Error("zero bucket width should cost +Inf")
-	}
-	// The ladder at any sane width beats the heap model: that is the
-	// tentpole's claim in model form.
-	if m.LadderWall(8, cores, look, look/4) >= m.Wall(8, cores, look) {
-		t.Error("ladder model should beat the heap model at the default width")
-	}
-
-	// Unimodal in the bucket width over a doubling grid — required by the
-	// golden-section tuner owning F29-bucket.
-	prev := math.Inf(1)
-	rising := false
-	for div := 1; div <= 1<<12; div *= 2 {
-		wall := m.LadderWall(8, cores, look, look/float64(div))
-		if wall > prev {
-			rising = true
-		} else if rising {
-			t.Fatalf("ladder cost model not unimodal: dips again at divisor=%d", div)
 		}
 		prev = wall
 	}

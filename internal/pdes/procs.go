@@ -15,8 +15,13 @@ import (
 // workloads up to the tens of thousands of ranks and the raw Workload
 // interface for the million-rank regime.
 func RunProcs(n int, cfg Config, body func(p *Proc)) (Result, error) {
+	return runProcs(n, cfg, cfg.Lookahead/bucketsPerWindow, body)
+}
+
+// runProcs is RunProcs with an explicit ladder bucket width (see run).
+func runProcs(n int, cfg Config, width float64, body func(p *Proc)) (Result, error) {
 	w := &procsWorkload{n: n, body: body, procs: make([]*Proc, n)}
-	res, err := Run(w, cfg)
+	res, err := run(w, cfg, width)
 	if err != nil {
 		return res, err
 	}

@@ -71,12 +71,11 @@ func TestProcsResumeLadderFrontierAtBoundaries(t *testing.T) {
 	const rounds = 12
 	const look = 1e-6
 
-	run := func(cfg Config) ([]float64, Result) {
+	run := func(cfg Config, width float64) ([]float64, Result) {
 		t.Helper()
 		ledger := make([]float64, n)
 		cfg.Lookahead = look
-		cfg.Queue = QueueLadder
-		res, err := RunProcs(n, cfg, func(p *Proc) {
+		res, err := runProcs(n, cfg, width, func(p *Proc) {
 			// Neighbour pairing (0<->1, 2<->3, ...) keeps traffic on
 			// partition boundaries whenever the partition size is odd.
 			partner := p.ID() ^ 1
@@ -96,30 +95,33 @@ func TestProcsResumeLadderFrontierAtBoundaries(t *testing.T) {
 			ledger[p.ID()] = acc
 		})
 		if err != nil {
-			t.Fatalf("parts=%d width=%g: %v", cfg.Partitions, cfg.BucketWidth, err)
+			t.Fatalf("parts=%d width=%g: %v", cfg.Partitions, width, err)
 		}
 		return ledger, res
 	}
 
-	base, bres := run(Config{Partitions: 1, Workers: 1})
+	base, bres := run(Config{Partitions: 1, Workers: 1}, look/4)
 	if bres.Events == 0 {
 		t.Fatal("frontier ping-pong processed no events")
 	}
-	for _, cfg := range []Config{
-		{Partitions: 3, Workers: 1, BucketWidth: look / 128}, // odd size: pairs straddle boundaries
-		{Partitions: 5, Workers: 2, BucketWidth: look / 128},
-		{Partitions: 16, Workers: 4, BucketWidth: look / 16},
-		{Partitions: 48, Workers: 8, BucketWidth: look * 1e4}, // every pair cross, one giant bucket
+	for _, c := range []struct {
+		cfg   Config
+		width float64
+	}{
+		{Config{Partitions: 3, Workers: 1}, look / 128}, // odd size: pairs straddle boundaries
+		{Config{Partitions: 5, Workers: 2}, look / 128},
+		{Config{Partitions: 16, Workers: 4}, look / 16},
+		{Config{Partitions: 48, Workers: 8}, look * 1e4}, // every pair cross, one giant bucket
 	} {
-		ledger, res := run(cfg)
+		ledger, res := run(c.cfg, c.width)
 		if res.Events != bres.Events || res.VirtualTime != bres.VirtualTime {
 			t.Errorf("parts=%d width=%g: (%d events, t=%g), baseline (%d, t=%g)",
-				cfg.Partitions, cfg.BucketWidth, res.Events, res.VirtualTime, bres.Events, bres.VirtualTime)
+				c.cfg.Partitions, c.width, res.Events, res.VirtualTime, bres.Events, bres.VirtualTime)
 		}
 		for r := range ledger {
 			if ledger[r] != base[r] {
 				t.Fatalf("parts=%d width=%g: rank %d ledger %g, baseline %g",
-					cfg.Partitions, cfg.BucketWidth, r, ledger[r], base[r])
+					c.cfg.Partitions, c.width, r, ledger[r], base[r])
 			}
 		}
 	}

@@ -1,17 +1,11 @@
 package pdes
 
-// Per-partition pending-event queues come in two disciplines, selectable
-// via Config.Queue:
-//
-//   - QueueHeap: a hand-rolled binary heap over Event values — O(log n)
-//     push and pop at the full partition depth, with 40-byte element swaps
-//     down every level. The wasteful baseline F29 tables.
-//   - QueueLadder: a ladder (calendar) queue — a ring of near-future
-//     buckets one Config.BucketWidth of virtual time wide, a far-future
-//     overflow list, and a sorted run of already-merged events popped by
-//     index increment. Pushes are O(1) appends; each event is sorted once,
-//     inside its own small bucket, when the rung frontier reaches it; pops
-//     are a copy and a bounds check.
+// Each partition's pending events sit in a ladder (calendar) queue: a ring
+// of near-future buckets one bucket width of virtual time wide
+// (Lookahead/bucketsPerWindow), a far-future overflow list, and a sorted
+// run of already-merged events popped by index increment. Pushes are O(1)
+// appends; each event is sorted once, inside its own small bucket, when
+// the rung frontier reaches it; pops are a copy and a bounds check.
 //
 // The ladder's correctness hinges on one property: the bucket index
 // idx(t) = floor((t-base)/width) is monotone in t, so every event in
@@ -19,10 +13,9 @@ package pdes
 // simply be appended to the sorted run — merging is concatenation. The
 // same idx expression that places a push also guards the pop: the run's
 // head is safe to pop iff its bucket has been merged (idx <= cur) or
-// nothing else is pending. Both disciplines therefore pop in the exact
-// total order (Time, Src, Seq) and produce byte-identical engine results
-// (property-tested in queue_test.go). Neither boxes events or allocates
-// per event.
+// nothing else is pending. The ladder therefore pops in the exact total
+// order (Time, Src, Seq) a binary heap would (property-tested against one
+// in queue_test.go), and it neither boxes events nor allocates per event.
 //
 // The ladder's memory circulates rather than staying pinned to a bucket
 // index: a merged bucket hands its slab to a per-ladder spare list, the
@@ -49,78 +42,6 @@ func evLess(a, b *Event) bool {
 	return a.Seq < b.Seq
 }
 
-// evQueue is the discipline interface the window loop drives. peek may
-// restructure the queue (the ladder merges buckets lazily) but never
-// changes the pop order.
-type evQueue interface {
-	push(ev Event)
-	// peek returns the minimum pending timestamp; ok is false when empty.
-	peek() (t float64, ok bool)
-	// pop removes and returns the minimum event. The caller guarantees the
-	// queue is non-empty (peek returned ok).
-	pop() Event
-	len() int
-}
-
-// heapPush inserts ev, sifting up.
-func heapPush(h *[]Event, ev Event) {
-	hh := append(*h, ev)
-	*h = hh
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(&hh[i], &hh[p]) {
-			break
-		}
-		hh[i], hh[p] = hh[p], hh[i]
-		i = p
-	}
-}
-
-// heapPop removes and returns the minimum event, sifting down. The caller
-// guarantees the heap is non-empty.
-func heapPop(h *[]Event) Event {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	hh[0] = hh[n]
-	hh = hh[:n]
-	*h = hh
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && evLess(&hh[r], &hh[l]) {
-			m = r
-		}
-		if !evLess(&hh[m], &hh[i]) {
-			break
-		}
-		hh[i], hh[m] = hh[m], hh[i]
-		i = m
-	}
-	return top
-}
-
-// binHeap is the classic single binary heap discipline.
-type binHeap struct {
-	h []Event
-}
-
-func (q *binHeap) push(ev Event) { heapPush(&q.h, ev) }
-func (q *binHeap) pop() Event    { return heapPop(&q.h) }
-func (q *binHeap) len() int      { return len(q.h) }
-
-func (q *binHeap) peek() (float64, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].Time, true
-}
-
 // ladderBuckets is the rung size: the near-future array spans
 // ladderBuckets * width of virtual time ahead of base.
 const ladderBuckets = 256
@@ -134,7 +55,7 @@ const (
 	slabClasses = 32
 )
 
-// ladder is the calendar-queue discipline. Invariants:
+// ladder is the per-partition calendar queue. Invariants:
 //
 //   - every bucket with index <= cur is empty (already merged into run);
 //   - pending counts the events in buckets and over;
@@ -287,13 +208,17 @@ func (q *ladder) pushRun(ev Event) {
 
 func (q *ladder) len() int { return len(q.run) - q.head + q.pending }
 
-func (q *ladder) peek() (float64, bool) {
+// peek returns the minimum pending timestamp; ok is false when empty. It
+// may merge buckets lazily but never changes the pop order.
+func (q *ladder) peek() (t float64, ok bool) {
 	if !q.ensure() {
 		return 0, false
 	}
 	return q.run[q.head].Time, true
 }
 
+// pop removes and returns the minimum event. The caller guarantees the
+// queue is non-empty (peek returned ok).
 func (q *ladder) pop() Event {
 	q.ensure()
 	ev := q.run[q.head]

@@ -88,7 +88,6 @@ func Tunables(quick bool) []Tunable {
 		f25Checkpoint(quick),
 		f28Partitions(quick),
 		f28Lookahead(quick),
-		f29Bucket(quick),
 	}
 	for i := range ts {
 		ts[i].Quick = quick
@@ -356,7 +355,6 @@ func f28Model(m *machine.Spec, quick bool) (pdes.CostModel, float64) {
 		EventSec:   25 * m.CycleSec(),    // heap pop + handler, per log2(depth) level
 		BarrierSec: 20000 * m.CycleSec(), // per-window worker wakeup and GVT reduction
 		PartSec:    400 * m.CycleSec(),   // per-partition per-window batch scan
-		BucketSec:  150 * m.CycleSec(),   // ladder rung advance: frontier scan + slab swap
 	}, delta
 }
 
@@ -405,32 +403,6 @@ func f28Lookahead(quick bool) Tunable {
 			return func(p Point) (Cost, error) {
 				look := delta / float64(space.Int(p, "win-div"))
 				return Cost{Seconds: model.Wall(8, m.CoresPerNode, look)}, nil
-			}
-		},
-	}
-}
-
-// f29Bucket tunes the ladder queue's bucket width (F29), expressed as a
-// divisor of the halo delay: wide buckets degenerate toward one big sorted
-// heap (per-event cost grows with per-bucket occupancy), narrow buckets
-// pay the rung-advance scan per handful of events — a genuine U-curve, so
-// golden-section applies.
-func f29Bucket(quick bool) Tunable {
-	axis := Explicit("bucket-div", 1, 2, 4, 8, 16, 32, 64, 128, 256)
-	space := NewSpace(axis)
-	ranks := f28Ranks(quick)
-	return Tunable{
-		ID:       "F29-bucket",
-		ModeID:   "F29",
-		Title:    fmt.Sprintf("pdes ladder bucket width, as delay/divisor (idle wave, %d ranks, modeled)", ranks),
-		Space:    space,
-		Default:  Point{indexOf(axis, 4)}, // the engine's Lookahead/4 default
-		Unimodal: true,
-		objective: func(m *machine.Spec) Objective {
-			model, delta := f28Model(m, quick)
-			return func(p Point) (Cost, error) {
-				bucket := delta / float64(space.Int(p, "bucket-div"))
-				return Cost{Seconds: model.LadderWall(8, m.CoresPerNode, delta, bucket)}, nil
 			}
 		},
 	}

@@ -90,47 +90,3 @@ func TestF28TunablesShape(t *testing.T) {
 		}
 	}
 }
-
-// TestF29BucketShape checks the ladder bucket-width tunable on every
-// preset: the modeled cost is unimodal along the divisor axis (the
-// golden-section prerequisite), and the tuned point never loses to the
-// engine's hard-coded Lookahead/4 default or to either axis extreme.
-func TestF29BucketShape(t *testing.T) {
-	for _, m := range machine.Presets() {
-		tn, err := ByID("F29-bucket", true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obj := tn.Objective(m)
-		costs := make([]float64, tn.Space.Axes()[0].Len())
-		for i := range costs {
-			c, err := obj(Point{i})
-			if err != nil {
-				t.Fatalf("%s point %d: %v", m.Name, i, err)
-			}
-			costs[i] = c.Seconds
-		}
-		rising := false
-		for i := 1; i < len(costs); i++ {
-			if costs[i] > costs[i-1] {
-				rising = true
-			} else if rising {
-				t.Fatalf("%s: F29-bucket objective not unimodal: dips again at index %d (%v)", m.Name, i, costs)
-			}
-		}
-		res, err := tn.Tune(m, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		def, err := obj(tn.Default)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Best.Cost.Seconds > def.Seconds {
-			t.Errorf("%s: tuned bucket cost %g worse than default %g", m.Name, res.Best.Cost.Seconds, def.Seconds)
-		}
-		if res.Best.Cost.Seconds > costs[0] || res.Best.Cost.Seconds > costs[len(costs)-1] {
-			t.Errorf("%s: tuned cost %g loses to an axis extreme (%g, %g)", m.Name, res.Best.Cost.Seconds, costs[0], costs[len(costs)-1])
-		}
-	}
-}

@@ -95,7 +95,7 @@ type Output = core.Output
 // Experiment is one registered table or figure generator.
 type Experiment = core.Experiment
 
-// NewLab returns the full evaluation suite: T1–T13 and F1–F29.
+// NewLab returns the full evaluation suite: T1–T13 and F1–F28.
 func NewLab() *Lab { return core.NewLab() }
 
 // RunOptions parameterises Lab.RunAll: worker-pool width, the experiment
