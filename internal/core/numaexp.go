@@ -3,21 +3,20 @@ package core
 import (
 	"context"
 
-	"tenways/internal/energy"
+	"tenways/internal/machine"
 	"tenways/internal/mem"
 	"tenways/internal/report"
 )
 
 // numaStream homes a buffer according to the initialisation pattern, then
-// measures a partitioned parallel stream over 4 cores (2 domains),
-// returning modeled seconds and joules.
-func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, serialInit bool, bytes uint64) (float64, float64, error) {
+// measures a partitioned parallel stream over 4 cores (2 domains) with the
+// given remote-latency factor. It returns the modeled seconds of the
+// compute phase and the DRAM lines that phase fetched from the remote
+// domain.
+func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, serialInit bool, bytes uint64) (float64, int64, error) {
 	spec := *cfg.machine()
 	spec.NUMA.Domains = 2
 	spec.NUMA.RemoteLatencyFactor = remoteFactor
-	if spec.NUMA.RemotePJFactor < 1 {
-		spec.NUMA.RemotePJFactor = 1
-	}
 	const cores = 4
 	h, err := mem.NewHierarchy(&spec, cores)
 	if err != nil {
@@ -51,9 +50,18 @@ func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, seria
 			}
 		}
 	}
-	m := energy.NewMeter()
-	h.ChargeEnergy(m)
-	return h.TimeSec(), m.Total(), nil
+	return h.TimeSec(), h.Stats().RemoteDRAMBytes / int64(spec.Levels[0].LineBytes), nil
+}
+
+// numaPlacements are F20's placement disciplines, in series order.
+var numaPlacements = []struct {
+	name       string
+	placement  mem.Placement
+	serialInit bool
+}{
+	{"first-touch-parallel-init", mem.PlacementFirstTouch, false},
+	{"interleaved", mem.PlacementInterleave, false},
+	{"first-touch-serial-init", mem.PlacementFirstTouch, true},
 }
 
 // runF20 sweeps the NUMA remote-latency factor for three placement
@@ -66,6 +74,12 @@ func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, seria
 // serial-init pathology is out of scope, as DESIGN.md notes — so the
 // figure's claim is first-touch-parallel strictly wins and the gap scales
 // with the remote factor.
+//
+// Because the model is latency-additive, a placement's remote factor does
+// not change which lines go remote, only what each costs: every remote
+// line adds DRAM.LatencyCycles·(rf−1) cycles. So each placement is
+// simulated once, at factor 1, and the sweep is derived from its remote
+// line count (numaSweep).
 func runF20(ctx context.Context, cfg Config) (Output, error) {
 	factors := []float64{1, 1.5, 2, 3, 4}
 	// The buffer must exceed the machine's LLC so the measured compute
@@ -78,27 +92,24 @@ func runF20(ctx context.Context, cfg Config) (Output, error) {
 	f := report.NewFigure("F20",
 		"NUMA placement: modeled stream time vs remote-latency factor (4 cores, 2 domains)",
 		"remote-latency-factor", "seconds")
-	var good, interleave, bad []float64
-	for _, rf := range factors {
-		f.Xs = append(f.Xs, rf)
-		tGood, _, err := numaStream(cfg, rf, mem.PlacementFirstTouch, false, bytes)
+	f.Xs = factors
+	for _, p := range numaPlacements {
+		t1, remote, err := numaStream(cfg, 1, p.placement, p.serialInit, bytes)
 		if err != nil {
 			return Output{}, err
 		}
-		tInt, _, err := numaStream(cfg, rf, mem.PlacementInterleave, false, bytes)
-		if err != nil {
-			return Output{}, err
-		}
-		tBad, _, err := numaStream(cfg, rf, mem.PlacementFirstTouch, true, bytes)
-		if err != nil {
-			return Output{}, err
-		}
-		good = append(good, tGood)
-		interleave = append(interleave, tInt)
-		bad = append(bad, tBad)
+		f.AddSeries(p.name, numaSweep(cfg.machine(), t1, remote, factors))
 	}
-	f.AddSeries("first-touch-parallel-init", good)
-	f.AddSeries("interleaved", interleave)
-	f.AddSeries("first-touch-serial-init", bad)
 	return Output{Figure: f}, nil
+}
+
+// numaSweep derives a placement's stream time at each remote-latency
+// factor from its time t1 at factor 1 and its remote line count: the
+// penalty numaDRAMPenalty charges per remote line, summed.
+func numaSweep(spec *machine.Spec, t1 float64, remoteLines int64, factors []float64) []float64 {
+	ts := make([]float64, len(factors))
+	for i, rf := range factors {
+		ts[i] = t1 + float64(remoteLines)*spec.DRAM.LatencyCycles*(rf-1)*spec.CycleSec()
+	}
+	return ts
 }

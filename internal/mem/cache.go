@@ -17,120 +17,120 @@ import (
 	"tenways/internal/machine"
 )
 
-// line is one cache line's bookkeeping.
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	lastUse uint64
-}
-
-// cache is one set-associative cache instance.
+// cache is one set-associative cache, stored set-major in flat slices:
+// way w of set s lives at index s*assoc+w of tags, lastUse and dirty, so a
+// probe scans one contiguous run of tags.
 type cache struct {
-	spec    machine.LevelSpec
-	sets    [][]line
-	setMask uint64
-	tick    uint64 // LRU clock, monotone per cache
-
-	Hits       int64
-	Misses     int64
-	BytesIn    int64 // bytes filled into this cache
-	Writebacks int64 // dirty lines written back out of this cache
+	assoc   int
+	nSets   uint64
+	tags    []uint64 // lineAddr+1 of the resident line; 0 marks an invalid way
+	lastUse []uint64 // LRU stamp; 0 exactly for invalid ways
+	dirty   []bool
+	tick    uint64 // LRU clock, monotone per cache; valid stamps start at 1
 }
 
 func newCache(spec machine.LevelSpec) *cache {
-	nLines := spec.CapacityBytes / int64(spec.LineBytes)
-	nSets := nLines / int64(spec.Assoc)
-	c := &cache{spec: spec, setMask: uint64(nSets - 1)}
-	if nSets&(nSets-1) != 0 {
-		// Non-power-of-two set counts index by modulo; mask stays unused.
-		c.setMask = 0
+	nSets := uint64(spec.CapacityBytes / int64(spec.LineBytes) / int64(spec.Assoc))
+	n := nSets * uint64(spec.Assoc)
+	return &cache{
+		assoc:   spec.Assoc,
+		nSets:   nSets,
+		tags:    make([]uint64, n),
+		lastUse: make([]uint64, n),
+		dirty:   make([]bool, n),
 	}
-	c.sets = make([][]line, nSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, spec.Assoc)
-	}
-	return c
 }
 
-func (c *cache) index(lineAddr uint64) uint64 {
-	if c.setMask != 0 {
-		return lineAddr & c.setMask
+// base returns the index of way 0 of lineAddr's set. Power-of-two set
+// counts index by mask, others by modulo.
+func (c *cache) base(lineAddr uint64) int {
+	if c.nSets&(c.nSets-1) == 0 {
+		return int(lineAddr&(c.nSets-1)) * c.assoc
 	}
-	return lineAddr % uint64(len(c.sets))
+	return int(lineAddr%c.nSets) * c.assoc
 }
 
-// lookup probes for the line; on hit it refreshes LRU and returns the way.
-func (c *cache) lookup(lineAddr uint64) (*line, bool) {
-	set := c.sets[c.index(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			c.tick++
-			set[i].lastUse = c.tick
-			return &set[i], true
+// find returns the index of the way holding lineAddr, or -1, without
+// touching LRU state.
+func (c *cache) find(lineAddr uint64) int {
+	b := c.base(lineAddr)
+	tag := lineAddr + 1
+	for i, t := range c.tags[b : b+c.assoc] {
+		if t == tag {
+			return b + i
 		}
 	}
-	return nil, false
+	return -1
 }
 
-// fill inserts the line, evicting LRU if needed. It returns the evicted
-// line's address and whether the victim was dirty (needing writeback);
-// evictedValid is false when an empty way was used.
-func (c *cache) fill(lineAddr uint64, dirty bool) (evicted uint64, evictedDirty, evictedValid bool) {
-	set := c.sets[c.index(lineAddr)]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			evictedValid = false
-			goto place
-		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
+// lookup probes for the line; on hit it refreshes LRU and returns the
+// way's index.
+func (c *cache) lookup(lineAddr uint64) (int, bool) {
+	w := c.find(lineAddr)
+	if w < 0 {
+		return -1, false
 	}
-	evicted = set[victim].tag
-	evictedDirty = set[victim].dirty
-	evictedValid = true
-place:
 	c.tick++
-	set[victim] = line{tag: lineAddr, valid: true, dirty: dirty, lastUse: c.tick}
-	c.BytesIn += int64(c.spec.LineBytes)
-	if evictedValid && evictedDirty {
-		c.Writebacks++
+	c.lastUse[w] = c.tick
+	return w, true
+}
+
+// fill inserts a line the caller knows is absent, evicting LRU if needed.
+// It returns the evicted line's address and whether the victim was dirty
+// (needing writeback); evictedValid is false when an empty way was used.
+// The victim is the first way with the smallest stamp: an invalid way if
+// there is one (stamp 0), else the least recently used.
+func (c *cache) fill(lineAddr uint64, dirty bool) (evicted uint64, evictedDirty, evictedValid bool) {
+	b := c.base(lineAddr)
+	lu := c.lastUse[b : b+c.assoc]
+	v, oldest := 0, lu[0]
+	for i := 1; i < len(lu) && oldest != 0; i++ {
+		if lu[i] < oldest {
+			v, oldest = i, lu[i]
+		}
 	}
+	v += b
+	if t := c.tags[v]; t != 0 {
+		evicted, evictedDirty, evictedValid = t-1, c.dirty[v], true
+	}
+	c.tick++
+	c.tags[v], c.lastUse[v], c.dirty[v] = lineAddr+1, c.tick, dirty
 	return evicted, evictedDirty, evictedValid
 }
 
 // invalidate removes the line if present; it returns whether it was present
 // and whether it was dirty.
 func (c *cache) invalidate(lineAddr uint64) (present, dirty bool) {
-	set := c.sets[c.index(lineAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			d := set[i].dirty
-			set[i] = line{}
-			return true, d
-		}
+	w := c.find(lineAddr)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.dirty[w]
+	c.tags[w], c.lastUse[w], c.dirty[w] = 0, 0, false
+	return true, dirty
 }
 
-// markDirty sets the dirty bit if the line is present.
-func (c *cache) markDirty(lineAddr uint64) {
-	if l, ok := c.lookup(lineAddr); ok {
-		l.dirty = true
+// markDirty sets the dirty bit if the line is present, refreshing LRU, and
+// reports whether it was.
+func (c *cache) markDirty(lineAddr uint64) bool {
+	w, ok := c.lookup(lineAddr)
+	if ok {
+		c.dirty[w] = true
 	}
+	return ok
 }
 
-// clean clears the dirty bit if present (after a coherence downgrade).
+// clean clears the dirty bit if present (after a coherence downgrade),
+// refreshing LRU.
 func (c *cache) clean(lineAddr uint64) {
-	if l, ok := c.lookup(lineAddr); ok {
-		l.dirty = false
+	if w, ok := c.lookup(lineAddr); ok {
+		c.dirty[w] = false
 	}
 }
 
 // dirEntry is the directory's view of one line across private hierarchies.
+// The directory stores entries by value, so tracking a line allocates
+// nothing beyond the map's own growth.
 type dirEntry struct {
 	sharers  uint64 // bitmask of cores holding the line privately
 	owner    int    // core with the modified copy, valid iff modified
@@ -164,7 +164,7 @@ type Hierarchy struct {
 	shared  []*cache   // shared levels in order
 	privIdx []int      // indices into spec.Levels for private levels
 	shIdx   []int      // indices into spec.Levels for shared levels
-	dir     map[uint64]*dirEntry
+	dir     map[uint64]dirEntry
 	stats   Stats
 	line    uint64 // line size in bytes (uniform across levels)
 
@@ -205,7 +205,7 @@ func NewHierarchy(spec *machine.Spec, cores int) (*Hierarchy, error) {
 	h := &Hierarchy{
 		spec:  spec,
 		cores: cores,
-		dir:   make(map[uint64]*dirEntry),
+		dir:   make(map[uint64]dirEntry),
 		line:  uint64(spec.Levels[0].LineBytes),
 	}
 	for i, l := range spec.Levels {
@@ -284,11 +284,12 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 	// owner's modified copy pushed down. With one core there is no
 	// coherence, and skipping the directory makes single-core traces
 	// (the W1 blocking sweeps) several times faster.
-	var e *dirEntry
+	var e dirEntry
+	var tracked bool
 	if h.cores > 1 {
-		e = h.dir[lineAddr]
+		e, tracked = h.dir[lineAddr]
 	}
-	if e != nil {
+	if tracked {
 		if write {
 			if e.modified && e.owner != core {
 				// Cache-to-cache intervention: fetch the modified copy
@@ -324,22 +325,18 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 	// Probe private levels nearest-first.
 	priv := h.private[core]
 	for pi, c := range priv {
-		if l, ok := c.lookup(lineAddr); ok {
-			c.Hits++
+		if w, ok := c.lookup(lineAddr); ok {
 			li := h.privIdx[pi]
 			h.stats.LevelHits[li]++
 			cycles += levels[li].LatencyCycles
 			if write {
-				l.dirty = true
-				h.noteWriter(core, lineAddr)
-			} else {
-				h.noteSharer(core, lineAddr)
+				c.dirty[w] = true
 			}
+			h.track(core, lineAddr, e, write)
 			// Fill the line into the levels above the hit for next time.
 			h.fillPrivate(core, lineAddr, pi-1, write)
 			return AccessResult{Cycles: cycles, HitLevel: li}
 		}
-		c.Misses++
 		h.stats.LevelMisses[h.privIdx[pi]]++
 		cycles += levels[h.privIdx[pi]].LatencyCycles
 	}
@@ -347,23 +344,17 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 	// Probe shared levels.
 	for si, c := range h.shared {
 		if _, ok := c.lookup(lineAddr); ok {
-			c.Hits++
 			li := h.shIdx[si]
 			h.stats.LevelHits[li]++
 			cycles += levels[li].LatencyCycles
 			h.fillPrivate(core, lineAddr, len(priv)-1, write)
-			if write {
-				h.noteWriter(core, lineAddr)
-			} else {
-				h.noteSharer(core, lineAddr)
-			}
+			h.track(core, lineAddr, e, write)
 			if h.prefetchOn && h.prefetched[lineAddr] {
 				delete(h.prefetched, lineAddr)
-				h.issuePrefetch(lineAddr + 1)
+				h.issuePrefetch(core, lineAddr+1)
 			}
 			return AccessResult{Cycles: cycles, HitLevel: li}
 		}
-		c.Misses++
 		h.stats.LevelMisses[h.shIdx[si]]++
 		cycles += levels[h.shIdx[si]].LatencyCycles
 	}
@@ -375,18 +366,14 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 	cycles += float64(h.line) / h.spec.DRAM.BytesPerSec * h.spec.ClockHz
 	cycles += h.numaDRAMPenalty(core, lineAddr)
 	if h.prefetchOn {
-		h.issuePrefetch(lineAddr + 1)
+		h.issuePrefetch(core, lineAddr+1)
 	}
 	// Fill shared levels deepest-first, then private.
 	for si := len(h.shared) - 1; si >= 0; si-- {
-		h.fillShared(si, lineAddr)
+		h.fillShared(si, lineAddr, false)
 	}
 	h.fillPrivate(core, lineAddr, len(priv)-1, write)
-	if write {
-		h.noteWriter(core, lineAddr)
-	} else {
-		h.noteSharer(core, lineAddr)
-	}
+	h.track(core, lineAddr, e, write)
 	return AccessResult{Cycles: cycles, HitLevel: DRAMLevel}
 }
 
@@ -401,17 +388,12 @@ func (h *Hierarchy) interventionCycles() float64 {
 }
 
 // fillPrivate installs the line into core's private levels from `from` up to
-// L1 (index 0). Evicted dirty lines are written back toward DRAM.
+// L1 (index 0). Every caller has just probed those levels and missed, and
+// evictions only cascade deeper, so the line is absent from each level it
+// fills. Evicted dirty lines are written back toward DRAM.
 func (h *Hierarchy) fillPrivate(core int, lineAddr uint64, from int, dirty bool) {
 	for pi := from; pi >= 0; pi-- {
-		c := h.private[core][pi]
-		if _, ok := c.lookup(lineAddr); ok {
-			if dirty {
-				c.markDirty(lineAddr)
-			}
-			continue
-		}
-		evicted, evDirty, evValid := c.fill(lineAddr, dirty)
+		evicted, evDirty, evValid := h.private[core][pi].fill(lineAddr, dirty)
 		h.stats.LevelBytesIn[h.privIdx[pi]] += int64(h.line)
 		if evValid {
 			h.handlePrivateEviction(core, pi, evicted, evDirty)
@@ -427,9 +409,7 @@ func (h *Hierarchy) handlePrivateEviction(core, fromLevel int, lineAddr uint64, 
 		// Write back into the next private level, else shared, else DRAM.
 		if fromLevel+1 < len(h.private[core]) {
 			nc := h.private[core][fromLevel+1]
-			if _, ok := nc.lookup(lineAddr); ok {
-				nc.markDirty(lineAddr)
-			} else {
+			if !nc.markDirty(lineAddr) {
 				ev, evD, evV := nc.fill(lineAddr, true)
 				h.stats.LevelBytesIn[h.privIdx[fromLevel+1]] += int64(h.line)
 				if evV {
@@ -437,11 +417,8 @@ func (h *Hierarchy) handlePrivateEviction(core, fromLevel int, lineAddr uint64, 
 				}
 			}
 		} else if len(h.shared) > 0 {
-			sc := h.shared[0]
-			if _, ok := sc.lookup(lineAddr); ok {
-				sc.markDirty(lineAddr)
-			} else {
-				h.fillSharedDirty(0, lineAddr)
+			if !h.shared[0].markDirty(lineAddr) {
+				h.fillShared(0, lineAddr, true)
 			}
 		} else {
 			h.stats.DRAMBytes += int64(h.line)
@@ -453,24 +430,24 @@ func (h *Hierarchy) handlePrivateEviction(core, fromLevel int, lineAddr uint64, 
 		return
 	}
 	if !h.coreHolds(core, lineAddr) {
-		if e := h.dir[lineAddr]; e != nil {
+		if e, ok := h.dir[lineAddr]; ok {
 			e.sharers &^= 1 << uint(core)
 			if e.modified && e.owner == core {
 				e.modified = false
 			}
 			if e.sharers == 0 {
 				delete(h.dir, lineAddr)
+			} else {
+				h.dir[lineAddr] = e
 			}
 		}
 	}
 }
 
-func (h *Hierarchy) fillShared(si int, lineAddr uint64) {
-	c := h.shared[si]
-	if _, ok := c.lookup(lineAddr); ok {
-		return
-	}
-	_, evD, evV := c.fill(lineAddr, false)
+// fillShared installs a line that is absent from shared level si,
+// writing a dirty victim back to DRAM.
+func (h *Hierarchy) fillShared(si int, lineAddr uint64, dirty bool) {
+	_, evD, evV := h.shared[si].fill(lineAddr, dirty)
 	h.stats.LevelBytesIn[h.shIdx[si]] += int64(h.line)
 	if evV && evD {
 		h.stats.DRAMBytes += int64(h.line)
@@ -478,27 +455,15 @@ func (h *Hierarchy) fillShared(si int, lineAddr uint64) {
 	}
 }
 
-func (h *Hierarchy) fillSharedDirty(si int, lineAddr uint64) {
-	c := h.shared[si]
-	_, evD, evV := c.fill(lineAddr, true)
-	h.stats.LevelBytesIn[h.shIdx[si]] += int64(h.line)
-	if evV && evD {
-		h.stats.DRAMBytes += int64(h.line)
-		h.stats.WritebackBytes += int64(h.line)
-	}
-}
-
-// issuePrefetch fetches the line into the shared levels (or the deepest
-// private level when the machine has no shared cache) off the critical
-// path: no cycles are charged, but the DRAM traffic is.
-func (h *Hierarchy) issuePrefetch(lineAddr uint64) {
+// issuePrefetch fetches the line into the shared levels (or, when the
+// machine has no shared cache, into the deepest private level of the core
+// whose miss triggered it) off the critical path: no cycles are charged,
+// but the DRAM traffic is.
+func (h *Hierarchy) issuePrefetch(core int, lineAddr uint64) {
 	// Already resident somewhere shared? Then nothing to do.
 	for _, c := range h.shared {
-		set := c.sets[c.index(lineAddr)]
-		for i := range set {
-			if set[i].valid && set[i].tag == lineAddr {
-				return
-			}
+		if c.find(lineAddr) >= 0 {
+			return
 		}
 	}
 	h.stats.Prefetches++
@@ -506,30 +471,29 @@ func (h *Hierarchy) issuePrefetch(lineAddr uint64) {
 	h.stats.PrefetchBytes += int64(h.line)
 	if len(h.shared) > 0 {
 		for si := len(h.shared) - 1; si >= 0; si-- {
-			h.fillShared(si, lineAddr)
+			h.fillShared(si, lineAddr, false)
 		}
 	} else {
-		// No shared level: fill the deepest private level of core 0.
-		pi := len(h.private[0]) - 1
-		c := h.private[0][pi]
+		// No shared level: the prefetched copy is private to core, so the
+		// directory must know about it for later writes to invalidate it.
+		pi := len(h.private[core]) - 1
+		c := h.private[core][pi]
 		if _, ok := c.lookup(lineAddr); !ok {
 			ev, evD, evV := c.fill(lineAddr, false)
 			h.stats.LevelBytesIn[h.privIdx[pi]] += int64(h.line)
 			if evV {
-				h.handlePrivateEviction(0, pi, ev, evD)
+				h.handlePrivateEviction(core, pi, ev, evD)
 			}
 		}
+		h.track(core, lineAddr, h.dir[lineAddr], false)
 	}
 	h.prefetched[lineAddr] = true
 }
 
 func (h *Hierarchy) coreHolds(core int, lineAddr uint64) bool {
 	for _, c := range h.private[core] {
-		set := c.sets[c.index(lineAddr)]
-		for i := range set {
-			if set[i].valid && set[i].tag == lineAddr {
-				return true
-			}
+		if c.find(lineAddr) >= 0 {
+			return true
 		}
 	}
 	return false
@@ -547,30 +511,20 @@ func (h *Hierarchy) cleanEverywhere(core int, lineAddr uint64) {
 	}
 }
 
-func (h *Hierarchy) noteSharer(core int, lineAddr uint64) {
+// track records core's private copy of lineAddr, as its writer if write,
+// in e and stores e as the line's directory entry. accessLine passes the
+// entry it read before probing, updated by coherence: nothing in between
+// changes it, because the directory cleanup after an eviction never
+// reaches the line being filled, which stays in the level it just entered.
+func (h *Hierarchy) track(core int, lineAddr uint64, e dirEntry, write bool) {
 	if h.cores == 1 {
 		return
 	}
-	e := h.dir[lineAddr]
-	if e == nil {
-		e = &dirEntry{}
-		h.dir[lineAddr] = e
-	}
 	e.sharers |= 1 << uint(core)
-}
-
-func (h *Hierarchy) noteWriter(core int, lineAddr uint64) {
-	if h.cores == 1 {
-		return
+	if write {
+		e.modified, e.owner = true, core
 	}
-	e := h.dir[lineAddr]
-	if e == nil {
-		e = &dirEntry{}
-		h.dir[lineAddr] = e
-	}
-	e.sharers |= 1 << uint(core)
-	e.modified = true
-	e.owner = core
+	h.dir[lineAddr] = e
 }
 
 // ResetStats clears the accumulated statistics, keeping cache contents and

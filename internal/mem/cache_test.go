@@ -394,6 +394,65 @@ func TestPrefetchNoSharedLevelFillsPrivate(t *testing.T) {
 	}
 }
 
+// Without a shared level a prefetch lands in the missing core's deepest
+// private level, and the directory must track that copy so that another
+// core's write invalidates it.
+func TestPrefetchNoSharedLevelIsCoherent(t *testing.T) {
+	spec := machine.Laptop2009()
+	spec.Levels = []machine.LevelSpec{
+		{Name: "L1", CapacityBytes: 32 << 10, LineBytes: 64, Assoc: 8, LatencyCycles: 4, PJPerByte: 1},
+	}
+	prefetching := func() *Hierarchy {
+		h, err := NewHierarchy(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.EnablePrefetch()
+		return h
+	}
+	for _, reader := range []int{0, 1} {
+		h := prefetching()
+		h.Read(reader, 0, 8) // misses, prefetches line 1
+		h.Write(1-reader, 64, 8)
+		if inv := h.Stats().Invalidations; inv != 1 {
+			t.Fatalf("reader %d: write to a line the other core prefetched made %d invalidations, want 1", reader, inv)
+		}
+		h = prefetching()
+		h.Read(reader, 0, 8)
+		if r := h.Read(reader, 64, 8); r.HitLevel != 0 {
+			t.Fatalf("reader %d: prefetched line should hit the reader's L1, got level %d", reader, r.HitLevel)
+		}
+	}
+}
+
+// Streaming new lines through a warm multi-core hierarchy allocates
+// nothing: the caches are flat arrays and directory entries are values.
+func TestZeroAllocStreaming(t *testing.T) {
+	const cores = 4
+	h, err := NewHierarchy(machine.Petascale2009(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 256 << 10 // bytes per core per run
+	var next uint64
+	stream := func() {
+		for c := 0; c < cores; c++ {
+			for a := uint64(0); a < chunk; a += 64 {
+				h.Write(c, next+a, 8)
+			}
+			next += chunk
+		}
+	}
+	// Warm up until every level is full and the directory has reached its
+	// steady-state size.
+	for i := 0; i < 32; i++ {
+		stream()
+	}
+	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
+		t.Fatalf("streaming allocated %v times per run, want 0", allocs)
+	}
+}
+
 func TestResetStatsKeepsContents(t *testing.T) {
 	h := newTestHierarchy(t, 1)
 	h.Read(0, 0, 8)

@@ -1,0 +1,135 @@
+package mem
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"tenways/internal/machine"
+)
+
+// deep returns a two-domain machine with two private and two shared
+// levels, small enough that a short trace evicts from every level. Its L2
+// has 12 sets, so it also indexes by modulo.
+func deep() *machine.Spec {
+	s := machine.Petascale2009()
+	s.Levels = []machine.LevelSpec{
+		{Name: "L1", CapacityBytes: 8 * 64, LineBytes: 64, Assoc: 2, LatencyCycles: 2, PJPerByte: 1},
+		{Name: "L2", CapacityBytes: 48 * 64, LineBytes: 64, Assoc: 4, LatencyCycles: 8, PJPerByte: 2},
+		{Name: "L3", CapacityBytes: 256 * 64, LineBytes: 64, Assoc: 8, LatencyCycles: 20, PJPerByte: 4, Shared: true},
+		{Name: "L4", CapacityBytes: 1024 * 64, LineBytes: 64, Assoc: 16, LatencyCycles: 40, PJPerByte: 8, Shared: true},
+	}
+	return s
+}
+
+// traceCase is one seeded multi-core Read/Write trace.
+type traceCase struct {
+	name     string
+	spec     func() *machine.Spec
+	cores    int
+	prefetch bool
+	numa     bool
+	place    Placement
+	ops      int
+	span     uint64 // bytes covered by the random component of the trace
+}
+
+var traceCases = []traceCase{
+	{name: "tiny-2c", spec: tiny, cores: 2, ops: 20000, span: 8 << 10},
+	{name: "tiny-4c-prefetch", spec: tiny, cores: 4, prefetch: true, ops: 20000, span: 8 << 10},
+	{name: "l1only-4c-firsttouch", spec: numaSpec, cores: 4, numa: true, place: PlacementFirstTouch, ops: 20000, span: 64 << 10},
+	{name: "l1only-1c-prefetch", spec: numaSpec, cores: 1, prefetch: true, ops: 20000, span: 64 << 10},
+	{name: "deep-3c-prefetch-interleave", spec: deep, cores: 3, prefetch: true, numa: true, place: PlacementInterleave, ops: 40000, span: 256 << 10},
+	{name: "deep-4c-firsttouch", spec: deep, cores: 4, numa: true, place: PlacementFirstTouch, ops: 40000, span: 256 << 10},
+	{name: "petascale-4c-prefetch-firsttouch", spec: machine.Petascale2009, cores: 4, prefetch: true, numa: true, place: PlacementFirstTouch, ops: 200000, span: 16 << 20},
+	{name: "petascale-4c-interleave", spec: machine.Petascale2009, cores: 4, numa: true, place: PlacementInterleave, ops: 200000, span: 16 << 20},
+	{name: "petascale-1c-prefetch", spec: machine.Petascale2009, cores: 1, prefetch: true, ops: 100000, span: 16 << 20},
+}
+
+// runTrace replays tc's seeded trace and returns its Stats together with
+// an FNV-1a digest of every AccessResult. Half the accesses go to a small
+// hot region shared by all cores (coherence traffic), a quarter stream
+// through a per-core sequential cursor (prefetch chains), and a quarter
+// land anywhere in span (evictions at every level).
+func runTrace(tb testing.TB, tc traceCase) (Stats, uint64) {
+	tb.Helper()
+	h, err := NewHierarchy(tc.spec(), tc.cores)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if tc.prefetch {
+		h.EnablePrefetch()
+	}
+	if tc.numa {
+		h.EnableNUMA(tc.place)
+	}
+	seed := fnv.New64a()
+	seed.Write([]byte(tc.name))
+	rng := rand.New(rand.NewSource(int64(seed.Sum64())))
+	cursor := make([]uint64, tc.cores)
+	for c := range cursor {
+		cursor[c] = uint64(c) * tc.span / uint64(tc.cores)
+	}
+	sum := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		sum.Write(buf[:])
+	}
+	for i := 0; i < tc.ops; i++ {
+		core := rng.Intn(tc.cores)
+		var addr uint64
+		switch k := rng.Intn(4); k {
+		case 0, 1:
+			addr = uint64(rng.Intn(16 * 64))
+		case 2:
+			addr = cursor[core]
+			cursor[core] += 8 << uint(rng.Intn(4))
+		default:
+			addr = uint64(rng.Int63n(int64(tc.span)))
+		}
+		size := 1 + rng.Intn(96)
+		var r AccessResult
+		if rng.Intn(3) == 0 {
+			r = h.Write(core, addr, size)
+		} else {
+			r = h.Read(core, addr, size)
+		}
+		put(math.Float64bits(r.Cycles))
+		put(uint64(int64(r.HitLevel)))
+		put(uint64(r.LinesUsed))
+	}
+	return h.Stats(), sum.Sum64()
+}
+
+// traceGoldens were captured from the simulator that kept one []line
+// slice per set, heap-allocated its directory entries, and re-probed
+// levels its callers had just missed in. Any change to them is a change
+// to every memory table the lab prints.
+var traceGoldens = map[string]string{
+	"tiny-2c":                          "{LevelHits:[5257 9164] LevelMisses:[29411 20247] LevelBytesIn:[1882304 1409728] DRAMAccesses:20247 DRAMBytes:1862336 Invalidations:842 CacheTransfers:828 CoherenceBytes:52992 WritebackBytes:566528 Prefetches:0 PrefetchBytes:0 LocalDRAMBytes:0 RemoteDRAMBytes:0 AccessCount:20000 TotalCycles:4.767577999999678e+06} digest=a6fd38726ae79290",
+	"tiny-4c-prefetch":                 "{LevelHits:[5064 16433] LevelMisses:[29572 13139] LevelBytesIn:[1892608 2498752] DRAMAccesses:13139 DRAMBytes:2702272 Invalidations:2450 CacheTransfers:2076 CoherenceBytes:132864 WritebackBytes:548096 Prefetches:20520 PrefetchBytes:1313280 LocalDRAMBytes:0 RemoteDRAMBytes:0 AccessCount:20000 TotalCycles:3.226238352940549e+06} digest=4680de173b39a1cd",
+	"l1only-4c-firsttouch":             "{LevelHits:[4785] LevelMisses:[29738] LevelBytesIn:[1903232] DRAMAccesses:29738 DRAMBytes:2482560 Invalidations:2131 CacheTransfers:1846 CoherenceBytes:118144 WritebackBytes:579328 Prefetches:0 PrefetchBytes:0 LocalDRAMBytes:953344 RemoteDRAMBytes:949888 AccessCount:20000 TotalCycles:9.8939215e+06} digest=515c42e1cc563aba",
+	"l1only-1c-prefetch":               "{LevelHits:[15681] LevelMisses:[18913] LevelBytesIn:[2375104] DRAMAccesses:18913 DRAMBytes:3137856 Invalidations:0 CacheTransfers:0 CoherenceBytes:0 WritebackBytes:716992 Prefetches:18913 PrefetchBytes:1210432 LocalDRAMBytes:0 RemoteDRAMBytes:0 AccessCount:20000 TotalCycles:4.52792775e+06} digest=8331a80afc037be4",
+	"deep-3c-prefetch-interleave":      "{LevelHits:[16239 16567 22518 6236] LevelMisses:[53106 36539 14021 7785] LevelBytesIn:[3398784 2340096 1769920 1548224] DRAMAccesses:7785 DRAMBytes:2120960 Invalidations:13697 CacheTransfers:10016 CoherenceBytes:641024 WritebackBytes:572736 Prefetches:16406 PrefetchBytes:1049984 LocalDRAMBytes:252288 RemoteDRAMBytes:245952 AccessCount:40000 TotalCycles:4.70983475e+06} digest=a23413e7a61f7385",
+	"deep-4c-firsttouch":               "{LevelHits:[15587 13703 18707 4078] LevelMisses:[53583 39880 21173 17095] LevelBytesIn:[3429312 2552704 1320896 1094080] DRAMAccesses:17095 DRAMBytes:1655168 Invalidations:17161 CacheTransfers:10603 CoherenceBytes:678592 WritebackBytes:561088 Prefetches:0 PrefetchBytes:0 LocalDRAMBytes:573696 RemoteDRAMBytes:520384 AccessCount:40000 TotalCycles:7.97488125e+06} digest=469d3b2a424aa707",
+	"petascale-4c-prefetch-firsttouch": "{LevelHits:[148738 2361 156471] LevelMisses:[197167 194806 38335] LevelBytesIn:[12618688 12467584 7834432] DRAMAccesses:38335 DRAMBytes:7908032 Invalidations:90450 CacheTransfers:55994 CoherenceBytes:3583616 WritebackBytes:76288 Prefetches:84036 PrefetchBytes:5378304 LocalDRAMBytes:1351360 RemoteDRAMBytes:1102080 AccessCount:200000 TotalCycles:2.583711625e+07} digest=2a590e6eb54355e2",
+	"petascale-4c-interleave":          "{LevelHits:[147385 2420 104593] LevelMisses:[198019 195599 91006] LevelBytesIn:[12673216 12518336 5824448] DRAMAccesses:91006 DRAMBytes:5825856 Invalidations:90829 CacheTransfers:56002 CoherenceBytes:3584128 WritebackBytes:1472 Prefetches:0 PrefetchBytes:0 LocalDRAMBytes:2909056 RemoteDRAMBytes:2915328 AccessCount:200000 TotalCycles:4.28590735e+07} digest=3d2449f68e1e2e36",
+	"petascale-1c-prefetch":            "{LevelHits:[117668 1356 32349] LevelMisses:[55185 53829 21480] LevelBytesIn:[3531840 3446592 4429888] DRAMAccesses:21480 DRAMBytes:4429888 Invalidations:0 CacheTransfers:0 CoherenceBytes:0 WritebackBytes:0 Prefetches:47737 PrefetchBytes:3055168 LocalDRAMBytes:0 RemoteDRAMBytes:0 AccessCount:100000 TotalCycles:8.563404e+06} digest=ae70f2f364a0992f",
+}
+
+func TestStatsGoldens(t *testing.T) {
+	for _, tc := range traceCases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, digest := runTrace(t, tc)
+			got := fmt.Sprintf("%+v digest=%016x", st, digest)
+			if want := traceGoldens[tc.name]; got != want {
+				t.Errorf("stats drifted from golden\n got: %q\nwant: %q", got, want)
+			}
+		})
+	}
+}
