@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fix fix-clean race bench bench-json bench-diff quick smoke clean
+.PHONY: all build test lint fix fix-clean race bench quick smoke clean
 
 all: test
 
@@ -36,37 +36,11 @@ race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Full benchmark suite (use BENCH=<regex> to narrow).
+# Go benchmarks (use BENCH=<regex> to narrow). The end-to-end benchmark is
+# cmd/tenbench; scripts/bench-gate.sh <base-ref> compares it across commits.
 BENCH ?= .
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem ./...
-
-# Benchmarks plus a quick parallel lab run, merged into one dated JSON
-# report. cmd/benchjson keeps each raw benchmark line in the record, so
-# benchstat input can be recovered with
-#   jq -r '.benchmarks[].raw' BENCH_<date>.json
-# and the full lab report (tables, figures, per-experiment metrics) rides
-# along under ".lab".
-bench-json:
-	$(GO) run ./cmd/wastelab -run all -quick -parallel 4 -json LAB_$$(date +%Y-%m-%d).json > /dev/null
-	$(GO) test -bench '$(BENCH)' -benchmem ./... | $(GO) run ./cmd/benchjson -lab LAB_$$(date +%Y-%m-%d).json > BENCH_$$(date +%Y-%m-%d).json
-	@echo "wrote LAB_$$(date +%Y-%m-%d).json and BENCH_$$(date +%Y-%m-%d).json"
-
-# Regression gate: run the Go benchmarks fresh and compare them against the
-# newest committed BENCH_*.json snapshot with benchjson -diff. The comparison
-# is suite-relative (log-ratios centered on their median, flag band widened
-# under global noise), so a uniformly slower host passes; the exit is
-# non-zero only when a benchmark got slower relative to the rest of the
-# suite. The snapshot's BenchmarkLab/* pseudo-benchmarks are deliberately not
-# regenerated here: quick lab wall times under -parallel 4 depend on which
-# experiments are co-scheduled and are too noisy to gate on, so the diff
-# covers only the real benchmarks the two reports share. Narrow with
-# BENCH=<regex>; compare against a different snapshot with BASELINE=<file>.
-BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-bench-diff:
-	@test -n "$(BASELINE)" || { echo "bench-diff: no committed BENCH_*.json baseline found"; exit 2; }
-	$(GO) test -bench '$(BENCH)' -benchmem ./... | $(GO) run ./cmd/benchjson > /tmp/bench-diff-new.json
-	$(GO) run ./cmd/benchjson -diff $(BASELINE) /tmp/bench-diff-new.json
 
 # Daemon smoke test: build cmd/wastelabd, start it, probe /healthz, run one
 # quick experiment twice, and assert the repeat is served from the cache.

@@ -1,11 +1,11 @@
-// Benchmarks: one per table and figure of the evaluation suite (T1–T8,
-// F1–F25), each regenerating its experiment through the Lab, plus
-// measured-plane benchmarks that run the wasteful/remedied kernel pairs on
-// the host CPU. Run everything with:
+// Benchmarks: measured-plane benchmarks that run the wasteful/remedied
+// kernel pairs on the host CPU, plus the substrate costs of the cache
+// simulator and the event engines. Experiment wall times are in wastelab
+// -json's wall_ms and the tenbench suite workload, not here. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Use -short to shrink the modeled sweeps (Quick mode).
+// Use -short to shrink the idle-wave benchmark.
 package tenways_test
 
 import (
@@ -23,65 +23,6 @@ import (
 	"tenways/internal/sim"
 	"tenways/internal/workload"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	lab := tenways.NewLab()
-	cfg := tenways.Config{Quick: testing.Short()}
-	for i := 0; i < b.N; i++ {
-		out, err := lab.Run(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Table == nil && out.Figure == nil {
-			b.Fatal("empty output")
-		}
-	}
-}
-
-// --- Tables ---
-
-func BenchmarkT1TenWays(b *testing.B)         { benchExperiment(b, "T1") }
-func BenchmarkT2MachineBalance(b *testing.B)  { benchExperiment(b, "T2") }
-func BenchmarkT3Collectives(b *testing.B)     { benchExperiment(b, "T3") }
-func BenchmarkT4Roofline(b *testing.B)        { benchExperiment(b, "T4") }
-func BenchmarkT5SciencePerJoule(b *testing.B) { benchExperiment(b, "T5") }
-
-// --- Figures ---
-
-func BenchmarkF1Blocking(b *testing.B)           { benchExperiment(b, "F1") }
-func BenchmarkF2Resend(b *testing.B)             { benchExperiment(b, "F2") }
-func BenchmarkF3Oversync(b *testing.B)           { benchExperiment(b, "F3") }
-func BenchmarkF4Imbalance(b *testing.B)          { benchExperiment(b, "F4") }
-func BenchmarkF5Serialization(b *testing.B)      { benchExperiment(b, "F5") }
-func BenchmarkF6Overlap(b *testing.B)            { benchExperiment(b, "F6") }
-func BenchmarkF7SmallMsgs(b *testing.B)          { benchExperiment(b, "F7") }
-func BenchmarkF8Roofline(b *testing.B)           { benchExperiment(b, "F8") }
-func BenchmarkF9FalseSharing(b *testing.B)       { benchExperiment(b, "F9") }
-func BenchmarkF10IdleEnergy(b *testing.B)        { benchExperiment(b, "F10") }
-func BenchmarkF11StrongScaling(b *testing.B)     { benchExperiment(b, "F11") }
-func BenchmarkF12WeakScaling(b *testing.B)       { benchExperiment(b, "F12") }
-func BenchmarkF13CommAvoiding(b *testing.B)      { benchExperiment(b, "F13") }
-func BenchmarkF14AllreduceScaling(b *testing.B)  { benchExperiment(b, "F14") }
-func BenchmarkT6TopologyContention(b *testing.B) { benchExperiment(b, "T6") }
-func BenchmarkT7KarpFlatt(b *testing.B)          { benchExperiment(b, "T7") }
-func BenchmarkF15DAGSpeedup(b *testing.B)        { benchExperiment(b, "F15") }
-func BenchmarkF16SpeedupLaws(b *testing.B)       { benchExperiment(b, "F16") }
-func BenchmarkF17Prefetcher(b *testing.B)        { benchExperiment(b, "F17") }
-func BenchmarkF18DistributedSort(b *testing.B)   { benchExperiment(b, "F18") }
-func BenchmarkF19CommAvoidingCG(b *testing.B)    { benchExperiment(b, "F19") }
-func BenchmarkF20NUMAPlacement(b *testing.B)     { benchExperiment(b, "F20") }
-func BenchmarkF21DistributedBFS(b *testing.B)    { benchExperiment(b, "F21") }
-func BenchmarkT8NoiseAmplification(b *testing.B) { benchExperiment(b, "T8") }
-func BenchmarkF22IdleWaveSpeed(b *testing.B)     { benchExperiment(b, "F22") }
-func BenchmarkF23IdleWaveDecay(b *testing.B)     { benchExperiment(b, "F23") }
-func BenchmarkF24Straggler(b *testing.B)         { benchExperiment(b, "F24") }
-func BenchmarkF25Checkpoint(b *testing.B)        { benchExperiment(b, "F25") }
-func BenchmarkT9Autotune(b *testing.B)           { benchExperiment(b, "T9") }
-func BenchmarkF26TunerConvergence(b *testing.B)  { benchExperiment(b, "F26") }
-func BenchmarkT12DaemonSim(b *testing.B)         { benchExperiment(b, "T12") }
-
-// --- Measured plane: the wasteful/remedied pairs on the host CPU ---
 
 // BenchmarkMeasuredMatmul contrasts W1 on real hardware: naive ijk versus
 // cache-blocked, n = 192 (3 matrices x 288 KiB, beyond typical L2).

@@ -65,13 +65,7 @@ func (l *Lab) RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]RunRes
 		}
 		exps[i] = e
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+	workers := resolveWorkers(opts.Workers, len(exps))
 
 	results := make([]RunResult, len(exps))
 	done := make([]chan struct{}, len(exps))
@@ -121,6 +115,12 @@ func (l *Lab) RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]RunRes
 	return results, nil
 }
 
+// resolveWorkers is the worker count RunAll uses for a requested count and
+// n experiments: at least one, at most n.
+func resolveWorkers(requested, n int) int {
+	return min(max(requested, 1), n)
+}
+
 // runOne executes a single experiment with its own metrics registry,
 // converting panics into errors so one broken experiment cannot take down
 // a parallel suite run.
@@ -166,8 +166,8 @@ type RunRecord struct {
 	Metrics  obs.Snapshot   `json:"metrics"`
 }
 
-// LabReport is a machine-readable record of one suite run — what wastelab
-// -json emits and cmd/benchjson embeds alongside Go benchmark results.
+// LabReport is a machine-readable record of one suite run, as wastelab
+// -json emits it.
 type LabReport struct {
 	Machine string      `json:"machine"`
 	Quick   bool        `json:"quick,omitempty"`
@@ -176,13 +176,15 @@ type LabReport struct {
 	Results []RunRecord `json:"results"`
 }
 
-// NewLabReport assembles the JSON report for a completed RunAll.
+// NewLabReport assembles the JSON report for a completed RunAll. workers is
+// the count passed in RunOptions; the report records the count RunAll
+// resolved it to.
 func NewLabReport(cfg Config, workers int, results []RunResult) *LabReport {
 	rep := &LabReport{
 		Machine: cfg.machine().Name,
 		Quick:   cfg.Quick,
 		Seed:    cfg.Seed,
-		Workers: workers,
+		Workers: resolveWorkers(workers, len(results)),
 		Results: make([]RunRecord, 0, len(results)),
 	}
 	for _, r := range results {

@@ -199,4 +199,13 @@ func TestLabReportRoundTrip(t *testing.T) {
 	if ids := back.FailedIDs(); len(ids) != 0 {
 		t.Fatalf("unexpected failures: %v", ids)
 	}
+	// The report records the worker count RunAll used, not the one asked for.
+	for _, tc := range []struct {
+		workers int
+		results []RunResult
+	}{{0, results}, {8, results[:1]}} {
+		if got := NewLabReport(cfg, tc.workers, tc.results).Workers; got != 1 {
+			t.Fatalf("%d workers over %d experiments: report says %d, want 1", tc.workers, len(tc.results), got)
+		}
+	}
 }
