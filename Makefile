@@ -31,10 +31,13 @@ fix:
 fix-clean: fix
 	git diff --exit-code
 
-# Tier-2 verify: static analysis + race detector.
+# Tier-2 verify: static analysis + race detector. The pdes line reruns the
+# engine at GOMAXPROCS 1, 2 and 4, so its default-worker tests exercise the
+# window loop with 0, 1 and 3 helper goroutines.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./internal/pdes
 
 # Go benchmarks (use BENCH=<regex> to narrow). The end-to-end benchmark is
 # cmd/tenbench; scripts/bench-gate.sh <base-ref> compares it across commits.

@@ -30,10 +30,7 @@ type engine struct {
 	// Chunks drain back into the receiving partition's arena.
 	bufs [2][]batch
 
-	// Serial-path window bookkeeping (multi-worker paths track the window
-	// index per worker and count windows in the coordinator loop).
-	window  int
-	windows uint64
+	windows uint64 // windows executed, counted by worker 0
 }
 
 // partState gathers everything one partition's worker touches in the hot
@@ -244,36 +241,46 @@ func (e *engine) runWindow(d int, wend float64, window int) (lmin float64, faile
 	return lmin, failed
 }
 
-// stepWindow runs one window across every partition inline — the serial
-// fast path (no goroutines, no barrier) used when the resolved worker
-// count is 1. Returns the next GVT lower bound and whether any partition
-// failed.
-func (e *engine) stepWindow(gmin float64) (float64, bool) {
-	wend := windowEnd(gmin, e.look)
-	next := math.Inf(1)
-	failed := false
-	for d := 0; d < e.p; d++ {
-		lmin, f := e.runWindow(d, wend, e.window)
-		if lmin < next {
-			next = lmin
+// stride advances worker wi's partitions (wi, wi+nw, wi+2nw, ...) through
+// window ep and returns their minimum lower bound on future work and
+// whether any of them failed. It is the only loop over a worker's
+// partitions, shared by the caller and every helper.
+func (e *engine) stride(wi, nw int, wend float64, ep uint32) (min float64, fail bool) {
+	min = math.Inf(1)
+	for d := wi; d < e.p; d += nw {
+		lmin, f := e.runWindow(d, wend, int(ep-1))
+		if lmin < min {
+			min = lmin
 		}
 		if f {
-			failed = true
+			fail = true
 		}
 	}
-	e.window++
-	e.windows++
-	return next, failed
+	return min, fail
 }
 
-// runSense is the multi-worker window loop: persistent strided workers
+// step runs window ep as worker 0 and coordinator: open the epoch, run
+// stride 0, publish slot 0, then collect every slot into the next GVT
+// lower bound. With one slot, collect reads the caller's own store, so a
+// single-worker run takes this same path without spinning.
+func (e *engine) step(bar *senseBarrier, ep uint32, gmin float64) (float64, bool) {
+	wend := windowEnd(gmin, e.look)
+	bar.issue(ep, wend)
+	min, fail := e.stride(0, len(bar.slots), wend, ep)
+	bar.publish(0, ep, min, fail)
+	e.windows++
+	return bar.collect(ep)
+}
+
+// loop is the window loop for every worker count: the caller steps as
+// worker 0 while nw-1 helper goroutines run the other strides, all
 // synchronised by a padded sense-reversing barrier with the GVT min-reduce
-// inlined into the coordinator's collect — one atomic publish and one
-// bounded spin per worker per window.
-func (e *engine) runSense(nw int, gmin float64) {
+// inlined into collect — one atomic publish and one bounded spin per
+// worker per window.
+func (e *engine) loop(nw int, gmin float64) {
 	bar := newSenseBarrier(nw)
 	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
+	for wi := 1; wi < nw; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
@@ -282,17 +289,7 @@ func (e *engine) runSense(nw int, gmin float64) {
 				if !ok {
 					return
 				}
-				min := math.Inf(1)
-				fail := false
-				for d := wi; d < e.p; d += nw {
-					lmin, f := e.runWindow(d, wend, int(ep-1))
-					if lmin < min {
-						min = lmin
-					}
-					if f {
-						fail = true
-					}
-				}
+				min, fail := e.stride(wi, nw, wend, ep)
 				bar.publish(wi, ep, min, fail)
 			}
 		}(wi)
@@ -301,9 +298,7 @@ func (e *engine) runSense(nw int, gmin float64) {
 	failed := false
 	for !failed && !math.IsInf(gmin, 1) {
 		ep++
-		bar.issue(ep, windowEnd(gmin, e.look))
-		gmin, failed = bar.collect(ep)
-		e.windows++
+		gmin, failed = e.step(bar, ep, gmin)
 	}
 	bar.shutdown(ep + 1)
 	wg.Wait()
@@ -356,16 +351,8 @@ func run(w Workload, cfg Config, width float64) (Result, error) {
 	if err := e.seed(); err != nil {
 		return Result{}, err
 	}
-	gmin := e.initialMin()
 
-	if nw == 1 {
-		failed := false
-		for !failed && !math.IsInf(gmin, 1) {
-			gmin, failed = e.stepWindow(gmin)
-		}
-	} else {
-		e.runSense(nw, gmin)
-	}
+	e.loop(nw, e.initialMin())
 
 	res := Result{Windows: e.windows, Partitions: p, Workers: nw}
 	var chunkAllocs, respreads uint64

@@ -8,10 +8,11 @@
 // bound for another partition are buffered into per-(src,dst) chunk chains
 // drawn from per-partition slab arenas and delivered at the next window
 // boundary — the paper's W7 aggregation remedy applied to the engine
-// itself, with zero steady-state allocation. Multi-worker runs synchronise
+// itself, with zero steady-state allocation. Every run has one window loop:
+// the goroutine that calls Run is worker 0 and the coordinator, nw-1 helper
+// goroutines run the other partition strides, and all nw synchronise
 // windows through a padded sense-reversing barrier with an inline GVT
-// min-reduce, and a resolved worker count of 1 runs the window loop inline
-// with no goroutines at all.
+// min-reduce. With one worker no helper starts and the barrier never spins.
 //
 // Determinism: every event carries the key (Time, Src, Seq) where Seq is a
 // per-source emission counter, so keys are unique and queue order is total.
@@ -86,8 +87,9 @@ type Config struct {
 	Partitions int
 	// Workers bounds the goroutines processing partitions; <= 0 selects
 	// min(Partitions, GOMAXPROCS) — more workers than cores only adds
-	// scheduling churn. A resolved count of 1 runs the window loop inline
-	// with no goroutines or barrier at all. Clamped to [1, Partitions].
+	// scheduling churn. The caller of Run is worker 0, and nw-1 helper
+	// goroutines are started for a resolved count nw. Clamped to
+	// [1, Partitions].
 	// Any worker count produces identical results — only wall time
 	// changes.
 	Workers int

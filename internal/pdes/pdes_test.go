@@ -3,8 +3,10 @@ package pdes
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustWave(t *testing.T, n, steps int, compute, spike float64, offsets []int, delays []float64) *IdleWave {
@@ -233,6 +235,62 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	_, err := Run(&panicky{n: 4}, Config{Partitions: 4, Lookahead: 1e-6})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("got %v, want the recovered handler panic", err)
+	}
+}
+
+// ticker has every rank tick once per lookahead for a fixed number of
+// steps, and rank 0 fail at step failAt: by panicking, or by emitting a
+// cross-partition event inside the current window. Rank 0 sits in
+// partition 0, which the caller of Run handles itself.
+type ticker struct {
+	n, steps, failAt int
+	look             float64
+	violate          bool
+}
+
+func (w *ticker) Ranks() int { return w.n }
+func (w *ticker) Init(s Sched, rank int) {
+	s.At(rank, w.look, 1, 1, 0)
+}
+func (w *ticker) Handle(s Sched, ev Event) {
+	if ev.Dst == 0 && int(ev.Step) == w.failAt {
+		if !w.violate {
+			panic("boom")
+		}
+		s.At(w.n-1, ev.Time+w.look/2, 1, ev.Step, 0)
+	}
+	if int(ev.Step) < w.steps {
+		s.At(int(ev.Dst), ev.Time+w.look, 1, ev.Step+1, 0)
+	}
+}
+
+// TestCallerStrideFailureStopsHelpers fails the caller's own stride while
+// the helpers run: every run must return the error, and every helper
+// goroutine must exit before Run returns to its caller's goroutine count.
+func TestCallerStrideFailureStopsHelpers(t *testing.T) {
+	const look = 1e-6
+	for _, violate := range []bool{false, true} {
+		for _, nw := range []int{2, 4} {
+			w := &ticker{n: 16, steps: 50, failAt: 10, look: look, violate: violate}
+			before := runtime.NumGoroutine()
+			_, err := Run(w, Config{Partitions: 4, Workers: nw, Lookahead: look})
+			want := "partition 0 handler panicked: boom"
+			if violate {
+				want = "lookahead violation: rank 0 -> rank 15"
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("violate=%v workers=%d: got %v, want %q", violate, nw, err, want)
+			}
+			// wg.Done runs just before a helper goroutine exits, so allow
+			// the scheduler a moment to retire it.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n != before {
+				t.Errorf("violate=%v workers=%d: %d goroutines after the run, %d before", violate, nw, n, before)
+			}
+		}
 	}
 }
 

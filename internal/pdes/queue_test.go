@@ -271,11 +271,14 @@ func TestWindowLoopSteadyStateZeroAlloc(t *testing.T) {
 	if err := e.seed(); err != nil {
 		t.Fatal(err)
 	}
+	bar := newSenseBarrier(1)
+	ep := uint32(0)
 	gmin := e.initialMin()
 	failed := false
 	step := func(k int) {
 		for i := 0; i < k && !failed && !math.IsInf(gmin, 1); i++ {
-			gmin, failed = e.stepWindow(gmin)
+			ep++
+			gmin, failed = e.step(bar, ep, gmin)
 		}
 	}
 	// Warm past the first overflow respreads (one every ~40 windows at the
@@ -323,13 +326,17 @@ func TestLadderMemoryWithinTwiceHeap(t *testing.T) {
 	}
 }
 
-// TestSenseBarrierProtocol drives the barrier directly: three windows with
-// a min-reduce, a failure flag on the last, then shutdown.
+// TestSenseBarrierProtocol drives the barrier the way the window loop does.
+// The caller opens each epoch, publishes slot 0 and then collects; helpers
+// publish slots 1..nw-1. Each epoch's minimum comes from a different slot
+// (the caller's at epoch 4), a helper fails at epoch 3 and the caller at
+// epoch 4, and shutdown releases the helpers.
 func TestSenseBarrierProtocol(t *testing.T) {
-	const nw = 4
+	const nw, epochs = 4, 5
+	slotMin := func(wi int, ep uint32) float64 { return float64(ep)*10 + float64((wi+int(ep))%nw) }
 	bar := newSenseBarrier(nw)
 	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
+	for wi := 1; wi < nw; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
@@ -338,20 +345,24 @@ func TestSenseBarrierProtocol(t *testing.T) {
 				if !ok {
 					return
 				}
-				bar.publish(wi, ep, wend+float64(wi), wi == 2 && ep == 3)
+				if wend != float64(ep)*10 {
+					t.Errorf("helper %d epoch %d: wend %g", wi, ep, wend)
+				}
+				bar.publish(wi, ep, slotMin(wi, ep), wi == 2 && ep == 3)
 			}
 		}(wi)
 	}
-	for ep := uint32(1); ep <= 3; ep++ {
+	for ep := uint32(1); ep <= epochs; ep++ {
 		bar.issue(ep, float64(ep)*10)
+		bar.publish(0, ep, slotMin(0, ep), ep == 4)
 		gmin, failed := bar.collect(ep)
 		if want := float64(ep) * 10; gmin != want {
 			t.Errorf("epoch %d: min-reduce %g, want %g", ep, gmin, want)
 		}
-		if failed != (ep == 3) {
-			t.Errorf("epoch %d: failed=%v, want %v", ep, failed, ep == 3)
+		if want := ep == 3 || ep == 4; failed != want {
+			t.Errorf("epoch %d: failed=%v, want %v", ep, failed, want)
 		}
 	}
-	bar.shutdown(4)
+	bar.shutdown(epochs + 1)
 	wg.Wait()
 }

@@ -415,41 +415,62 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runShared is the shared request path: result cache, then singleflight
-// coalescing, then the bounded admission queue, then the lab itself.
-func (s *Server) runShared(ctx context.Context, key, id string, cfg core.Config) (ent *runEntry, cached, coalesced bool, err error) {
+// timedEntry is a cached result that records the wall time of the run that
+// produced it.
+type timedEntry interface{ setWall(time.Duration) }
+
+func (e *runEntry) setWall(d time.Duration)     { e.WallMS = float64(d) / float64(time.Millisecond) }
+func (e *tuneResponse) setWall(d time.Duration) { e.WallMS = float64(d) / float64(time.Millisecond) }
+
+// shared is the request path /v1/run, /v1/runall and /v1/tune share:
+// result cache, then singleflight coalescing, then the bounded admission
+// queue, then miss, timed into serve.run_seconds, whose entry is cached.
+func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry, error)) (ent any, cached, coalesced bool, err error) {
 	if v, ok := s.cache.Get(key); ok {
 		s.hits.Inc()
-		return v.(*runEntry), true, false, nil
+		return v, true, false, nil
 	}
 	s.misses.Inc()
-	v, coalesced, err := s.flight.do(ctx, key, func() (any, error) {
+	ent, coalesced, err = s.flight.do(ctx, key, func() (any, error) {
 		release, waited, err := s.adm.acquire(ctx)
 		s.queueWait.Observe(waited.Seconds())
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
 		stop := s.runSec.Start()
-		out, err := s.lab.RunContext(ctx, id, cfg)
+		e, err := miss()
 		wall := stop()
 		if err != nil {
 			return nil, err
 		}
-		e := &runEntry{Output: out, Metrics: reg.Snapshot(), WallMS: float64(wall) / float64(time.Millisecond)}
-		e.Hash = hashEntry(e)
+		e.setWall(wall)
 		s.cache.Put(key, e)
 		return e, nil
 	})
 	if coalesced {
 		s.coalesced.Inc()
 	}
+	return ent, false, coalesced, err
+}
+
+// runShared runs one experiment through the shared request path.
+func (s *Server) runShared(ctx context.Context, key, id string, cfg core.Config) (*runEntry, bool, bool, error) {
+	v, cached, coalesced, err := s.shared(ctx, key, func() (timedEntry, error) {
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		out, err := s.lab.RunContext(ctx, id, cfg)
+		if err != nil {
+			return nil, err
+		}
+		e := &runEntry{Output: out, Metrics: reg.Snapshot()}
+		e.Hash = hashEntry(e)
+		return e, nil
+	})
 	if err != nil {
 		return nil, false, coalesced, err
 	}
-	return v.(*runEntry), false, coalesced, nil
+	return v.(*runEntry), cached, coalesced, nil
 }
 
 // writeRunErr maps request-path errors to status codes: queue overflow to
@@ -534,6 +555,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 	var b trace.Breakdown
 	b.PerWorker = make([]trace.WorkerTimes, len(req.Workers))
+	var sum time.Duration // every category of every worker, as b.Sum adds them
 	for i, wm := range req.Workers {
 		names := make([]string, 0, len(wm))
 		for name := range wm {
@@ -547,7 +569,19 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 					"unknown category "+strconv.Quote(name)+" (known: "+categoryNames()+")")
 				return
 			}
-			d := time.Duration(wm[name] * float64(time.Second))
+			sec := wm[name]
+			ns := sec * float64(time.Second)
+			if !(ns >= 0) {
+				s.writeErr(w, http.StatusBadRequest, badSeconds(i, name, sec, "is negative"))
+				return
+			}
+			if ns >= math.MaxInt64 || time.Duration(ns) > math.MaxInt64-sum {
+				s.writeErr(w, http.StatusBadRequest, badSeconds(i, name, sec,
+					"takes the attributed total past about 9.2e9 seconds, the most a duration holds"))
+				return
+			}
+			d := time.Duration(ns)
+			sum += d
 			b.PerWorker[i].ByCategory[c] += d
 			b.Total[c] += d
 		}
@@ -587,6 +621,12 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		out = append(out, adviceResponse(a))
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// badSeconds describes one out-of-range /v1/diagnose entry.
+func badSeconds(worker int, category string, sec float64, why string) string {
+	return "workers[" + strconv.Itoa(worker) + "] " + strconv.Quote(category) + ": " +
+		strconv.FormatFloat(sec, 'g', -1, 64) + " seconds " + why
 }
 
 func categoryNames() string {
@@ -635,71 +675,44 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
 	key := "tune|" + p.spec.Name + "|" + tn.ID + "|" + strconv.FormatBool(p.quick)
-	ent, cached, coalesced, err := s.tuneShared(ctx, key, tn, p)
+	v, cached, _, err := s.shared(ctx, key, func() (timedEntry, error) { return s.runTune(tn, p) })
 	if err != nil {
 		s.writeRunErr(w, err)
 		return
 	}
 	w.Header().Set("X-Cache", cacheHeader(cached))
-	resp := *ent
+	resp := *v.(*tuneResponse)
 	resp.Cached = cached
-	_ = coalesced
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// tuneShared runs one tunable search through the same cache + coalescing +
-// admission path as /v1/run.
-func (s *Server) tuneShared(ctx context.Context, key string, tn tune.Tunable, p reqParams) (ent *tuneResponse, cached, coalesced bool, err error) {
-	if v, ok := s.cache.Get(key); ok {
-		s.hits.Inc()
-		return v.(*tuneResponse), true, false, nil
-	}
-	s.misses.Inc()
-	v, coalesced, err := s.flight.do(ctx, key, func() (any, error) {
-		release, waited, err := s.adm.acquire(ctx)
-		s.queueWait.Observe(waited.Seconds())
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		stop := s.runSec.Start()
-		res, err := tn.Tune(p.spec, tune.Options{Cache: s.tuneCache, Obs: s.reg})
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		def, err := tn.Objective(p.spec)(tn.Default)
-		wall := stop()
-		if err != nil {
-			return nil, err
-		}
-		saving := 0.0
-		if def.Seconds > 0 {
-			saving = 100 * (1 - res.Best.Cost.Seconds/def.Seconds)
-		}
-		e := &tuneResponse{
-			ID:          tn.ID,
-			Title:       tn.Title,
-			Machine:     p.spec.Name,
-			Quick:       p.quick,
-			Strategy:    res.Strategy,
-			Default:     tn.DefaultLabel(),
-			DefaultCost: def.Seconds,
-			Tuned:       res.Describe(),
-			TunedCost:   res.Best.Cost.Seconds,
-			Evaluations: res.Evaluations,
-			CacheHits:   res.CacheHits,
-			SavingPct:   saving,
-			WallMS:      float64(wall) / float64(time.Millisecond),
-		}
-		s.cache.Put(key, e)
-		return e, nil
-	})
-	if coalesced {
-		s.coalesced.Inc()
-	}
+// runTune runs one tunable search and its default's cost: the miss body of
+// /v1/tune's shared request path.
+func (s *Server) runTune(tn tune.Tunable, p reqParams) (timedEntry, error) {
+	res, err := tn.Tune(p.spec, tune.Options{Cache: s.tuneCache, Obs: s.reg})
 	if err != nil {
-		return nil, false, coalesced, err
+		return nil, err
 	}
-	return v.(*tuneResponse), false, coalesced, nil
+	def, err := tn.Objective(p.spec)(tn.Default)
+	if err != nil {
+		return nil, err
+	}
+	saving := 0.0
+	if def.Seconds > 0 {
+		saving = 100 * (1 - res.Best.Cost.Seconds/def.Seconds)
+	}
+	return &tuneResponse{
+		ID:          tn.ID,
+		Title:       tn.Title,
+		Machine:     p.spec.Name,
+		Quick:       p.quick,
+		Strategy:    res.Strategy,
+		Default:     tn.DefaultLabel(),
+		DefaultCost: def.Seconds,
+		Tuned:       res.Describe(),
+		TunedCost:   res.Best.Cost.Seconds,
+		Evaluations: res.Evaluations,
+		CacheHits:   res.CacheHits,
+		SavingPct:   saving,
+	}, nil
 }

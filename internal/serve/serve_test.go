@@ -402,6 +402,44 @@ func TestDiagnoseEndpoint(t *testing.T) {
 	}
 }
 
+// TestDiagnoseRejectsImpossibleDurations: a negative number of seconds, or
+// one that takes the attributed total past what time.Duration holds
+// (~9.2e9 s), is a 400 naming the worker index and the category, not
+// advice computed from a wrapped or negative duration.
+func TestDiagnoseRejectsImpossibleDurations(t *testing.T) {
+	_, ts := newTestServer(t, &stubLab{}, Options{})
+	for _, c := range []struct {
+		body, want string // want "" means 200
+	}{
+		{`{"workers":[{"compute":-5,"idle":10}]}`, `workers[0] "compute"`},
+		{`{"workers":[{"compute":1e300,"idle":10}]}`, `workers[0] "compute"`},
+		{`{"workers":[{"compute":1},{"idle":-0.5}]}`, `workers[1] "idle"`},
+		{`{"workers":[{"compute":5e9,"idle":5e9}]}`, `workers[0] "idle"`},
+		{`{"workers":[{"compute":5e9},{"compute":5e9}]}`, `workers[1] "compute"`},
+		{`{"workers":[{"compute":0,"idle":9e9}]}`, ``},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/diagnose", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("POST diagnose: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if c.want == "" {
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("diagnose(%s) = %d, want 200: %s", c.body, resp.StatusCode, body)
+			}
+			continue
+		}
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("diagnose(%s): bad body: %v\n%s", c.body, err, body)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, c.want) {
+			t.Errorf("diagnose(%s) = %d %q, want 400 naming %s", c.body, resp.StatusCode, e.Error, c.want)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, &stubLab{}, Options{})
 	resp, err := http.Post(ts.URL+"/v1/run?id=E1", "application/json", strings.NewReader("{}"))
