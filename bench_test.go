@@ -20,7 +20,6 @@ import (
 	"tenways/internal/mem"
 	"tenways/internal/pdes"
 	"tenways/internal/sched"
-	"tenways/internal/sim"
 	"tenways/internal/workload"
 )
 
@@ -260,21 +259,6 @@ func BenchmarkCacheSim(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccess/s")
 }
 
-// BenchmarkDESKernel measures the discrete-event kernel's event rate — the
-// substrate cost that bounds F11/F14 rank counts.
-func BenchmarkDESKernel(b *testing.B) {
-	k := sim.NewKernel()
-	_, err := k.Run(2, func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1e-9)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(k.Events())/b.Elapsed().Seconds()/1e6, "Mevents/s")
-}
-
 // BenchmarkPDESIdleWave measures the partitioned engine's event rate on the
 // F28 idle-wave workload across partition counts — the scaling curve that
 // justifies the windowed design over the serial kernel (partitions=1 is the
@@ -307,10 +291,9 @@ func BenchmarkPDESIdleWave(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelEvents tracks the event kernel's throughput with and
-// without a chaos perturber in the loop, so injector overhead on the hot
-// Lapse path stays visible. The per-regime breakdown lives in
-// internal/sim's BenchmarkKernelEvents.
+// BenchmarkKernelEvents tracks a pgas world's event throughput on the pdes
+// engine with and without a chaos perturber in the loop, so injector
+// overhead on the hot Lapse path stays visible.
 func BenchmarkKernelEvents(b *testing.B) {
 	run := func(b *testing.B, sc *tenways.Scenario) {
 		w := tenways.NewWorld(4, tenways.Petascale2009())

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
+	"testing"
+)
+
+// engineTableDigests holds the sha256 of the rendered quick-mode output of
+// every non-measured experiment whose pgas worlds record engine events in
+// its own registry, plus T1, whose demonstrator worlds record into the
+// default registry and whose W3 row is the quick cell that breaking ties
+// by rank instead of by emission changes. They were recorded on the
+// container/heap kernel that pgas ran on before it moved to the pdes
+// engine, so any change to event order shows up here as a changed table.
+var engineTableDigests = map[string]string{
+	"F11": "4560fcf771605c013260bb87a41a7bee58a8f8f0cc424e2e9425c7f3f39b8a81",
+	"F12": "eb28266cbe7e84dea3328ced0ccad770dc15a5b4a9d3dcef082d205b7b092469",
+	"F14": "bce1f193b80157722428d777c3d720d31e5cff43181388937727cd7a92f75099",
+	"F18": "0f4bbf0de45ca7a4eb1de65788110d978e59667165a596bc691c2b3a7030aca0",
+	"F19": "5943e74c8c68754c32b23daa7bdc5c77076457b1921e84a69098cda1cd57bd7a",
+	"F21": "c94c475192e97de0e403b8a16c045f586fadf95a84893c55e0b1de0058a7ba0a",
+	"F22": "554eefd0468b0898fda5da05df67e7e607c0d175644cf98fdcc8206fc91048d4",
+	"F23": "693ee800028c601c4af9a56f9723de94bdbe8e56172fef5191a30f05d7830a2e",
+	"F24": "aa0f6d9629db5b47901ae92c2ea16259da3ff20122563105f9a74716592eccfd",
+	"F25": "e0dcb39b59ca1c05646d6e16bf0939fe0e214b47244ff43667488f9573d17eb4",
+	"T1":  "be909746bdd6049b7a05a3af31488df4b450d15ddd6c7a278c594bc3aacd498d",
+	"T3":  "054f6099b11cf92a0679ecd1644d3583f9af7f8327b479bf609ed0d183e02208",
+	"T5":  "24f43c5e58af268deaddd75e9f5631e40c1bb1b55f5ce19ade3a5abbf1bc609d",
+	"T7":  "55b38cd249b65860666ce3b846e8ca4f003ca140c76d45f3ca1c198235c577ce",
+	"T8":  "fc83086bb8b5935968118d81a277eb8c7ca37f5a76eb74e8911b477bf66e58d1",
+}
+
+func TestEngineTablesGolden(t *testing.T) {
+	ids := make([]string, 0, len(engineTableDigests))
+	for id := range engineTableDigests {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	results, err := NewLab().RunAll(context.Background(), Config{Quick: true},
+		RunOptions{Workers: 2, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		h := sha256.New()
+		if err := r.Output.Render(h); err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != engineTableDigests[r.ID] {
+			t.Errorf("%s: rendered quick output sha256 %s, want %s", r.ID, got, engineTableDigests[r.ID])
+		}
+	}
+}

@@ -11,12 +11,12 @@ import (
 
 // profileIDs is the deterministic sub-suite T10 profiles and F27 scales:
 // cheap experiments chosen so every instrumented subsystem shows up — the
-// simulation kernel and pgas runtime (T3, F3, F14), the chaos injectors
+// pdes engine and pgas runtime (T3, F3, F14), the chaos injectors
 // and checkpoint machinery (F23, F24, F25), and the autotuner (F26).
 var profileIDs = []string{"T3", "F3", "F14", "F23", "F24", "F25", "F26"}
 
 // runT10 runs the profile sub-suite serially, each experiment on its own
-// metrics registry, and tabulates the work each one performed: simulator
+// metrics registry, and tabulates the work each one performed: engine
 // events, messages and wire bytes, collective calls, injected noise, tuner
 // evaluations, and host wall time. The wall column is measured, so it
 // varies run to run; the work columns are deterministic.
@@ -30,14 +30,14 @@ func runT10(ctx context.Context, cfg Config) (Output, error) {
 	}
 	t := report.NewTable("T10",
 		"lab self-profile: work metrics per experiment (wall is measured; the rest is deterministic)",
-		"experiment", "wall", "sim events", "virtual s", "messages", "wire bytes",
+		"experiment", "wall", "events", "virtual s", "messages", "wire bytes",
 		"coll ops", "coll bytes", "chaos inj", "tune evals")
 	for _, r := range results {
 		m := r.Metrics
 		t.AddRow(r.ID,
 			report.FormatSeconds(r.Wall.Seconds()),
-			fmt.Sprintf("%d", m.Counter("sim.events")),
-			report.FormatG(m.Gauge("sim.virtual_seconds")),
+			fmt.Sprintf("%d", m.Counter("pdes.events")),
+			report.FormatG(m.Gauge("pdes.virtual_seconds")),
 			fmt.Sprintf("%d", m.Counter("pgas.messages")),
 			report.FormatBytes(float64(m.Counter("pgas.bytes_sent"))),
 			fmt.Sprintf("%d", m.Counter("collective.ops")),
@@ -64,8 +64,8 @@ func runT10(ctx context.Context, cfg Config) (Output, error) {
 	}{{"total (1 worker)", serialWall}, {"total (8 workers)", parallelWall}} {
 		t.AddRow(row.label,
 			report.FormatSeconds(row.wall.Seconds()),
-			fmt.Sprintf("%d", total.Counter("sim.events")),
-			report.FormatG(total.Gauge("sim.virtual_seconds")),
+			fmt.Sprintf("%d", total.Counter("pdes.events")),
+			report.FormatG(total.Gauge("pdes.virtual_seconds")),
 			fmt.Sprintf("%d", total.Counter("pgas.messages")),
 			report.FormatBytes(float64(total.Counter("pgas.bytes_sent"))),
 			fmt.Sprintf("%d", total.Counter("collective.ops")),

@@ -463,8 +463,8 @@ func TestShapeT8BlockingAmplifiesNoise(t *testing.T) {
 }
 
 // TestShapeT10WorkAttribution asserts the claims EXPERIMENTS.md makes about
-// the lab self-profile: the collective sweep dominates wire traffic, the
-// analytic experiments perform no simulator work, only the chaos
+// the lab self-profile: the collective sweep dominates wire traffic, only
+// the analytic experiments process no engine events, only the chaos
 // experiments inject noise, and only the tuner experiment evaluates.
 // Quick mode suffices — the attribution pattern is scale-independent.
 func TestShapeT10WorkAttribution(t *testing.T) {
@@ -486,9 +486,10 @@ func TestShapeT10WorkAttribution(t *testing.T) {
 				m["T3"].Counter("pgas.bytes_sent"), id, m[id].Counter("pgas.bytes_sent"))
 		}
 	}
-	for _, id := range []string{"F3", "F26"} {
-		if n := m[id].Counter("sim.events"); n != 0 {
-			t.Errorf("%s is analytic but performed %d sim events", id, n)
+	for _, id := range profileIDs {
+		n := m[id].Counter("pdes.events")
+		if analytic := id == "F3" || id == "F26"; analytic != (n == 0) {
+			t.Errorf("%s: pdes.events = %d", id, n)
 		}
 	}
 	for _, id := range profileIDs {

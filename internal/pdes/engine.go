@@ -20,7 +20,7 @@ type engine struct {
 	// touched by the worker owning r's partition (handlers run on the rank
 	// they target, and an event's Src is the handling rank), so the values
 	// a rank's events carry do not depend on the partitioning.
-	seq   []uint32
+	seq   []uint64
 	parts []partState
 
 	// bufs[parity][sp*p+dp] buffers events crossing from partition sp to
@@ -69,9 +69,7 @@ type partSched struct {
 	src    int32
 }
 
-func (s *partSched) Now() float64       { return s.now }
-func (s *partSched) Rank() int          { return int(s.src) }
-func (s *partSched) Lookahead() float64 { return s.eng.look }
+func (s *partSched) Now() float64 { return s.now }
 
 func (s *partSched) fail(err error) {
 	if s.ps.err == nil {
@@ -118,7 +116,7 @@ func (s *partSched) At(dst int, t float64, kind, step int32, data float64) {
 func newEngine(w Workload, n, p int, look, width float64) *engine {
 	e := &engine{
 		w: w, n: n, p: p, look: look,
-		seq:   make([]uint32, n),
+		seq:   make([]uint64, n),
 		parts: make([]partState, p),
 	}
 	e.bufs[0] = make([]batch, p*p)
@@ -305,7 +303,7 @@ func (e *engine) loop(nw int, gmin float64) {
 }
 
 // bucketsPerWindow fixes the ladder's bucket width at Lookahead divided by
-// this count, for Run and RunProcs alike.
+// this count.
 const bucketsPerWindow = 4
 
 // Run executes the workload to completion and returns the run summary. The

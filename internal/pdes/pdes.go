@@ -1,6 +1,7 @@
 // Package pdes is the partitioned, conservatively-synchronized parallel
-// discrete-event simulation engine — the million-rank successor to the
-// single-heap internal/sim kernel. Ranks are split into contiguous
+// discrete-event simulation engine, the repository's one DES kernel: F28
+// runs its million-rank idle wave on it, and every pgas world runs on it as
+// a single engine rank (internal/pgas). Ranks are split into contiguous
 // partitions, each with its own ladder (calendar) queue of pending events;
 // partitions advance together through fixed virtual-time windows of one
 // lookahead, the lower bound on any cross-partition message delay. Within
@@ -15,19 +16,15 @@
 // min-reduce. With one worker no helper starts and the barrier never spins.
 //
 // Determinism: every event carries the key (Time, Src, Seq) where Seq is a
-// per-source emission counter, so keys are unique and queue order is total.
-// A workload whose cross-rank messages all have delay >= the lookahead
-// produces byte-identical results at any partition and worker count: such
-// an event always crosses a window boundary, so it is delivered before the
-// receiving window starts no matter which partition owns the ranks.
-// Self-events (Dst == emitting rank) may use any non-negative delay. The
-// engine enforces the weaker, partition-dependent half of this contract at
-// emission time — a cross-partition event timestamped inside the current
-// window is an error, not a silent reordering.
-//
-// The same Workload also runs on the classic kernel via RunOnSim, the
-// reference the cross-engine tests compare against, and sim.Proc-style
-// goroutine-per-rank programs run on this engine via RunProcs.
+// 64-bit per-source emission counter, so keys are unique and queue order is
+// total. A workload whose cross-rank messages all have delay >= the
+// lookahead produces byte-identical results at any partition and worker
+// count: such an event always crosses a window boundary, so it is delivered
+// before the receiving window starts no matter which partition owns the
+// ranks. Self-events (Dst == emitting rank) may use any non-negative
+// delay. The engine enforces the weaker, partition-dependent half of this
+// contract at emission time — a cross-partition event timestamped inside
+// the current window is an error, not a silent reordering.
 package pdes
 
 import (
@@ -45,22 +42,16 @@ type Event struct {
 	Data float64 // workload payload
 	Src  int32   // emitting rank
 	Dst  int32   // receiving rank
-	Seq  uint32  // per-source emission counter; (Time, Src, Seq) is unique
+	Seq  uint64  // per-source emission counter; (Time, Src, Seq) is unique
 	Kind int32   // workload-defined discriminator
 	Step int32   // workload-defined step/phase counter
 }
 
-// Sched is the emission interface handlers see. Both engines implement it:
-// the partitioned engine with per-partition queues and batched
-// cross-partition channels, the classic sim.Kernel with one global heap.
+// Sched is the emission interface handlers see: one per partition, backed
+// by the partition's queue and its batched cross-partition channels.
 type Sched interface {
 	// Now returns the timestamp of the event being handled (0 during Init).
 	Now() float64
-	// Rank returns the rank whose handler is running.
-	Rank() int
-	// Lookahead returns the engine's window length — the minimum delay a
-	// cross-rank message needs for partition-independent results.
-	Lookahead() float64
 	// At schedules an event of the given kind on rank dst at virtual time
 	// t (clamped to Now). The emitting rank becomes the event's Src.
 	At(dst int, t float64, kind, step int32, data float64)

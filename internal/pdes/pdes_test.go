@@ -2,11 +2,13 @@ package pdes
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func mustWave(t *testing.T, n, steps int, compute, spike float64, offsets []int, delays []float64) *IdleWave {
@@ -71,7 +73,8 @@ func TestIdleWaveDeterministicAcrossConfigs(t *testing.T) {
 }
 
 // TestIdleWaveMatchesClassicKernel cross-checks the partitioned engine
-// against the single-heap sim.Kernel on the same workload.
+// against the sequential reference driver (runSequential) on the same
+// workload.
 func TestIdleWaveMatchesClassicKernel(t *testing.T) {
 	const n, steps = 256, 8
 	const c = 50e-6
@@ -84,21 +87,154 @@ func TestIdleWaveMatchesClassicKernel(t *testing.T) {
 	}
 
 	sw := mustWave(t, n, steps, c, 3*c, offsets, delays)
-	svt, sev, err := RunOnSim(sw, sw.MinDelay(), nil)
-	if err != nil {
-		t.Fatalf("classic run: %v", err)
-	}
+	svt, sev := runSequential(sw)
 
 	if pres.VirtualTime != svt {
-		t.Errorf("virtual time: partitioned %g, classic %g", pres.VirtualTime, svt)
+		t.Errorf("virtual time: partitioned %g, sequential %g", pres.VirtualTime, svt)
 	}
 	if pres.Events != sev {
-		t.Errorf("events: partitioned %d, classic %d", pres.Events, sev)
+		t.Errorf("events: partitioned %d, sequential %d", pres.Events, sev)
 	}
 	for r := 0; r < n; r++ {
 		if pw.Arrival(r) != sw.Arrival(r) {
-			t.Fatalf("rank %d arrival: partitioned %g, classic %g", r, pw.Arrival(r), sw.Arrival(r))
+			t.Fatalf("rank %d arrival: partitioned %g, sequential %g", r, pw.Arrival(r), sw.Arrival(r))
 		}
+	}
+}
+
+// frontierPingPong pairs ranks (0<->1, 2<->3, ...) for a ping-pong whose
+// every arrival emits a burst of zero-delay self ticks: each lands at the
+// popped time exactly, behind the ladder's merge frontier, and interleaves
+// with the cross arrivals, whose delays differ by rank in steps of look/8.
+// The ledger folds every handled event in order, so one reordering changes
+// it.
+type frontierPingPong struct {
+	n, rounds int
+	look      float64
+	ledger    []float64
+}
+
+const (
+	kindPing int32 = iota
+	kindTick
+)
+
+func (w *frontierPingPong) Ranks() int { return w.n }
+
+func (w *frontierPingPong) delay(rank int32, round int) float64 {
+	return w.look * (float64(1+round%2) + float64(rank%4)/8)
+}
+
+func (w *frontierPingPong) Init(s Sched, rank int) {
+	s.At(rank^1, w.delay(int32(rank), 0), kindPing, 0, float64(rank))
+}
+
+func (w *frontierPingPong) Handle(s Sched, ev Event) {
+	r := ev.Dst
+	switch ev.Kind {
+	case kindPing:
+		w.ledger[r] = w.ledger[r]*0.5 + ev.Data*7 + ev.Time*1e6
+		i := int(ev.Step)
+		s.At(int(r), ev.Time, kindTick, int32(i%3), 0)
+		if i+1 < w.rounds {
+			s.At(int(r^1), ev.Time+w.delay(r, i), kindPing, int32(i+1), float64(i))
+		}
+	case kindTick:
+		w.ledger[r] = w.ledger[r]*0.5 + ev.Time*1e6
+		if ev.Step > 0 {
+			s.At(int(r), ev.Time, kindTick, ev.Step-1, 0)
+		}
+	}
+}
+
+// TestResumeLadderFrontierAtBoundaries targets the ladder's binary-search
+// run insertion behind the merge frontier across partition boundaries.
+// Tiny bucket widths force constant respreads and a huge one funnels every
+// event through one bucket; the per-rank ledgers must match the serial run
+// at every partition count.
+func TestResumeLadderFrontierAtBoundaries(t *testing.T) {
+	const n, rounds = 48, 12
+	const look = 1e-6
+	run1 := func(cfg Config, width float64) ([]float64, Result) {
+		t.Helper()
+		w := &frontierPingPong{n: n, rounds: rounds, look: look, ledger: make([]float64, n)}
+		cfg.Lookahead = look
+		res, err := run(w, cfg, width)
+		if err != nil {
+			t.Fatalf("parts=%d width=%g: %v", cfg.Partitions, width, err)
+		}
+		return w.ledger, res
+	}
+	base, bres := run1(Config{Partitions: 1, Workers: 1}, look/4)
+	if bres.Events == 0 {
+		t.Fatal("frontier ping-pong processed no events")
+	}
+	for _, c := range []struct {
+		cfg   Config
+		width float64
+	}{
+		{Config{Partitions: 3, Workers: 1}, look / 128}, // odd size: pairs straddle boundaries
+		{Config{Partitions: 5, Workers: 2}, look / 128},
+		{Config{Partitions: 16, Workers: 4}, look / 16},
+		{Config{Partitions: 48, Workers: 8}, look * 1e4}, // every pair cross, one giant bucket
+	} {
+		ledger, res := run1(c.cfg, c.width)
+		if res.Events != bres.Events || res.VirtualTime != bres.VirtualTime {
+			t.Errorf("parts=%d width=%g: (%d events, t=%g), baseline (%d, t=%g)",
+				c.cfg.Partitions, c.width, res.Events, res.VirtualTime, bres.Events, bres.VirtualTime)
+		}
+		for r := range ledger {
+			if ledger[r] != base[r] {
+				t.Fatalf("parts=%d width=%g: rank %d ledger %g, baseline %g",
+					c.cfg.Partitions, c.width, r, ledger[r], base[r])
+			}
+		}
+	}
+}
+
+// inbox records the events rank 1 receives. Ranks 0 and 2 send it
+// equal-time messages; rank 0's carries the larger Seq, so an order that
+// skipped Src would put rank 2's first.
+type inbox struct{ got []Event }
+
+func (w *inbox) Ranks() int { return 3 }
+
+func (w *inbox) Init(s Sched, rank int) {
+	switch rank {
+	case 0:
+		s.At(1, 2e-6, 0, 0, 9)
+		s.At(1, 1e-6, 0, 0, 10)
+	case 2:
+		s.At(1, 1e-6, 0, 0, 12)
+		s.At(1, 1e-6, 0, 0, 13)
+	}
+}
+
+func (w *inbox) Handle(_ Sched, ev Event) { w.got = append(w.got, ev) }
+
+// TestMessageOrder: simultaneous arrivals are handled in (Time, Src, Seq)
+// order no matter how the senders are partitioned.
+func TestMessageOrder(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		w := &inbox{}
+		if _, err := Run(w, Config{Partitions: parts, Lookahead: 1e-6}); err != nil {
+			t.Fatalf("parts=%d: %v", parts, err)
+		}
+		got := ""
+		for _, ev := range w.got {
+			got += fmt.Sprintf(" %d:%g", ev.Src, ev.Data)
+		}
+		if want := " 0:10 2:12 2:13 0:9"; got != want {
+			t.Errorf("parts=%d: handled src:payload%s, want%s", parts, got, want)
+		}
+	}
+}
+
+// TestEventLayout pins Event at 40 bytes: widening Seq to 64 bits filled
+// the padding the 32-bit counter left.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 40", got)
 	}
 }
 

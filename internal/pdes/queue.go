@@ -189,8 +189,8 @@ func (q *ladder) give(s []Event) {
 // pushRun inserts an event whose bucket has already been merged into the
 // sorted run: binary search for its slot, shift the tail. This is the slow
 // push path — it only triggers for events scheduled at (or clamped to) the
-// emitting handler's own timestamp, e.g. RunProcs resume events; banded
-// workloads never take it.
+// emitting handler's own timestamp, e.g. a pgas rank's zero-delay resume
+// or a wake at now; banded workloads never take it.
 func (q *ladder) pushRun(ev Event) {
 	lo, hi := q.head, len(q.run)
 	for lo < hi {

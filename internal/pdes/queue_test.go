@@ -72,6 +72,43 @@ func (q *binHeap) pop() Event {
 	return top
 }
 
+// seqSched is the engine's independent reference: one binHeap over every
+// rank, popped in (Time, Src, Seq) order, with no windows, ladder, arena or
+// barrier.
+type seqSched struct {
+	q   binHeap
+	seq []uint64
+	now float64
+	src int32
+}
+
+func (s *seqSched) Now() float64 { return s.now }
+
+func (s *seqSched) At(dst int, t float64, kind, step int32, data float64) {
+	if dst < 0 || dst >= len(s.seq) {
+		panic("pdes test: event outside the workload's ranks")
+	}
+	s.seq[s.src]++
+	s.q.push(Event{Time: max(t, s.now), Data: data, Src: s.src, Dst: int32(dst), Seq: s.seq[s.src], Kind: kind, Step: step})
+}
+
+// runSequential runs w on the reference driver and returns the last
+// event's time and the event count.
+func runSequential(w Workload) (virtualTime float64, events uint64) {
+	s := &seqSched{seq: make([]uint64, w.Ranks())}
+	for r := range s.seq {
+		s.src = int32(r)
+		w.Init(s, r)
+	}
+	for s.q.len() > 0 {
+		ev := s.q.pop()
+		s.now, s.src = ev.Time, ev.Dst
+		w.Handle(s, ev)
+		events++
+	}
+	return s.now, events
+}
+
 // TestLadderMatchesHeapOnRandomStream drives the ladder and the reference
 // heap through the same interleaved push/pop stream — pushes never travel backwards past the
 // last pop, the engine's usage pattern — and demands identical pop
@@ -87,7 +124,7 @@ func TestLadderMatchesHeapOnRandomStream(t *testing.T) {
 	// (Time, Src, Seq) tie-break.
 	random := func(i int, g uint64, now float64) Event {
 		dt := float64(g%(1<<16)) / float64(1<<16) * 10e-6
-		return Event{Time: now + dt, Src: int32(g % 64), Seq: uint32(i)}
+		return Event{Time: now + dt, Src: int32(g % 64), Seq: uint64(i)}
 	}
 	streams := []struct {
 		name string
@@ -95,14 +132,14 @@ func TestLadderMatchesHeapOnRandomStream(t *testing.T) {
 	}{
 		{"random", random},
 		{"monotone", func(i int, g uint64, now float64) Event {
-			return Event{Time: float64(i) * 1e-9, Src: int32(g % 64), Seq: uint32(i)}
+			return Event{Time: float64(i) * 1e-9, Src: int32(g % 64), Seq: uint64(i)}
 		}},
 		{"skewed", func(i int, g uint64, now float64) Event {
 			if g%8 == 0 {
 				return random(i, g>>3, now)
 			}
 			hot := (math.Floor(now/5e-6) + 2) * 5e-6
-			return Event{Time: hot, Src: int32(g % 64), Seq: uint32(i)}
+			return Event{Time: hot, Src: int32(g % 64), Seq: uint64(i)}
 		}},
 	}
 	for _, s := range streams {

@@ -1,7 +1,7 @@
 // Package pgas is a partitioned-global-address-space runtime in the UPC
-// tradition, executing on the deterministic simulation kernel of
-// internal/sim with message costs from a pluggable network model. Rank
-// programs are plain Go functions; Put/Get move real data between ranks'
+// tradition, executing on the deterministic pdes engine (as one engine
+// rank, see kernel.go) with message costs from a pluggable network model.
+// Rank programs are plain Go functions; Put/Get move real data between ranks'
 // partitions (so algorithms are checked for correctness, not just timed),
 // while the runtime advances virtual time and charges the energy meter for
 // every flop computed, byte moved, and second spent idle.
@@ -23,7 +23,6 @@ import (
 	"tenways/internal/energy"
 	"tenways/internal/machine"
 	"tenways/internal/obs"
-	"tenways/internal/sim"
 )
 
 // CostModel abstracts per-message time and energy. netsim.Model implements
@@ -82,7 +81,7 @@ type World struct {
 	cost  CostModel
 	meter *energy.Meter
 
-	k        *sim.Kernel
+	k        kernel
 	segments map[string][][]float64
 	flags    []map[string]*flagVar
 	boxes    []map[string]*mailbox
@@ -98,12 +97,12 @@ type World struct {
 
 type flagVar struct {
 	count int64
-	cond  *sim.Cond
+	cond  cond
 }
 
 type mailbox struct {
 	queue [][]float64
-	cond  *sim.Cond
+	cond  cond
 }
 
 // NewWorld creates a world of n ranks on the given machine with the given
@@ -121,7 +120,6 @@ func NewWorld(n int, spec *machine.Spec, cost CostModel, meter *energy.Meter) *W
 		spec:     spec,
 		cost:     cost,
 		meter:    meter,
-		k:        sim.NewKernel(),
 		segments: make(map[string][][]float64),
 		flags:    make([]map[string]*flagVar, n),
 		boxes:    make([]map[string]*mailbox, n),
@@ -132,7 +130,6 @@ func NewWorld(n int, spec *machine.Spec, cost CostModel, meter *energy.Meter) *W
 		rankSent: make([]int64, n),
 		obs:      obs.Default(),
 	}
-	w.k.SetMetrics(w.obs)
 	for i := range w.flags {
 		w.flags[i] = make(map[string]*flagVar)
 		w.boxes[i] = make(map[string]*mailbox)
@@ -160,17 +157,16 @@ func (w *World) Meter() *energy.Meter { return w.meter }
 // before Run; the chaos package's Scenario.Arm does this.
 func (w *World) SetPerturber(p Perturber) { w.perturb = p }
 
-// SetObs redirects the world's metrics — the sim kernel's event-loop
-// counters and the world's message stats — to the given registry. Worlds
-// default to obs.Default(); the lab runner injects a per-experiment
-// registry so concurrent experiments never mix their metrics. Call before
-// Run; nil restores the default.
+// SetObs redirects the world's metrics — the pdes engine's counters
+// (pdes.events, pdes.virtual_seconds, ...) and the world's message stats —
+// to the given registry. Worlds default to obs.Default(); the lab runner
+// injects a per-experiment registry so concurrent experiments never mix
+// their metrics. Call before Run; nil restores the default.
 func (w *World) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.Default()
 	}
 	w.obs = reg
-	w.k.SetMetrics(reg)
 }
 
 // Obs returns the registry this world records into (never nil).
@@ -179,7 +175,7 @@ func (w *World) Obs() *obs.Registry { return w.obs }
 // Now returns the current virtual time in seconds. Useful to time-gated
 // cost-model wrappers (link faults) that need the clock of the world they
 // wrap.
-func (w *World) Now() float64 { return w.k.Now() }
+func (w *World) Now() float64 { return w.k.now }
 
 // RankBytesSent returns a copy of the per-rank sent-byte ledger, the input
 // to communication-imbalance analysis: a rank sending far more than the
@@ -225,9 +221,11 @@ func (w *World) Stats() Stats {
 // Run executes body on every rank and returns the simulated makespan in
 // seconds. After the run, the meter additionally holds each rank's idle
 // energy (makespan − busy time, at the machine's idle watts) and busy
-// energy is charged as compute happens.
+// energy is charged as compute happens. A rank panic, a failed delivery
+// (such as a Put past a segment's end) and ranks left blocked forever are
+// returned as errors.
 func (w *World) Run(body func(r *Rank)) (float64, error) {
-	end, err := w.k.Run(w.N, func(p *sim.Proc) {
+	end, err := w.k.run(w.N, w.lookahead(), w.obs, func(p *proc) {
 		body(&Rank{w: w, p: p})
 	})
 	st := w.Stats()
@@ -246,20 +244,25 @@ func (w *World) Run(body func(r *Rank)) (float64, error) {
 	return end, nil
 }
 
+// lookahead is the engine window for this world's machine: the network
+// latency plus one core cycle. With a single engine rank every positive
+// window gives the same results; the cycle keeps it positive when α = 0.
+func (w *World) lookahead() float64 { return w.spec.Net.AlphaSec + w.spec.CycleSec() }
+
 // Rank is the per-process view of the world.
 type Rank struct {
 	w *World
-	p *sim.Proc
+	p *proc
 }
 
 // ID returns the rank number in [0, N).
-func (r *Rank) ID() int { return r.p.ID() }
+func (r *Rank) ID() int { return r.p.id }
 
 // N returns the number of ranks.
 func (r *Rank) N() int { return r.w.N }
 
 // Now returns the current virtual time in seconds.
-func (r *Rank) Now() float64 { return r.p.Now() }
+func (r *Rank) Now() float64 { return r.w.k.now }
 
 // World returns the enclosing world.
 func (r *Rank) World() *World { return r.w }
@@ -301,13 +304,13 @@ func (r *Rank) Lapse(d float64) {
 	r.w.meter.Add(energy.Static, r.w.spec.BusyEnergyJ(d))
 	r.w.busy[r.ID()] += d
 	r.chargeCompute(d)
-	r.p.Advance(d)
+	r.p.advance(d)
 	if pert := r.w.perturb; pert != nil {
-		if extra := pert.ComputeDelay(r.ID(), r.p.Now(), d); extra > 0 {
+		if extra := pert.ComputeDelay(r.ID(), r.Now(), d); extra > 0 {
 			r.w.meter.Add(energy.Static, r.w.spec.BusyEnergyJ(extra))
 			r.w.busy[r.ID()] += extra
 			r.chargeNoise(extra)
-			r.p.Advance(extra)
+			r.p.advance(extra)
 		}
 	}
 }
@@ -315,7 +318,7 @@ func (r *Rank) Lapse(d float64) {
 // Idle advances virtual time by d seconds without doing work (waiting on an
 // external system, W10); idle energy is charged at run end via the busy
 // ledger, so nothing extra is charged here.
-func (r *Rank) Idle(d float64) { r.p.Advance(d) }
+func (r *Rank) Idle(d float64) { r.p.advance(d) }
 
 // Spin advances virtual time by d seconds of busy-waiting: no useful work,
 // but full busy power — the W10 anti-pattern.
@@ -323,7 +326,7 @@ func (r *Rank) Spin(d float64) {
 	r.w.meter.Add(energy.Static, r.w.spec.BusyEnergyJ(d))
 	r.w.busy[r.ID()] += d
 	r.chargeWait(d)
-	r.p.Advance(d)
+	r.p.advance(d)
 }
 
 // arrival computes when a message issued now by this rank lands at dst,
@@ -338,7 +341,7 @@ func (r *Rank) Spin(d float64) {
 //
 // Local transfers skip both NICs.
 func (r *Rank) arrival(dst int, bytes float64) float64 {
-	return r.w.arrivalFrom(r.ID(), dst, r.p.Now(), bytes)
+	return r.w.arrivalFrom(r.ID(), dst, r.Now(), bytes)
 }
 
 func (w *World) arrivalFrom(src, dst int, issue, bytes float64) float64 {
@@ -391,7 +394,7 @@ func (r *Rank) PutAsync(dst int, name string, off int, vals []float64) *Handle {
 	atomic.AddInt64(&r.w.stats.Puts, 1)
 	data := append([]float64(nil), vals...)
 	done := r.arrival(dst, bytes)
-	r.w.kernel().At(done, func() {
+	r.w.k.at(done, func() {
 		copy(seg[dst][off:off+len(data)], data)
 	})
 	// The initiator pays only its software overhead before continuing.
@@ -416,11 +419,11 @@ func (r *Rank) PutSignal(dst int, name string, off int, vals []float64, flag str
 	data := append([]float64(nil), vals...)
 	done := r.arrival(dst, bytes)
 	w := r.w
-	w.kernel().At(done, func() {
+	w.k.at(done, func() {
 		copy(seg[dst][off:off+len(data)], data)
 		fv := w.flag(dst, flag)
 		fv.count++
-		fv.cond.Broadcast()
+		w.k.broadcast(&fv.cond)
 	})
 	r.Lapse(r.overhead())
 	return &Handle{r: r, done: done}
@@ -454,14 +457,13 @@ func (r *Rank) GetAsync(src int, name string, off, n int) (*Handle, []float64) {
 	// The response is injected by src when the request arrives; compute
 	// its delivery (including NIC queueing) now so the handle can wait.
 	done := w.arrivalFrom(src, me, tReq, bytes)
-	k := w.kernel()
-	k.At(tReq, func() {
+	w.k.at(tReq, func() {
 		// Data is read at the moment the request arrives at src.
 		data := append([]float64(nil), seg[src][off:off+n]...)
 		atomic.AddInt64(&w.stats.Messages, 1)
 		atomic.AddInt64(&w.stats.BytesSent, int64(bytes))
 		w.meter.Add(energy.Network, w.cost.MsgEnergy(src, me, bytes))
-		k.At(done, func() { copy(out, data) })
+		w.k.at(done, func() { copy(out, data) })
 	})
 	r.Lapse(r.overhead())
 	return &Handle{r: r, done: done}, out
@@ -475,10 +477,10 @@ func (r *Rank) Signal(dst int, flag string) {
 	atomic.AddInt64(&r.w.stats.Signals, 1)
 	t := r.arrival(dst, sigBytes)
 	w := r.w
-	w.kernel().At(t, func() {
+	w.k.at(t, func() {
 		fv := w.flag(dst, flag)
 		fv.count++
-		fv.cond.Broadcast()
+		w.k.broadcast(&fv.cond)
 	})
 	r.Lapse(r.overhead())
 }
@@ -487,11 +489,11 @@ func (r *Rank) Signal(dst int, flag string) {
 // count times in total.
 func (r *Rank) WaitSignal(flag string, count int64) {
 	fv := r.w.flag(r.ID(), flag)
-	t0 := r.p.Now()
+	t0 := r.Now()
 	for fv.count < count {
-		r.p.Wait(fv.cond)
+		r.p.wait(&fv.cond)
 	}
-	r.chargeWait(r.p.Now() - t0)
+	r.chargeWait(r.Now() - t0)
 }
 
 // SignalCount returns the local flag's current count without blocking.
@@ -511,10 +513,10 @@ func (r *Rank) Send(dst int, box string, vals []float64) {
 	data := append([]float64(nil), vals...)
 	t := r.arrival(dst, bytes)
 	w := r.w
-	w.kernel().At(t, func() {
+	w.k.at(t, func() {
 		mb := w.mailbox(dst, box)
 		mb.queue = append(mb.queue, data)
-		mb.cond.Broadcast()
+		w.k.broadcast(&mb.cond)
 	})
 	r.Lapse(r.overhead())
 }
@@ -523,11 +525,11 @@ func (r *Rank) Send(dst int, box string, vals []float64) {
 // oldest message.
 func (r *Rank) Recv(box string) []float64 {
 	mb := r.w.mailbox(r.ID(), box)
-	t0 := r.p.Now()
+	t0 := r.Now()
 	for len(mb.queue) == 0 {
-		r.p.Wait(mb.cond)
+		r.p.wait(&mb.cond)
 	}
-	r.chargeWait(r.p.Now() - t0)
+	r.chargeWait(r.Now() - t0)
 	msg := mb.queue[0]
 	mb.queue = mb.queue[1:]
 	return msg
@@ -536,7 +538,7 @@ func (r *Rank) Recv(box string) []float64 {
 func (w *World) mailbox(rank int, name string) *mailbox {
 	mb, ok := w.boxes[rank][name]
 	if !ok {
-		mb = &mailbox{cond: w.k.NewCond()}
+		mb = &mailbox{}
 		w.boxes[rank][name] = mb
 	}
 	return mb
@@ -545,13 +547,11 @@ func (w *World) mailbox(rank int, name string) *mailbox {
 func (w *World) flag(rank int, name string) *flagVar {
 	fv, ok := w.flags[rank][name]
 	if !ok {
-		fv = &flagVar{cond: w.k.NewCond()}
+		fv = &flagVar{}
 		w.flags[rank][name] = fv
 	}
 	return fv
 }
-
-func (w *World) kernel() *sim.Kernel { return w.k }
 
 func (r *Rank) overhead() float64 { return r.w.spec.Net.OverheadSec }
 
@@ -563,13 +563,13 @@ type Handle struct {
 
 // Wait blocks until the operation's completion time.
 func (h *Handle) Wait() {
-	t0 := h.r.p.Now()
-	h.r.p.AdvanceTo(h.done)
-	h.r.chargeWait(h.r.p.Now() - t0)
+	t0 := h.r.Now()
+	h.r.p.advanceTo(h.done)
+	h.r.chargeWait(h.r.Now() - t0)
 }
 
 // Done reports whether the operation has already completed.
-func (h *Handle) Done() bool { return h.r.p.Now() >= h.done }
+func (h *Handle) Done() bool { return h.r.Now() >= h.done }
 
 // WaitAll waits for every handle.
 func WaitAll(hs ...*Handle) {

@@ -9,7 +9,9 @@
 #
 # The change's cmd/tenbench measures both sides; if it does not build
 # against the base, the gate exits 2. The results files and the comparison
-# stay in .bench_build/gate.
+# stay in .bench_build/gate; the comparison ends with both sides' suite
+# tables digest and "tables: identical" or "tables: differ", which does not
+# change the exit code.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -42,5 +44,18 @@ bench "$root" "$out/change" || { echo "bench-gate: no results for the change" >&
 status=0
 .bench_build/bin/tenbench -compare "$out/base/all-seed1.json" "$out/change/all-seed1.json" \
 	>"$out/compare.txt" || status=$?
+
+# The lab tables must stay byte-identical unless a change explains why;
+# the suite's digest of them goes on record next to the comparison.
+tables() {
+	grep -o '"suite.tables_sha256": *"[0-9a-f]*"' "$1" | grep -o '[0-9a-f]\{64\}' || echo missing
+}
+bt=$(tables "$out/base/all-seed1.json")
+ct=$(tables "$out/change/all-seed1.json")
+{
+	echo "suite.tables_sha256 base   $bt"
+	echo "suite.tables_sha256 change $ct"
+	if [ "$bt" = "$ct" ] && [ "$bt" != missing ]; then echo "tables: identical"; else echo "tables: differ"; fi
+} >>"$out/compare.txt"
 cat "$out/compare.txt"
 exit "$status"
