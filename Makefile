@@ -15,11 +15,13 @@ build:
 test: build
 	$(GO) test ./...
 
-# Waste-mode static analysis (internal/lint via cmd/wastevet): determinism
-# guards plus the W1/W5/W7/W8/W9/W10 source-level mirrors. Fails on any
-# unsuppressed finding; LINT_JSON=<path> additionally writes the machine-
-# readable findings report.
+# Formatting gate, then waste-mode static analysis (internal/lint via
+# cmd/wastevet): determinism guards plus the W1/W5/W7/W8/W9/W10 source-level
+# mirrors. Fails on any file gofmt would change or any unsuppressed finding;
+# LINT_JSON=<path> additionally writes the machine-readable findings report.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/wastevet $(if $(LINT_JSON),-json $(LINT_JSON)) ./...
 
 # Apply every suggested fix in place (fix), or assert that doing so changes

@@ -3,14 +3,12 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -25,9 +23,10 @@ type Package struct {
 	// Files are the non-test source files, sorted by filename.
 	Files []*ast.File
 	// Types and Info are best-effort: stdlib imports are checked from
-	// GOROOT source and repo imports from the module, but a failed import
-	// degrades to a stub rather than failing the load, so rules must treat
-	// missing type information as "unknown", not as proof.
+	// GOROOT source (declarations only, once per package, without cgo) and
+	// repo imports from the module, but a failed import degrades to a stub
+	// rather than failing the load, so rules must treat missing type
+	// information as "unknown", not as proof.
 	Types *types.Package
 	Info  *types.Info
 	// TypeErrors collects type-check diagnostics (informational only).
@@ -42,12 +41,15 @@ type Package struct {
 }
 
 // Loader parses and type-checks packages inside one module. It may be used
-// for several Load calls; stdlib packages are checked once and cached.
+// for several Load calls. Repo packages are loaded one at a time, with
+// function bodies and comments. Stdlib packages are checked from GOROOT
+// source once per package for the Loader's lifetime, independent ones
+// concurrently, with cgo off; see stdImporter.
 type Loader struct {
 	fset    *token.FileSet
 	root    string // module root (dir containing go.mod)
 	module  string // module path from go.mod
-	std     types.Importer
+	std     *stdImporter
 	checked map[string]*Package // by absolute dir
 	loading map[string]bool     // import-cycle guard
 }
@@ -76,7 +78,7 @@ func NewLoaderAt(dir string) (*Loader, error) {
 		fset:    fset,
 		root:    root,
 		module:  module,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     newStdImporter(build.Default, fset),
 		checked: make(map[string]*Package),
 		loading: make(map[string]bool),
 	}, nil
@@ -186,7 +188,7 @@ func hasGoFiles(dir string) (bool, error) {
 		return false, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if isGoSource(e) {
 			return true, nil
 		}
 	}
@@ -223,7 +225,15 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if !isGoSource(e) {
+			continue
+		}
+		// The stdlib's build context picks repo files too, so one rule
+		// (build constraints, GOOS/GOARCH file suffixes, cgo off) decides
+		// every file the loader reads.
+		if ok, err := l.std.ctxt.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		} else if ok {
 			names = append(names, e.Name())
 		}
 	}
@@ -239,9 +249,6 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
-		}
-		if !buildTagsMatch(data) {
-			continue // excluded by its //go:build constraint on this host
 		}
 		f, err := parser.ParseFile(l.fset, path, data, parser.ParseComments)
 		if err != nil {
@@ -267,9 +274,9 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:     make(map[ast.Expr]types.TypeAndValue),
-		Defs:      make(map[*ast.Ident]types.Object),
-		Uses:      make(map[*ast.Ident]types.Object),
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{
@@ -283,32 +290,6 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	p.Info = info
 	l.checked[dir] = p
 	return p, nil
-}
-
-// buildTagsMatch evaluates a file's //go:build constraint (the header lines
-// before the package clause) against this host: GOOS, GOARCH, the gc
-// toolchain, and every go1.x release tag hold; anything else — "ignore",
-// another OS, a custom tag — excludes the file, exactly as `go build`
-// would. Files without a constraint always match.
-func buildTagsMatch(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			if !constraint.IsGoBuild(trimmed) {
-				continue
-			}
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return true // malformed constraints are the parser's problem
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH ||
-					tag == "gc" || strings.HasPrefix(tag, "go1")
-			})
-		}
-		break // first non-comment line ends the header
-	}
-	return true
 }
 
 // moduleImporter resolves repo-internal imports through the Loader and

@@ -35,9 +35,11 @@ func TestRuleNamesSorted(t *testing.T) {
 	}
 }
 
-// TestLoadSkipsBuildTagExcludedFiles: a file constrained to another OS must
-// not be parsed into the package — its syntax may not even be valid here,
-// and its findings would be noise.
+// TestLoadSkipsBuildTagExcludedFiles: the loader picks files the way
+// `go build` does. A file constrained to another OS, or named for one, or
+// needing a future release must not be parsed into the package — its
+// syntax may not even be valid here, and its findings would be noise — and
+// a file constrained to a tag that holds here (unix) must be.
 func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module tagmod\n\ngo 1.22\n")
@@ -52,6 +54,11 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 		"//go:build ignore\n\npackage main\n\nfunc main() {}\n")
 	writeFile(t, filepath.Join(dir, "matching.go"),
 		"//go:build "+runtime.GOOS+" && go1.1\n\npackage tagmod\n\nfunc Matching() int { return 3 }\n")
+	writeFile(t, filepath.Join(dir, "future.go"),
+		"//go:build go1.99\n\npackage tagmod\n\nfunc Future() int { return 4 }\n")
+	writeFile(t, filepath.Join(dir, "named_"+otherOS+".go"), "package tagmod\n\nfunc Named() int { return 5 }\n")
+	writeFile(t, filepath.Join(dir, "unix.go"),
+		"//go:build unix\n\npackage tagmod\n\nfunc Unix() int { return 6 }\n")
 
 	l, err := NewLoaderAt(dir)
 	if err != nil {
@@ -70,6 +77,9 @@ func TestLoadSkipsBuildTagExcludedFiles(t *testing.T) {
 	}
 	sort.Strings(names)
 	want := []string{"matching.go", "portable.go"}
+	if runtime.GOOS != "windows" {
+		want = append(want, "unix.go")
+	}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("loaded files %v, want %v", names, want)
 	}

@@ -14,8 +14,8 @@ func PredictChunked(costs []float64, p, chunk int, grabSec float64) float64 {
 	if chunk < 1 {
 		chunk = 1
 	}
-	free := make([]float64, p)    // next-free time per worker
-	counterFree := 0.0            // the shared counter is a serial resource
+	free := make([]float64, p) // next-free time per worker
+	counterFree := 0.0         // the shared counter is a serial resource
 	for lo := 0; lo < len(costs); lo += chunk {
 		hi := lo + chunk
 		if hi > len(costs) {

@@ -204,8 +204,8 @@ func TestInBatchDedup(t *testing.T) {
 
 type stubStrategy struct{ f func(r *Run) error }
 
-func (s stubStrategy) Name() string          { return "stub" }
-func (s stubStrategy) Search(r *Run) error   { return s.f(r) }
+func (s stubStrategy) Name() string        { return "stub" }
+func (s stubStrategy) Search(r *Run) error { return s.f(r) }
 
 func TestParallelEvalDeterministic(t *testing.T) {
 	s := NewSpace(IntRange("k", 0, 63, 1))
