@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fix fix-clean race bench quick smoke clean
+.PHONY: all build test lint fix fix-clean race bench quick smoke examples clean
 
 all: test
 
@@ -51,6 +51,14 @@ bench:
 # quick experiment twice, and assert the repeat is served from the cache.
 smoke: build
 	sh scripts/smoke-wastelabd.sh
+
+# Build every example and run each binary from the module root; the first
+# non-zero exit fails the target. simulate is the runtime user of the public
+# Put/PutSignal path. About 7 s with the build on two cores.
+EXAMPLES_BIN ?= .examples_build
+examples:
+	$(GO) build -o $(EXAMPLES_BIN)/ ./examples/...
+	@for b in $(EXAMPLES_BIN)/*; do echo "== $$b"; $$b || { echo "examples: $$b failed" >&2; exit 1; }; done
 
 # Fast iteration: shrunken sweeps.
 quick:

@@ -109,8 +109,6 @@ func RunIdleWave(spec *machine.Spec, cfg IdleWaveConfig) (IdleWaveResult, error)
 	if cfg.Obs != nil {
 		w.SetObs(cfg.Obs)
 	}
-	// One slot per (offset, direction) so concurrent puts never overlap.
-	w.Alloc("halo", 2*len(offs)*words)
 	if cfg.Chaos != nil {
 		cfg.Chaos.Arm(w)
 	}
@@ -118,7 +116,6 @@ func RunIdleWave(spec *machine.Spec, cfg IdleWaveConfig) (IdleWaveResult, error)
 	for i := range finish {
 		finish[i] = make([]float64, steps)
 	}
-	buf := make([]float64, words)
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		id := r.ID()
 		comm := collective.New(r)
@@ -134,12 +131,12 @@ func RunIdleWave(spec *machine.Spec, cfg IdleWaveConfig) (IdleWaveResult, error)
 			}
 		}
 		exchange := func(step int) {
-			for oi, off := range offs {
+			for _, off := range offs {
 				if id-off >= 0 {
-					r.PutSignal(id-off, "halo", (2*oi+1)*words, buf, "halo")
+					r.Transfer(id-off, words, "halo")
 				}
 				if id+off < p {
-					r.PutSignal(id+off, "halo", 2*oi*words, buf, "halo")
+					r.Transfer(id+off, words, "halo")
 				}
 			}
 		}

@@ -54,8 +54,6 @@ func cgCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, iters, sStep in
 	}
 	w := pgas.NewWorld(p, spec, nil, nil)
 	w.SetObs(reg)
-	w.Alloc("halo", 2*words)
-	buf := make([]float64, words)
 	scalars := make([]float64, 2*sStep)
 	var innerErr error
 	makespan, err := w.Run(func(r *pgas.Rank) {
@@ -66,11 +64,11 @@ func cgCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, iters, sStep in
 			// Halo exchange for the SpMV.
 			expect := int64(0)
 			if id > 0 {
-				r.PutSignal(id-1, "halo", words, buf, "halo")
+				r.Transfer(id-1, words, "halo")
 				expect++
 			}
 			if id < p-1 {
-				r.PutSignal(id+1, "halo", 0, buf, "halo")
+				r.Transfer(id+1, words, "halo")
 				expect++
 			}
 			synced += expect

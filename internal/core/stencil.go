@@ -52,8 +52,6 @@ func stencilCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, steps int,
 	}
 	w := pgas.NewWorld(p, spec, nil, nil)
 	w.SetObs(reg)
-	w.Alloc("halo", 2*words)
-	buf := make([]float64, words)
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		comm := collective.New(r)
 		id := r.ID()
@@ -62,11 +60,11 @@ func stencilCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, steps int,
 			expect := int64(0)
 			var h1, h2 *pgas.Handle
 			if id > 0 {
-				h1 = r.PutSignal(id-1, "halo", words, buf, "halo")
+				h1 = r.Transfer(id-1, words, "halo")
 				expect++
 			}
 			if id < p-1 {
-				h2 = r.PutSignal(id+1, "halo", 0, buf, "halo")
+				h2 = r.Transfer(id+1, words, "halo")
 				expect++
 			}
 			synced += expect

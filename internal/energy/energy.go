@@ -56,16 +56,9 @@ func (m *Meter) AddMeter(other *Meter) {
 	m.mu.Unlock()
 }
 
-// Total returns the sum over all components.
-func (m *Meter) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := 0.0
-	for _, v := range m.j {
-		t += v
-	}
-	return t
-}
+// Total returns the sum over all components, added in Breakdown's order so
+// that equal meters give bit-identical totals.
+func (m *Meter) Total() float64 { return m.Breakdown().TotalJoules }
 
 // Reset clears all accumulated energy.
 func (m *Meter) Reset() {
@@ -82,7 +75,6 @@ func (m *Meter) Breakdown() Breakdown {
 	b := Breakdown{}
 	for name, v := range m.j {
 		b.Components = append(b.Components, ComponentJoules{Name: name, Joules: v})
-		b.TotalJoules += v
 	}
 	sort.Slice(b.Components, func(i, k int) bool {
 		ci, ck := b.Components[i], b.Components[k]
@@ -91,6 +83,11 @@ func (m *Meter) Breakdown() Breakdown {
 		}
 		return ci.Name < ck.Name
 	})
+	// Sum in sorted order: float addition is not associative, and map
+	// order changes from one iteration to the next.
+	for _, c := range b.Components {
+		b.TotalJoules += c.Joules
+	}
 	return b
 }
 

@@ -25,6 +25,22 @@ func TestMeterAddAndTotal(t *testing.T) {
 	}
 }
 
+// TestTotalIsOrderIndependent: components whose sum depends on the order
+// of addition still give one total, every call, equal to Breakdown's.
+func TestTotalIsOrderIndependent(t *testing.T) {
+	m := NewMeter()
+	m.Add("a", 1e16)
+	m.Add("b", 1)
+	m.Add("c", 1)
+	m.Add("d", 1)
+	want := m.Breakdown().TotalJoules
+	for i := 0; i < 200; i++ {
+		if got := m.Total(); got != want {
+			t.Fatalf("call %d: total %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestMeterNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -273,7 +273,8 @@ func TestFloodTieOrderGolden(t *testing.T) {
 }
 
 // TestFailedRunLeaksNoGoroutines: a world that deadlocks, or whose delivery
-// closure panics, unwinds every rank goroutine before Run returns.
+// closure or issuing rank panics, unwinds every rank goroutine before Run
+// returns.
 func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -283,7 +284,13 @@ func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 		{"deadlock", "deadlock", func(r *Rank) {
 			r.WaitSignal("never", 1)
 		}},
-		{"closure panic", "panicked", func(r *Rank) {
+		{"closure panic", "handler panicked", func(r *Rank) {
+			if r.ID() == 0 {
+				r.w.k.at(r.Now()+1, func() { panic("delivery failed") })
+			}
+			r.WaitSignal("never", 1)
+		}},
+		{"rank panic", "rank 0 panicked", func(r *Rank) {
 			if r.ID() == 0 {
 				r.Put(1, "x", 3, []float64{1, 2}) // past the segment's end
 			}

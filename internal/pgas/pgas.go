@@ -3,6 +3,7 @@
 // rank, see kernel.go) with message costs from a pluggable network model.
 // Rank programs are plain Go functions; Put/Get move real data between ranks'
 // partitions (so algorithms are checked for correctness, not just timed),
+// and Transfer models traffic that nobody reads by its size alone,
 // while the runtime advances virtual time and charges the energy meter for
 // every flop computed, byte moved, and second spent idle.
 //
@@ -221,9 +222,9 @@ func (w *World) Stats() Stats {
 // Run executes body on every rank and returns the simulated makespan in
 // seconds. After the run, the meter additionally holds each rank's idle
 // energy (makespan − busy time, at the machine's idle watts) and busy
-// energy is charged as compute happens. A rank panic, a failed delivery
-// (such as a Put past a segment's end) and ranks left blocked forever are
-// returned as errors.
+// energy is charged as compute happens. A rank panic (such as a Put past a
+// segment's end, caught on the issuing rank), a failed delivery and ranks
+// left blocked forever are returned as errors.
 func (w *World) Run(body func(r *Rank)) (float64, error) {
 	end, err := w.k.run(w.N, w.lookahead(), w.obs, func(p *proc) {
 		body(&Rank{w: w, p: p})
@@ -271,11 +272,7 @@ func (r *Rank) World() *World { return r.w }
 // free (it models register/cache-resident work); charge the cost separately
 // with Compute.
 func (r *Rank) Local(name string) []float64 {
-	seg, ok := r.w.segments[name]
-	if !ok {
-		panic(fmt.Sprintf("pgas: unknown segment %q", name))
-	}
-	return seg[r.ID()]
+	return r.w.segment(name)[r.ID()]
 }
 
 // Compute advances virtual time for a kernel that executes the given flops
@@ -366,40 +363,57 @@ func (w *World) arrivalFrom(src, dst int, issue, bytes float64) float64 {
 	return t
 }
 
-func (r *Rank) chargeMsg(dst int, bytes float64) {
-	atomic.AddInt64(&r.w.stats.Messages, 1)
-	atomic.AddInt64(&r.w.stats.BytesSent, int64(bytes))
-	atomic.AddInt64(&r.w.rankSent[r.ID()], int64(bytes))
-	r.w.meter.Add(energy.Network, r.w.cost.MsgEnergy(r.ID(), dst, bytes))
+// chargeMsg counts one message of the given bytes from src to dst: world
+// stats, src's share of the per-rank ledger, and the network energy.
+func (w *World) chargeMsg(src, dst int, bytes float64) {
+	atomic.AddInt64(&w.stats.Messages, 1)
+	atomic.AddInt64(&w.stats.BytesSent, int64(bytes))
+	atomic.AddInt64(&w.rankSent[src], int64(bytes))
+	w.meter.Add(energy.Network, w.cost.MsgEnergy(src, dst, bytes))
+}
+
+// segment returns the named segment; an unknown name panics.
+func (w *World) segment(name string) [][]float64 {
+	seg, ok := w.segments[name]
+	if !ok {
+		panic(fmt.Sprintf("pgas: unknown segment %q", name))
+	}
+	return seg
+}
+
+// checkRank panics, on the issuing rank, when op addresses a rank outside
+// [0, N).
+func (r *Rank) checkRank(op string, rank int) {
+	if rank < 0 || rank >= r.w.N {
+		panic(fmt.Sprintf("pgas: %s addresses rank %d outside [0, %d)", op, rank, r.w.N))
+	}
+}
+
+// span returns elements [off, off+n) of rank's partition of the named
+// segment. It checks the range on the issuing rank, so an overrun names the
+// op, the segment and the range instead of failing later inside a delivery.
+func (r *Rank) span(op, name string, rank, off, n int) []float64 {
+	r.checkRank(op, rank)
+	part := r.w.segment(name)[rank]
+	if off < 0 || n < 0 || off+n > len(part) {
+		panic(fmt.Sprintf("pgas: %s [%d:%d) outside segment %q of %d elements at rank %d",
+			op, off, off+n, name, len(part), rank))
+	}
+	return part[off : off+n]
 }
 
 // Put copies vals into rank dst's partition of the segment at off,
 // blocking until the transfer completes (data is visible at dst from the
 // completion time onward).
 func (r *Rank) Put(dst int, name string, off int, vals []float64) {
-	h := r.PutAsync(dst, name, off, vals)
-	h.Wait()
+	r.putVals("Put", dst, name, off, vals, false, "").Wait()
 }
 
 // PutAsync begins a one-sided put and returns immediately after the send
 // overhead; the returned handle's Wait blocks until remote completion. The
 // data is captured at issue time (source buffer may be reused).
 func (r *Rank) PutAsync(dst int, name string, off int, vals []float64) *Handle {
-	seg, ok := r.w.segments[name]
-	if !ok {
-		panic(fmt.Sprintf("pgas: unknown segment %q", name))
-	}
-	bytes := float64(8 * len(vals))
-	r.chargeMsg(dst, bytes)
-	atomic.AddInt64(&r.w.stats.Puts, 1)
-	data := append([]float64(nil), vals...)
-	done := r.arrival(dst, bytes)
-	r.w.k.at(done, func() {
-		copy(seg[dst][off:off+len(data)], data)
-	})
-	// The initiator pays only its software overhead before continuing.
-	r.Lapse(r.overhead())
-	return &Handle{r: r, done: done}
+	return r.putVals("PutAsync", dst, name, off, vals, false, "")
 }
 
 // PutSignal performs a one-sided put that additionally increments the named
@@ -408,22 +422,50 @@ func (r *Rank) PutAsync(dst int, name string, off int, vals []float64) *Handle {
 // overhead like PutAsync; receivers pair it with WaitSignal and may then
 // read the segment safely.
 func (r *Rank) PutSignal(dst int, name string, off int, vals []float64, flag string) *Handle {
-	seg, ok := r.w.segments[name]
-	if !ok {
-		panic(fmt.Sprintf("pgas: unknown segment %q", name))
+	return r.putVals("PutSignal", dst, name, off, vals, true, flag)
+}
+
+// Transfer is PutSignal of words float64s that nobody reads: it costs,
+// meters and counts exactly what PutSignal of a words-long slice would and
+// bumps dst's flag when the bytes have landed, but it carries no payload and
+// needs no segment. Traffic that a model sizes but never reads uses it.
+func (r *Rank) Transfer(dst, words int, flag string) *Handle {
+	r.checkRank("Transfer", dst)
+	if words < 0 {
+		panic(fmt.Sprintf("pgas: Transfer of %d words", words))
 	}
-	bytes := float64(8 * len(vals))
-	r.chargeMsg(dst, bytes)
-	atomic.AddInt64(&r.w.stats.Puts, 1)
-	atomic.AddInt64(&r.w.stats.Signals, 1)
+	return r.put(dst, words, nil, true, flag)
+}
+
+// putVals captures vals at issue time and puts them through put, landing
+// them in dst's partition of the named segment at off.
+func (r *Rank) putVals(op string, dst int, name string, off int, vals []float64, signal bool, flag string) *Handle {
+	into := r.span(op, name, dst, off, len(vals))
 	data := append([]float64(nil), vals...)
-	done := r.arrival(dst, bytes)
+	return r.put(dst, len(data), func() { copy(into, data) }, signal, flag)
+}
+
+// put is the one issue path of one-sided puts. It charges and counts a
+// message of words float64s, reserves both NICs, and schedules a single
+// delivery at the arrival time that runs land (nil when nothing is carried)
+// and then, when signal is set, bumps dst's flag. The initiator pays only
+// its software overhead before continuing.
+func (r *Rank) put(dst, words int, land func(), signal bool, flag string) *Handle {
 	w := r.w
+	bytes := float64(8 * words)
+	w.chargeMsg(r.ID(), dst, bytes)
+	atomic.AddInt64(&w.stats.Puts, 1)
+	if signal {
+		atomic.AddInt64(&w.stats.Signals, 1)
+	}
+	done := r.arrival(dst, bytes)
 	w.k.at(done, func() {
-		copy(seg[dst][off:off+len(data)], data)
-		fv := w.flag(dst, flag)
-		fv.count++
-		w.k.broadcast(&fv.cond)
+		if land != nil {
+			land()
+		}
+		if signal {
+			w.bump(dst, flag)
+		}
 	})
 	r.Lapse(r.overhead())
 	return &Handle{r: r, done: done}
@@ -441,28 +483,23 @@ func (r *Rank) Get(src int, name string, off, n int) []float64 {
 // the handle's Wait returns; reading it earlier is a race in the simulated
 // program (and will read zeros).
 func (r *Rank) GetAsync(src int, name string, off, n int) (*Handle, []float64) {
-	seg, ok := r.w.segments[name]
-	if !ok {
-		panic(fmt.Sprintf("pgas: unknown segment %q", name))
-	}
+	from := r.span("GetAsync", name, src, off, n)
 	out := make([]float64, n)
 	bytes := float64(8 * n)
 	// Request: a small message to src; response: the data back.
 	const reqBytes = 16
-	r.chargeMsg(src, reqBytes)
-	atomic.AddInt64(&r.w.stats.Gets, 1)
-	tReq := r.arrival(src, reqBytes)
 	me := r.ID()
 	w := r.w
+	w.chargeMsg(me, src, reqBytes)
+	atomic.AddInt64(&w.stats.Gets, 1)
+	tReq := r.arrival(src, reqBytes)
 	// The response is injected by src when the request arrives; compute
 	// its delivery (including NIC queueing) now so the handle can wait.
 	done := w.arrivalFrom(src, me, tReq, bytes)
 	w.k.at(tReq, func() {
 		// Data is read at the moment the request arrives at src.
-		data := append([]float64(nil), seg[src][off:off+n]...)
-		atomic.AddInt64(&w.stats.Messages, 1)
-		atomic.AddInt64(&w.stats.BytesSent, int64(bytes))
-		w.meter.Add(energy.Network, w.cost.MsgEnergy(src, me, bytes))
+		data := append([]float64(nil), from...)
+		w.chargeMsg(src, me, bytes)
 		w.k.at(done, func() { copy(out, data) })
 	})
 	r.Lapse(r.overhead())
@@ -472,17 +509,21 @@ func (r *Rank) GetAsync(src int, name string, off, n int) (*Handle, []float64) {
 // Signal increments the named flag at rank dst (fire-and-forget small
 // message); receivers block on WaitSignal.
 func (r *Rank) Signal(dst int, flag string) {
+	r.checkRank("Signal", dst)
 	const sigBytes = 8
-	r.chargeMsg(dst, sigBytes)
-	atomic.AddInt64(&r.w.stats.Signals, 1)
-	t := r.arrival(dst, sigBytes)
 	w := r.w
-	w.k.at(t, func() {
-		fv := w.flag(dst, flag)
-		fv.count++
-		w.k.broadcast(&fv.cond)
-	})
+	w.chargeMsg(r.ID(), dst, sigBytes)
+	atomic.AddInt64(&w.stats.Signals, 1)
+	t := r.arrival(dst, sigBytes)
+	w.k.at(t, func() { w.bump(dst, flag) })
 	r.Lapse(r.overhead())
+}
+
+// bump increments rank's named flag and wakes its waiters.
+func (w *World) bump(rank int, flag string) {
+	fv := w.flag(rank, flag)
+	fv.count++
+	w.k.broadcast(&fv.cond)
 }
 
 // WaitSignal blocks until the local named flag has been signalled at least
@@ -507,8 +548,9 @@ func (r *Rank) SignalCount(flag string) int64 {
 // Messages from one sender to one box arrive in issue order when they have
 // equal size; messages from different senders interleave by delivery time.
 func (r *Rank) Send(dst int, box string, vals []float64) {
+	r.checkRank("Send", dst)
 	bytes := float64(8 * len(vals))
-	r.chargeMsg(dst, bytes)
+	r.w.chargeMsg(r.ID(), dst, bytes)
 	atomic.AddInt64(&r.w.stats.Sends, 1)
 	data := append([]float64(nil), vals...)
 	t := r.arrival(dst, bytes)

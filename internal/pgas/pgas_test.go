@@ -2,12 +2,14 @@ package pgas
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"tenways/internal/energy"
 	"tenways/internal/machine"
 	"tenways/internal/netsim"
+	"tenways/internal/trace"
 )
 
 func spec() *machine.Spec { return machine.Petascale2009() }
@@ -486,5 +488,142 @@ func TestSimpleCostLocal(t *testing.T) {
 	}
 	if c.MsgEnergy(2, 2, 100) != 0 {
 		t.Fatal("local message should cost no network energy")
+	}
+}
+
+// TestRankLedgerMatchesStats: every byte Stats counts is charged to some
+// rank's ledger, the serving rank's Get response included.
+func TestRankLedgerMatchesStats(t *testing.T) {
+	w := NewWorld(4, spec(), nil, nil)
+	w.Alloc("x", 64)
+	_, err := w.Run(func(r *Rank) {
+		next := (r.ID() + 1) % 4
+		switch r.ID() {
+		case 0:
+			r.Put(next, "x", 0, make([]float64, 8))
+			r.Get(3, "x", 0, 64)
+		case 1:
+			r.PutSignal(next, "x", 8, make([]float64, 16), "f")
+			r.Send(next, "box", make([]float64, 5))
+		case 2:
+			r.Transfer(next, 32, "f")
+			r.WaitSignal("f", 1)
+			r.Recv("box")
+		case 3:
+			r.Signal(0, "s")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := w.RankBytesSent()
+	var sum int64
+	for _, b := range sent {
+		sum += b
+	}
+	if st := w.Stats(); sum != st.BytesSent {
+		t.Fatalf("sum(RankBytesSent()) = %d %v, Stats().BytesSent = %d", sum, sent, st.BytesSent)
+	}
+	// Rank 3 signals (8 B) and serves the 64-word Get (512 B).
+	if sent[3] != 8+512 {
+		t.Fatalf("rank 3 sent %d bytes, want %d", sent[3], 8+512)
+	}
+}
+
+// TestIssueChecksBounds: a transfer that addresses a rank or a range
+// outside the world fails on the issuing rank, naming the op, the segment
+// and the range, before anything is charged or delivered.
+func TestIssueChecksBounds(t *testing.T) {
+	for _, c := range []struct {
+		op   func(r *Rank)
+		want string
+	}{
+		{func(r *Rank) { r.PutSignal(1, "x", 60, make([]float64, 8), "f") },
+			`pgas: rank 0 panicked: pgas: PutSignal [60:68) outside segment "x" of 64 elements at rank 1`},
+		{func(r *Rank) { r.Put(1, "x", -1, make([]float64, 2)) },
+			`pgas: rank 0 panicked: pgas: Put [-1:1) outside segment "x" of 64 elements at rank 1`},
+		{func(r *Rank) { r.PutAsync(4, "x", 0, make([]float64, 2)) },
+			`pgas: rank 0 panicked: pgas: PutAsync addresses rank 4 outside [0, 4)`},
+		{func(r *Rank) { r.Get(2, "x", 32, 33) },
+			`pgas: rank 0 panicked: pgas: GetAsync [32:65) outside segment "x" of 64 elements at rank 2`},
+		{func(r *Rank) { r.Transfer(-1, 8, "f") },
+			`pgas: rank 0 panicked: pgas: Transfer addresses rank -1 outside [0, 4)`},
+		{func(r *Rank) { r.Transfer(1, -8, "f") },
+			`pgas: rank 0 panicked: pgas: Transfer of -8 words`},
+		{func(r *Rank) { r.Send(5, "box", []float64{1}) },
+			`pgas: rank 0 panicked: pgas: Send addresses rank 5 outside [0, 4)`},
+		{func(r *Rank) { r.Signal(4, "f") },
+			`pgas: rank 0 panicked: pgas: Signal addresses rank 4 outside [0, 4)`},
+	} {
+		w := NewWorld(4, spec(), nil, nil)
+		w.Alloc("x", 64)
+		_, err := w.Run(func(r *Rank) {
+			if r.ID() == 0 {
+				c.op(r)
+			}
+		})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %q", err, c.want)
+		}
+		if st := w.Stats(); st.Messages != 0 {
+			t.Errorf("%q: %d messages charged before the check", c.want, st.Messages)
+		}
+	}
+}
+
+// TestTransferMatchesPutSignal: a halo ring with mixed message sizes, 0
+// words included, costs exactly the same whether each message is a
+// PutSignal of a zero buffer into a segment or a payload-free Transfer.
+func TestTransferMatchesPutSignal(t *testing.T) {
+	const p, steps = 6, 4
+	sizes := []int{0, 1, 7, 64, 4096, 3}
+	type outcome struct {
+		makespan float64
+		finish   []float64
+		stats    Stats
+		sent     []int64
+		joules   float64
+		bd       trace.Breakdown
+	}
+	run := func(transfer bool) outcome {
+		w := NewWorld(p, spec(), nil, nil)
+		maxWords := 0
+		for _, n := range sizes {
+			maxWords = max(maxWords, n)
+		}
+		if !transfer {
+			w.Alloc("halo", 2*maxWords)
+		}
+		buf := make([]float64, maxWords)
+		finish := make([]float64, p)
+		makespan, err := w.Run(func(r *Rank) {
+			id := r.ID()
+			for s := 0; s < steps; s++ {
+				n := sizes[(id+s)%len(sizes)]
+				var hs []*Handle
+				for i, dst := range []int{(id + p - 1) % p, (id + 1) % p} {
+					if transfer {
+						hs = append(hs, r.Transfer(dst, n, "halo"))
+					} else {
+						hs = append(hs, r.PutSignal(dst, "halo", i*maxWords, buf[:n], "halo"))
+					}
+				}
+				r.Compute(1e5*float64(id+1), 0)
+				WaitAll(hs...)
+				r.WaitSignal("halo", int64(2*(s+1)))
+			}
+			finish[id] = r.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
+	}
+	put, tr := run(false), run(true)
+	if !reflect.DeepEqual(put, tr) {
+		t.Fatalf("Transfer differs from PutSignal:\n put      %+v\n transfer %+v", put, tr)
+	}
+	if put.stats.Puts != 2*p*steps || put.stats.Signals != 2*p*steps {
+		t.Fatalf("stats %+v, want %d puts and signals", put.stats, 2*p*steps)
 	}
 }

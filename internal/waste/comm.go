@@ -15,19 +15,17 @@ import (
 // shared by RunW2 (words = full block vs boundary row) and figure F2.
 func HaloExchange(spec *machine.Spec, p, gridN, steps, words int) (Result, int64, error) {
 	w := pgas.NewWorld(p, spec, nil, nil)
-	w.Alloc("halo", 2*words)
 	hm := kernels.HaloModel{N: gridN, P: p}
-	buf := make([]float64, words)
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		id := r.ID()
 		for s := 0; s < steps; s++ {
 			expect := int64(0)
 			if id > 0 {
-				r.PutSignal(id-1, "halo", words, buf, "halo")
+				r.Transfer(id-1, words, "halo")
 				expect++
 			}
 			if id < p-1 {
-				r.PutSignal(id+1, "halo", 0, buf, "halo")
+				r.Transfer(id+1, words, "halo")
 				expect++
 			}
 			r.WaitSignal("halo", int64(s)*expect+expect)
@@ -72,12 +70,10 @@ func RunW2(spec *machine.Spec) (Outcome, error) {
 // and figure F6.
 func OverlapExchange(spec *machine.Spec, p, steps, words int, computeFlops float64, overlap bool) (Result, error) {
 	w := pgas.NewWorld(p, spec, nil, nil)
-	w.Alloc("ring", words)
-	buf := make([]float64, words)
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		right := (r.ID() + 1) % p
 		for s := 0; s < steps; s++ {
-			h := r.PutSignal(right, "ring", 0, buf, "ring")
+			h := r.Transfer(right, words, "ring")
 			if overlap {
 				r.Compute(computeFlops, 0)
 				h.Wait()
@@ -129,21 +125,19 @@ func RunW6(spec *machine.Spec) (Outcome, error) {
 // completion. Shared by RunW7 and figure F7.
 func BulkTransfer(spec *machine.Spec, words, msgWords int) (Result, error) {
 	w := pgas.NewWorld(2, spec, nil, nil)
-	w.Alloc("bulk", words)
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		if r.ID() != 0 {
 			nMsgs := (words + msgWords - 1) / msgWords
 			r.WaitSignal("bulk", int64(nMsgs))
 			return
 		}
-		buf := make([]float64, msgWords)
 		var last *pgas.Handle
 		for off := 0; off < words; off += msgWords {
 			n := msgWords
 			if off+n > words {
 				n = words - off
 			}
-			last = r.PutSignal(1, "bulk", off, buf[:n], "bulk")
+			last = r.Transfer(1, n, "bulk")
 		}
 		last.Wait()
 	})

@@ -1,6 +1,7 @@
 package waste
 
 import (
+	"runtime"
 	"testing"
 
 	"tenways/internal/machine"
@@ -90,6 +91,27 @@ func TestW2BytesScaleWithWords(t *testing.T) {
 	}
 	if bBig <= bSmall {
 		t.Fatalf("more words should move more bytes: %d vs %d", bBig, bSmall)
+	}
+}
+
+// TestHaloExchangeCarriesNoPayload: the halo is modelled by its size only,
+// so a 1024-fold larger message allocates no more host memory. Copying a
+// payload per message would cost 5 steps × 30 messages × 512 KiB here.
+func TestHaloExchangeCarriesNoPayload(t *testing.T) {
+	alloc := func(words int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := HaloExchange(spec(), 16, 1024, 5, words); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(64) // warm up lazily built state
+	small, large := alloc(64), alloc(1<<16)
+	const slack = 256 << 10
+	if large > small+slack {
+		t.Fatalf("HaloExchange allocated %d B at 64 words but %d B at 65536 words (slack %d B)", small, large, slack)
 	}
 }
 
