@@ -6,7 +6,9 @@
 // Every rank of a world must call the same collective the same number of
 // times, passing the Comm it created at startup. Barriers are built on
 // pgas signal counters; the data-carrying collectives on pgas mailboxes,
-// which copy at delivery time and so need no buffer management. One
+// which copy at issue time and so need no buffer management. Each allreduce
+// schedule exists once and runs either on values or, through AllreduceSize,
+// on sizes alone (pgas SendSize), for experiments that only time it. One
 // constraint inherited from the network model's per-sender FIFO-by-size
 // ordering: repeated calls to the same vector collective on one world must
 // use the same vector length (all the experiments do).
@@ -250,28 +252,31 @@ func (c *Comm) BroadcastTree(x []float64) []float64 {
 // AllreduceFlat is the naive allreduce: everyone sends its vector to rank
 // 0, which combines and broadcasts. O(P) messages serialised at the root.
 func (c *Comm) AllreduceFlat(x []float64, op Op) []float64 {
+	return c.allreduceFlat(len(x), x, op)
+}
+
+// allreduceFlat is AllreduceFlat's schedule on m-word vectors. x is this
+// rank's vector, or nil for a size-only run, which carries and combines
+// nothing; the two send, charge and count the same.
+func (c *Comm) allreduceFlat(m int, x []float64, op Op) []float64 {
 	c.ops.Inc()
 	r := c.r
 	n := r.N()
-	m := len(x)
 	if n == 1 {
 		return append([]float64(nil), x...)
 	}
 	if r.ID() == 0 {
 		acc := append([]float64(nil), x...)
 		for src := 1; src < n; src++ {
-			in := r.Recv("ar.flat.up")
-			for i := 0; i < m; i++ {
-				acc[i] = op(acc[i], in[i])
-			}
+			combine(acc, 0, r.Recv("ar.flat.up"), op)
 		}
 		r.Compute(float64((n-1)*m), float64(8*n*m)) // combining cost
 		for d := 1; d < n; d++ {
-			c.send(d, "ar.flat.down", acc)
+			c.sendSpan(d, "ar.flat.down", acc, 0, m)
 		}
 		return acc
 	}
-	c.send(0, "ar.flat.up", x)
+	c.sendSpan(0, "ar.flat.up", x, 0, m)
 	return r.Recv("ar.flat.down")
 }
 
@@ -279,22 +284,24 @@ func (c *Comm) AllreduceFlat(x []float64, op Op) []float64 {
 // allreduce: each round exchanges full vectors with the rank at XOR
 // distance 2^k. The rank count must be a power of two.
 func (c *Comm) AllreduceRecursiveDoubling(x []float64, op Op) ([]float64, error) {
+	return c.allreduceRecursiveDoubling(len(x), x, op)
+}
+
+// allreduceRecursiveDoubling is AllreduceRecursiveDoubling's schedule on
+// m-word vectors; x is nil for a size-only run, as in allreduceFlat.
+func (c *Comm) allreduceRecursiveDoubling(m int, x []float64, op Op) ([]float64, error) {
 	c.ops.Inc()
 	r := c.r
 	n := r.N()
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("collective: recursive doubling needs power-of-two ranks, got %d", n)
 	}
-	m := len(x)
 	acc := append([]float64(nil), x...)
 	for k, dist := 0, 1; dist < n; k, dist = k+1, dist*2 {
 		partner := r.ID() ^ dist
 		box := "ar.rd." + strconv.Itoa(k)
-		c.send(partner, box, acc)
-		in := r.Recv(box)
-		for i := 0; i < m; i++ {
-			acc[i] = op(acc[i], in[i])
-		}
+		c.sendSpan(partner, box, acc, 0, m)
+		combine(acc, 0, r.Recv(box), op)
 		r.Compute(float64(m), float64(16*m))
 	}
 	return acc, nil
@@ -304,14 +311,19 @@ func (c *Comm) AllreduceRecursiveDoubling(x []float64, op Op) ([]float64, error)
 // of n−1 chunk steps followed by an allgather of n−1 chunk steps, sending
 // only 2·m·(n−1)/n elements per rank in total. Works for any rank count.
 func (c *Comm) AllreduceRing(x []float64, op Op) []float64 {
+	return c.allreduceRing(len(x), x, op)
+}
+
+// allreduceRing is AllreduceRing's schedule on m-word vectors; x is nil for
+// a size-only run, as in allreduceFlat.
+func (c *Comm) allreduceRing(m int, x []float64, op Op) []float64 {
 	c.ops.Inc()
 	r := c.r
 	n := r.N()
-	m := len(x)
-	if n == 1 {
-		return append([]float64(nil), x...)
-	}
 	acc := append([]float64(nil), x...)
+	if n == 1 {
+		return acc
+	}
 	id := r.ID()
 	right := (id + 1) % n
 	// Reduce-scatter: after n−1 steps, rank i owns the full reduction of
@@ -321,12 +333,9 @@ func (c *Comm) AllreduceRing(x []float64, op Op) []float64 {
 		recvChunk := (id - s - 1 + n) % n
 		lo, hi := chunkRange(m, n, sendChunk)
 		box := "ar.ring." + strconv.Itoa(s)
-		c.send(right, box, acc[lo:hi])
-		in := r.Recv(box)
+		c.sendSpan(right, box, acc, lo, hi)
 		rlo, rhi := chunkRange(m, n, recvChunk)
-		for i := rlo; i < rhi; i++ {
-			acc[i] = op(acc[i], in[i-rlo])
-		}
+		combine(acc, rlo, r.Recv(box), op)
 		r.Compute(float64(rhi-rlo), float64(16*(rhi-rlo)))
 	}
 	// Allgather: circulate the completed chunks.
@@ -335,12 +344,33 @@ func (c *Comm) AllreduceRing(x []float64, op Op) []float64 {
 		recvChunk := (id - s + n) % n
 		lo, hi := chunkRange(m, n, sendChunk)
 		box := "ar.ring.g" + strconv.Itoa(s)
-		c.send(right, box, acc[lo:hi])
-		in := r.Recv(box)
+		c.sendSpan(right, box, acc, lo, hi)
 		rlo, _ := chunkRange(m, n, recvChunk)
-		copy(acc[rlo:], in)
+		for i, v := range r.Recv(box) {
+			acc[rlo+i] = v
+		}
 	}
 	return acc
+}
+
+// sendSpan sends acc[lo:hi] to dst, or, when acc is nil, hi−lo words with
+// no contents: the one send of every allreduce schedule, so a size-only run
+// charges exactly the messages and bytes a data-carrying one does.
+func (c *Comm) sendSpan(dst int, box string, acc []float64, lo, hi int) {
+	if acc == nil {
+		c.bytes.Add(int64(8 * (hi - lo)))
+		c.r.SendSize(dst, box, hi-lo)
+		return
+	}
+	c.send(dst, box, acc[lo:hi])
+}
+
+// combine folds a received chunk into acc from element lo on. It ranges
+// over in, so the nil message of a size-only run does no work.
+func combine(acc []float64, lo int, in []float64, op Op) {
+	for i, v := range in {
+		acc[lo+i] = op(acc[lo+i], v)
+	}
 }
 
 // AllreduceAlgorithms lists the selectable allreduce implementations in
@@ -351,13 +381,32 @@ func AllreduceAlgorithms() []string { return []string{"flat", "rdouble", "ring"}
 // "rdouble", "ring"), so algorithm selection can be a tuned parameter
 // rather than a call-site constant.
 func (c *Comm) AllreduceByName(alg string, x []float64, op Op) ([]float64, error) {
+	return c.allreduce(alg, len(x), x, op)
+}
+
+// AllreduceSize runs the named algorithm's allreduce schedule on words-long
+// vectors that carry no values: the same messages, bytes, compute charges,
+// counters and errors as AllreduceByName on a words-long vector, without
+// copying or combining a payload. Experiments that only time an allreduce
+// use it.
+func (c *Comm) AllreduceSize(alg string, words int) error {
+	if words < 0 {
+		return fmt.Errorf("collective: allreduce of %d words", words)
+	}
+	_, err := c.allreduce(alg, words, nil, nil)
+	return err
+}
+
+// allreduce dispatches alg's schedule on m-word vectors; x is nil for a
+// size-only run.
+func (c *Comm) allreduce(alg string, m int, x []float64, op Op) ([]float64, error) {
 	switch alg {
 	case "flat":
-		return c.AllreduceFlat(x, op), nil
+		return c.allreduceFlat(m, x, op), nil
 	case "rdouble":
-		return c.AllreduceRecursiveDoubling(x, op)
+		return c.allreduceRecursiveDoubling(m, x, op)
 	case "ring":
-		return c.AllreduceRing(x, op), nil
+		return c.allreduceRing(m, x, op), nil
 	}
 	return nil, fmt.Errorf("collective: unknown allreduce algorithm %q (known: %v)",
 		alg, AllreduceAlgorithms())

@@ -2,11 +2,15 @@ package collective
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"tenways/internal/machine"
+	"tenways/internal/obs"
 	"tenways/internal/pgas"
+	"tenways/internal/trace"
 )
 
 func spec() *machine.Spec { return machine.Petascale2009() }
@@ -463,5 +467,120 @@ func TestSplitPhaseBarrierOverlapsLeafCompute(t *testing.T) {
 	overlapped := body(true)
 	if overlapped >= blocking {
 		t.Errorf("split-phase (%g) not faster than blocking (%g)", overlapped, blocking)
+	}
+}
+
+// allreduceOutcome is everything a timed allreduce reports: the modeled
+// time, the world's message ledgers, energy, wait attribution, the
+// collective counters and the dispatch error.
+type allreduceOutcome struct {
+	makespan float64
+	finish   []float64
+	stats    pgas.Stats
+	sent     []int64
+	joules   float64
+	bd       trace.Breakdown
+	ops      int64
+	bytes    int64
+	err      string
+}
+
+// runAllreduce runs one allreduce of alg on p ranks: AllreduceByName on a
+// words-long zero vector, or AllreduceSize when sizeOnly is set.
+func runAllreduce(t *testing.T, alg string, p, words int, sizeOnly bool) allreduceOutcome {
+	t.Helper()
+	w := pgas.NewWorld(p, spec(), nil, nil)
+	reg := obs.NewRegistry()
+	w.SetObs(reg)
+	finish := make([]float64, p)
+	errs := make([]error, p)
+	makespan, err := w.Run(func(r *pgas.Rank) {
+		c := New(r)
+		if sizeOnly {
+			errs[r.ID()] = c.AllreduceSize(alg, words)
+		} else {
+			_, errs[r.ID()] = c.AllreduceByName(alg, make([]float64, words), Sum)
+		}
+		finish[r.ID()] = r.Now()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := allreduceOutcome{
+		makespan: makespan,
+		finish:   finish,
+		stats:    w.Stats(),
+		sent:     w.RankBytesSent(),
+		joules:   w.Meter().Total(),
+		bd:       w.Breakdown(makespan),
+		ops:      reg.Counter("collective.ops").Value(),
+		bytes:    reg.Counter("collective.bytes").Value(),
+	}
+	for _, e := range errs {
+		if e != nil && out.err == "" {
+			out.err = e.Error()
+		}
+	}
+	return out
+}
+
+// TestAllreduceSizeMatchesAllreduce: the size-only allreduce runs the
+// data-carrying schedule exactly, so every figure a timing experiment reads
+// is identical between the two, at rank counts that leave chunks empty,
+// uneven or not a power of two.
+func TestAllreduceSizeMatchesAllreduce(t *testing.T) {
+	for _, alg := range AllreduceAlgorithms() {
+		for _, p := range []int{1, 2, 3, 4, 16, 64} {
+			for _, words := range []int{0, 1, 7, 1000, 16384} {
+				data := runAllreduce(t, alg, p, words, false)
+				size := runAllreduce(t, alg, p, words, true)
+				if !reflect.DeepEqual(data, size) {
+					t.Fatalf("%s P=%d words=%d: AllreduceSize differs from AllreduceByName:\n data %+v\n size %+v",
+						alg, p, words, data, size)
+				}
+				if wantErr := alg == "rdouble" && p == 3; (data.err != "") != wantErr {
+					t.Fatalf("%s P=%d: error %q", alg, p, data.err)
+				}
+			}
+		}
+	}
+}
+
+// TestAllreduceSizeErrors: bad arguments fail like AllreduceByName's.
+func TestAllreduceSizeErrors(t *testing.T) {
+	runWorld(t, 2, func(c *Comm) {
+		_, want := c.AllreduceByName("tree", []float64{1}, Sum)
+		if got := c.AllreduceSize("tree", 1); got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("unknown algorithm: got %v, want %v", got, want)
+		}
+		if err := c.AllreduceSize("ring", -1); err == nil {
+			t.Error("negative size accepted")
+		}
+	})
+}
+
+// TestAllreduceSizeCarriesNoPayload: a size-only allreduce copies and sums
+// nothing, so a 16384-fold larger vector allocates no more host memory.
+// Carrying a payload would cost at least one 128 KiB copy per message.
+func TestAllreduceSizeCarriesNoPayload(t *testing.T) {
+	for _, alg := range AllreduceAlgorithms() {
+		alloc := func(words int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			runWorld(t, 16, func(c *Comm) {
+				if err := c.AllreduceSize(alg, words); err != nil {
+					t.Error(err)
+				}
+			})
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		alloc(1) // warm up lazily built state
+		small, large := alloc(1), alloc(16384)
+		const slack = 64 << 10
+		if large > small+slack {
+			t.Errorf("%s: AllreduceSize allocated %d B at 1 word but %d B at 16384 words (slack %d B)",
+				alg, small, large, slack)
+		}
 	}
 }

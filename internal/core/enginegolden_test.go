@@ -34,13 +34,19 @@ var engineTableDigests = map[string]string{
 }
 
 func TestEngineTablesGolden(t *testing.T) {
-	ids := make([]string, 0, len(engineTableDigests))
-	for id := range engineTableDigests {
+	checkTableDigests(t, Config{Quick: true}, engineTableDigests)
+}
+
+// checkTableDigests runs the experiments named in want under cfg and
+// compares each one's rendered output with its recorded sha256.
+func checkTableDigests(t *testing.T, cfg Config, want map[string]string) {
+	t.Helper()
+	ids := make([]string, 0, len(want))
+	for id := range want {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	results, err := NewLab().RunAll(context.Background(), Config{Quick: true},
-		RunOptions{Workers: 2, IDs: ids})
+	results, err := NewLab().RunAll(context.Background(), cfg, RunOptions{Workers: 2, IDs: ids})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +55,25 @@ func TestEngineTablesGolden(t *testing.T) {
 		if err := r.Output.Render(h); err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != engineTableDigests[r.ID] {
-			t.Errorf("%s: rendered quick output sha256 %s, want %s", r.ID, got, engineTableDigests[r.ID])
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[r.ID] {
+			t.Errorf("%s: rendered output (quick %v) sha256 %s, want %s", r.ID, cfg.Quick, got, want[r.ID])
 		}
 	}
+}
+
+// fullTableDigests holds the sha256 of the rendered full-mode output of the
+// allreduce experiments, whose quick mode stops at P = 64 (T3) and P = 32
+// (F14). They were recorded while the allreduces still carried and summed
+// their vectors, so they pin the size-only schedule to the data-carrying
+// one up to P = 256.
+var fullTableDigests = map[string]string{
+	"F14": "06c38ea091e785f8db550fb847a4a48fcf827998c3c989f240ba788202540a7b",
+	"T3":  "893ed0c0e47735ac8ca067b9f227f5e3ae2c5312d090eed2cc58937f863def09",
+}
+
+func TestFullTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-mode T3 and F14 take a few seconds")
+	}
+	checkTableDigests(t, Config{}, fullTableDigests)
 }

@@ -72,17 +72,17 @@ func barrierTime(reg *obs.Registry, spec *machine.Spec, p int, bar func(*collect
 	return w.Run(func(r *pgas.Rank) { bar(collective.New(r)) })
 }
 
-// allreduceTime runs one allreduce of m words on p simulated ranks,
+// allreduceTime times one allreduce of m words on p simulated ranks,
 // dispatching the algorithm by name through the same table the T3 tunable
-// searches.
+// searches. Only the makespan is read, so the run carries sizes, not
+// values (collective.Comm.AllreduceSize): the same schedule, charges and
+// time as a data-carrying allreduce without copying or summing a vector.
 func allreduceTime(reg *obs.Registry, spec *machine.Spec, p, m int, alg string) (float64, error) {
 	w := pgas.NewWorld(p, spec, nil, nil)
 	w.SetObs(reg)
-	x := make([]float64, m)
 	var innerErr error
 	end, err := w.Run(func(r *pgas.Rank) {
-		c := collective.New(r)
-		if _, e := c.AllreduceByName(alg, x, collective.Sum); e != nil && r.ID() == 0 {
+		if e := collective.New(r).AllreduceSize(alg, m); e != nil && r.ID() == 0 {
 			innerErr = e
 		}
 	})

@@ -1,9 +1,9 @@
 // Package pgas is a partitioned-global-address-space runtime in the UPC
 // tradition, executing on the deterministic pdes engine (as one engine
 // rank, see kernel.go) with message costs from a pluggable network model.
-// Rank programs are plain Go functions; Put/Get move real data between ranks'
-// partitions (so algorithms are checked for correctness, not just timed),
-// and Transfer models traffic that nobody reads by its size alone,
+// Rank programs are plain Go functions; Put/Get and Send/Recv move real data
+// between ranks (so algorithms are checked for correctness, not just timed),
+// and Transfer and SendSize model traffic that nobody reads by its size alone,
 // while the runtime advances virtual time and charges the energy meter for
 // every flop computed, byte moved, and second spent idle.
 //
@@ -548,13 +548,30 @@ func (r *Rank) SignalCount(flag string) int64 {
 // Messages from one sender to one box arrive in issue order when they have
 // equal size; messages from different senders interleave by delivery time.
 func (r *Rank) Send(dst int, box string, vals []float64) {
-	r.checkRank("Send", dst)
-	bytes := float64(8 * len(vals))
-	r.w.chargeMsg(r.ID(), dst, bytes)
-	atomic.AddInt64(&r.w.stats.Sends, 1)
-	data := append([]float64(nil), vals...)
-	t := r.arrival(dst, bytes)
+	r.send("Send", dst, box, len(vals), append([]float64(nil), vals...))
+}
+
+// SendSize is Send of words float64s with no contents: it costs, meters,
+// counts and orders exactly what Send of a words-long slice would, and the
+// matching Recv returns nil. Schedules that are only timed use it.
+func (r *Rank) SendSize(dst int, box string, words int) {
+	r.send("SendSize", dst, box, words, nil)
+}
+
+// send is the one issue path of two-sided messages. It charges and counts a
+// message of words float64s, reserves both NICs, and schedules a single
+// delivery at the arrival time that enqueues data (nil when nothing is
+// carried) in dst's box. The sender pays only its software overhead.
+func (r *Rank) send(op string, dst int, box string, words int, data []float64) {
+	r.checkRank(op, dst)
+	if words < 0 {
+		panic(fmt.Sprintf("pgas: %s of %d words", op, words))
+	}
 	w := r.w
+	bytes := float64(8 * words)
+	w.chargeMsg(r.ID(), dst, bytes)
+	atomic.AddInt64(&w.stats.Sends, 1)
+	t := r.arrival(dst, bytes)
 	w.k.at(t, func() {
 		mb := w.mailbox(dst, box)
 		mb.queue = append(mb.queue, data)
@@ -564,7 +581,8 @@ func (r *Rank) Send(dst int, box string, vals []float64) {
 }
 
 // Recv blocks until the local named mailbox is non-empty and dequeues the
-// oldest message.
+// oldest message (nil for a SendSize). The queue drops its reference to the
+// message, so a consumed payload is garbage once the caller lets go of it.
 func (r *Rank) Recv(box string) []float64 {
 	mb := r.w.mailbox(r.ID(), box)
 	t0 := r.Now()
@@ -573,6 +591,7 @@ func (r *Rank) Recv(box string) []float64 {
 	}
 	r.chargeWait(r.Now() - t0)
 	msg := mb.queue[0]
+	mb.queue[0] = nil
 	mb.queue = mb.queue[1:]
 	return msg
 }

@@ -3,8 +3,11 @@ package pgas
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tenways/internal/energy"
 	"tenways/internal/machine"
@@ -552,6 +555,10 @@ func TestIssueChecksBounds(t *testing.T) {
 			`pgas: rank 0 panicked: pgas: Transfer of -8 words`},
 		{func(r *Rank) { r.Send(5, "box", []float64{1}) },
 			`pgas: rank 0 panicked: pgas: Send addresses rank 5 outside [0, 4)`},
+		{func(r *Rank) { r.SendSize(4, "box", 1) },
+			`pgas: rank 0 panicked: pgas: SendSize addresses rank 4 outside [0, 4)`},
+		{func(r *Rank) { r.SendSize(1, "box", -2) },
+			`pgas: rank 0 panicked: pgas: SendSize of -2 words`},
 		{func(r *Rank) { r.Signal(4, "f") },
 			`pgas: rank 0 panicked: pgas: Signal addresses rank 4 outside [0, 4)`},
 	} {
@@ -571,21 +578,24 @@ func TestIssueChecksBounds(t *testing.T) {
 	}
 }
 
+// worldOutcome is what a run reports that a payload-free op must leave
+// unchanged: its times, message ledgers, energy and wait attribution.
+type worldOutcome struct {
+	makespan float64
+	finish   []float64
+	stats    Stats
+	sent     []int64
+	joules   float64
+	bd       trace.Breakdown
+}
+
 // TestTransferMatchesPutSignal: a halo ring with mixed message sizes, 0
 // words included, costs exactly the same whether each message is a
 // PutSignal of a zero buffer into a segment or a payload-free Transfer.
 func TestTransferMatchesPutSignal(t *testing.T) {
 	const p, steps = 6, 4
 	sizes := []int{0, 1, 7, 64, 4096, 3}
-	type outcome struct {
-		makespan float64
-		finish   []float64
-		stats    Stats
-		sent     []int64
-		joules   float64
-		bd       trace.Breakdown
-	}
-	run := func(transfer bool) outcome {
+	run := func(transfer bool) worldOutcome {
 		w := NewWorld(p, spec(), nil, nil)
 		maxWords := 0
 		for _, n := range sizes {
@@ -617,7 +627,7 @@ func TestTransferMatchesPutSignal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
+		return worldOutcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
 	}
 	put, tr := run(false), run(true)
 	if !reflect.DeepEqual(put, tr) {
@@ -625,5 +635,78 @@ func TestTransferMatchesPutSignal(t *testing.T) {
 	}
 	if put.stats.Puts != 2*p*steps || put.stats.Signals != 2*p*steps {
 		t.Fatalf("stats %+v, want %d puts and signals", put.stats, 2*p*steps)
+	}
+}
+
+// TestSendSizeMatchesSend: a ring of two-sided messages with mixed sizes, 0
+// words included, costs exactly the same whether each message is a Send of
+// a zero buffer or a payload-free SendSize, and every SendSize arrives as
+// nil.
+func TestSendSizeMatchesSend(t *testing.T) {
+	const p, steps = 6, 4
+	sizes := []int{0, 1, 7, 64, 4096, 3}
+	run := func(sizeOnly bool) worldOutcome {
+		w := NewWorld(p, spec(), nil, nil)
+		buf := make([]float64, 4096)
+		finish := make([]float64, p)
+		makespan, err := w.Run(func(r *Rank) {
+			id := r.ID()
+			for s := 0; s < steps; s++ {
+				n := sizes[(id+s)%len(sizes)]
+				for _, dst := range []int{(id + p - 1) % p, (id + 1) % p} {
+					if sizeOnly {
+						r.SendSize(dst, "halo", n)
+					} else {
+						r.Send(dst, "halo", buf[:n])
+					}
+				}
+				r.Compute(1e5*float64(id+1), 0)
+				for i := 0; i < 2; i++ {
+					msg := r.Recv("halo")
+					if sizeOnly && msg != nil {
+						t.Errorf("rank %d: SendSize delivered %d words", id, len(msg))
+					}
+				}
+			}
+			finish[id] = r.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worldOutcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
+	}
+	send, size := run(false), run(true)
+	if !reflect.DeepEqual(send, size) {
+		t.Fatalf("SendSize differs from Send:\n send     %+v\n sendSize %+v", send, size)
+	}
+	if send.stats.Sends != 2*p*steps {
+		t.Fatalf("stats %+v, want %d sends", send.stats, 2*p*steps)
+	}
+}
+
+// TestRecvReleasesMessage: once Recv has handed a message over, the world
+// holds no reference to it, so a consumed 1 MiB payload is collectable
+// while the world, and its mailbox, are still alive.
+func TestRecvReleasesMessage(t *testing.T) {
+	w := NewWorld(2, spec(), nil, nil)
+	var collected atomic.Bool
+	_, err := w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, "box", make([]float64, 1<<17))
+			return
+		}
+		msg := r.Recv("box")
+		runtime.SetFinalizer(&msg[0], func(*float64) { collected.Store(true) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(w)
+	if !collected.Load() {
+		t.Fatal("a received 1 MiB message is still reachable from the world")
 	}
 }

@@ -182,7 +182,8 @@ func w7Aggregation(quick bool) Tunable {
 
 // t3Allreduce tunes allreduce algorithm selection (T3/F14) as an
 // enumerated choice: which algorithm wins depends on the machine's α/β
-// ratio and the vector size.
+// ratio and the vector size. The objective reads only time and energy, so
+// it runs the size-only allreduce (collective.Comm.AllreduceSize).
 func t3Allreduce(quick bool) Tunable {
 	p, vecWords := 64, 16384
 	if quick {
@@ -199,11 +200,9 @@ func t3Allreduce(quick bool) Tunable {
 			return func(pt Point) (Cost, error) {
 				alg := space.Str(pt, "alg")
 				w := pgas.NewWorld(p, m, nil, nil)
-				x := make([]float64, vecWords)
 				var innerErr error
 				secs, err := w.Run(func(r *pgas.Rank) {
-					c := collective.New(r)
-					if _, e := c.AllreduceByName(alg, x, collective.Sum); e != nil && r.ID() == 0 {
+					if e := collective.New(r).AllreduceSize(alg, vecWords); e != nil && r.ID() == 0 {
 						innerErr = e
 					}
 				})
