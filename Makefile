@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fix fix-clean race bench quick smoke examples clean
+.PHONY: all build test lint fix fix-clean race fuzz bench quick smoke examples clean
 
 all: test
 
@@ -40,6 +40,19 @@ race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pdes
+
+# Native fuzzing: run every Fuzz* target of the module for FUZZTIME each
+# (go test fuzzes one target per invocation). Seed corpora live under each
+# package's testdata/fuzz/ and also run as plain tests in make test; a
+# failing input the fuzzer finds is written there too.
+FUZZTIME ?= 10s
+fuzz:
+	@for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for f in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "== $$f ($$dir)"; \
+			$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) $$dir || exit 1; \
+		done; \
+	done
 
 # Go benchmarks (use BENCH=<regex> to narrow). The end-to-end benchmark is
 # cmd/tenbench; scripts/bench-gate.sh <base-ref> compares it across commits.

@@ -326,16 +326,20 @@ func (c *Comm) allreduceRing(m int, x []float64, op Op) []float64 {
 	}
 	id := r.ID()
 	right := (id + 1) % n
+	// Each phase uses one box for all its steps. Only the left neighbour
+	// sends into a rank's ring boxes, and a world delivers the messages to
+	// one rank in issue order (arrivals queue at the receiver's NIC), so
+	// at step s the oldest message in the box is step s's chunk.
+	const scatterBox, gatherBox = "ar.ring", "ar.ring.g"
 	// Reduce-scatter: after n−1 steps, rank i owns the full reduction of
 	// chunk (i+1) mod n.
 	for s := 0; s < n-1; s++ {
 		sendChunk := (id - s + n) % n
 		recvChunk := (id - s - 1 + n) % n
 		lo, hi := chunkRange(m, n, sendChunk)
-		box := "ar.ring." + strconv.Itoa(s)
-		c.sendSpan(right, box, acc, lo, hi)
+		c.sendSpan(right, scatterBox, acc, lo, hi)
 		rlo, rhi := chunkRange(m, n, recvChunk)
-		combine(acc, rlo, r.Recv(box), op)
+		combine(acc, rlo, r.Recv(scatterBox), op)
 		r.Compute(float64(rhi-rlo), float64(16*(rhi-rlo)))
 	}
 	// Allgather: circulate the completed chunks.
@@ -343,10 +347,9 @@ func (c *Comm) allreduceRing(m int, x []float64, op Op) []float64 {
 		sendChunk := (id - s + 1 + n) % n
 		recvChunk := (id - s + n) % n
 		lo, hi := chunkRange(m, n, sendChunk)
-		box := "ar.ring.g" + strconv.Itoa(s)
-		c.sendSpan(right, box, acc, lo, hi)
+		c.sendSpan(right, gatherBox, acc, lo, hi)
 		rlo, _ := chunkRange(m, n, recvChunk)
-		for i, v := range r.Recv(box) {
+		for i, v := range r.Recv(gatherBox) {
 			acc[rlo+i] = v
 		}
 	}

@@ -37,6 +37,23 @@ func TestEngineTablesGolden(t *testing.T) {
 	checkTableDigests(t, Config{Quick: true}, engineTableDigests)
 }
 
+// memTableDigests holds the sha256 of the rendered quick-mode output of
+// the experiments that run on internal/mem's cache hierarchy (T1, pinned
+// above, is the fifth). They were recorded on the simulator whose
+// coherence directory was a Go map and whose F20 simulated each placement
+// separately, so a change to the directory, the prefetcher or the NUMA
+// accounting that reaches a table shows up here.
+var memTableDigests = map[string]string{
+	"F1":  "754e1318c6d95eb980561b28e1641d16b3d21f37a0eca2bd3ee08d38c238bf05",
+	"F9":  "3700e3f499851fe54e46937bcbcf2617ebe38d9ee4d8683f439352180d95ff2b",
+	"F17": "4c65e50e6fdd02337202fad9d7174645952e48a677aa61d1bd870e6972335659",
+	"F20": "bf130ccd93d3d99db0491f60659c22a6d0a49f6653b81b17aa74d804744b0f81",
+}
+
+func TestMemTablesGolden(t *testing.T) {
+	checkTableDigests(t, Config{Quick: true}, memTableDigests)
+}
+
 // checkTableDigests runs the experiments named in want under cfg and
 // compares each one's rendered output with its recorded sha256.
 func checkTableDigests(t *testing.T, cfg Config, want map[string]string) {
@@ -63,17 +80,22 @@ func checkTableDigests(t *testing.T, cfg Config, want map[string]string) {
 
 // fullTableDigests holds the sha256 of the rendered full-mode output of the
 // allreduce experiments, whose quick mode stops at P = 64 (T3) and P = 32
-// (F14). They were recorded while the allreduces still carried and summed
-// their vectors, so they pin the size-only schedule to the data-carrying
-// one up to P = 256.
+// (F14), and of the memory experiments whose full mode simulates larger
+// traces than quick (F9, F17, F20). The allreduce digests were recorded
+// while the allreduces still carried and summed their vectors, so they pin
+// the size-only schedule to the data-carrying one up to P = 256; the
+// memory digests were recorded with memTableDigests.
 var fullTableDigests = map[string]string{
 	"F14": "06c38ea091e785f8db550fb847a4a48fcf827998c3c989f240ba788202540a7b",
 	"T3":  "893ed0c0e47735ac8ca067b9f227f5e3ae2c5312d090eed2cc58937f863def09",
+	"F9":  "cc2c520f80bd17d48ef6bd6d64e849f92eb98bd252915a441ae81bcca783310f",
+	"F17": "94e6d471d0de88b8419bb221f9840ee380f176572823737864115b114d845f15",
+	"F20": "c82831fd590ce811c767c51561164562011080e0dccd50ba1b87f4122bfa75e4",
 }
 
 func TestFullTablesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-mode T3 and F14 take a few seconds")
+		t.Skip("full-mode T3, F14, F9, F17 and F20 take a few seconds")
 	}
 	checkTableDigests(t, Config{}, fullTableDigests)
 }

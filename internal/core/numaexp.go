@@ -10,17 +10,18 @@ import (
 
 // numaStream homes a buffer according to the initialisation pattern, then
 // measures a partitioned parallel stream over 4 cores (2 domains) with the
-// given remote-latency factor. It returns the modeled seconds of the
-// compute phase and the DRAM lines that phase fetched from the remote
-// domain.
-func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, serialInit bool, bytes uint64) (float64, int64, error) {
+// given remote-latency factor. It returns the hierarchy with the compute
+// phase's statistics: its TimeSec is the phase's modeled seconds, and its
+// RemoteLines the DRAM lines the phase fetched from the remote domain
+// under either placement.
+func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, serialInit bool, bytes uint64) (*mem.Hierarchy, error) {
 	spec := *cfg.machine()
 	spec.NUMA.Domains = 2
 	spec.NUMA.RemoteLatencyFactor = remoteFactor
 	const cores = 4
 	h, err := mem.NewHierarchy(&spec, cores)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	h.EnableNUMA(placement)
 	part := bytes / cores
@@ -50,10 +51,12 @@ func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, seria
 			}
 		}
 	}
-	return h.TimeSec(), h.Stats().RemoteDRAMBytes / int64(spec.Levels[0].LineBytes), nil
+	return h, nil
 }
 
-// numaPlacements are F20's placement disciplines, in series order.
+// numaPlacements are F20's placement disciplines, in series order. The
+// placements of one trace (one initialisation) are adjacent, so runF20
+// simulates each trace once.
 var numaPlacements = []struct {
 	name       string
 	placement  mem.Placement
@@ -77,9 +80,12 @@ var numaPlacements = []struct {
 //
 // Because the model is latency-additive, a placement's remote factor does
 // not change which lines go remote, only what each costs: every remote
-// line adds DRAM.LatencyCycles·(rf−1) cycles. So each placement is
-// simulated once, at factor 1, and the sweep is derived from its remote
-// line count (numaSweep).
+// line adds DRAM.LatencyCycles·(rf−1) cycles. And a placement only labels
+// demand DRAM fetches, it never changes what the caches hold, so the two
+// parallel-init placements run one identical trace. So each distinct
+// trace — parallel and serial initialisation — is simulated once, at
+// factor 1, and every placement's sweep is derived from that run's time
+// and the placement's remote line count (numaSweep).
 func runF20(ctx context.Context, cfg Config) (Output, error) {
 	factors := []float64{1, 1.5, 2, 3, 4}
 	// The buffer must exceed the machine's LLC so the measured compute
@@ -93,12 +99,15 @@ func runF20(ctx context.Context, cfg Config) (Output, error) {
 		"NUMA placement: modeled stream time vs remote-latency factor (4 cores, 2 domains)",
 		"remote-latency-factor", "seconds")
 	f.Xs = factors
-	for _, p := range numaPlacements {
-		t1, remote, err := numaStream(cfg, 1, p.placement, p.serialInit, bytes)
-		if err != nil {
-			return Output{}, err
+	var h *mem.Hierarchy
+	for i, p := range numaPlacements {
+		if i == 0 || p.serialInit != numaPlacements[i-1].serialInit {
+			var err error
+			if h, err = numaStream(cfg, 1, p.placement, p.serialInit, bytes); err != nil {
+				return Output{}, err
+			}
 		}
-		f.AddSeries(p.name, numaSweep(cfg.machine(), t1, remote, factors))
+		f.AddSeries(p.name, numaSweep(cfg.machine(), h.TimeSec(), h.RemoteLines(p.placement), factors))
 	}
 	return Output{Figure: f}, nil
 }

@@ -7,32 +7,42 @@ import (
 	"tenways/internal/mem"
 )
 
-// F20 simulates each placement once and derives the other remote-latency
-// factors from the remote line count. That is exact only while the NUMA
-// penalty is additive per remote line; this test fails as soon as it is
-// not (for example if bandwidth saturation were modelled).
+// F20 simulates each distinct trace once, at factor 1, and derives every
+// placement's series from that run: the other remote-latency factors from
+// the remote line count, and the interleaved series from the parallel-init
+// trace simulated under first-touch. That is exact only while the NUMA
+// penalty is additive per remote line and a placement never changes cache
+// state; this test compares each derived point with a direct simulation
+// under the placement itself and fails as soon as either stops holding
+// (for example if bandwidth saturation were modelled).
 func TestNUMASweepMatchesDirectSimulation(t *testing.T) {
 	cfg := Config{Quick: true}
 	const bytes = 8 << 20 // exceeds the default machine's 6 MiB LLC
 	const rf = 4
-	for _, p := range numaPlacements {
-		t1, remote, err := numaStream(cfg, 1, p.placement, p.serialInit, bytes)
+	line := int64(cfg.machine().Levels[0].LineBytes)
+	for _, serialInit := range []bool{false, true} {
+		h1, err := numaStream(cfg, 1, mem.PlacementFirstTouch, serialInit, bytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, directRemote, err := numaStream(cfg, rf, p.placement, p.serialInit, bytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if directRemote != remote {
-			t.Fatalf("%s: remote lines %d at factor %d, %d at factor 1", p.name, directRemote, rf, remote)
-		}
-		derived := numaSweep(cfg.machine(), t1, remote, []float64{rf})[0]
-		if rel := math.Abs(derived-direct) / direct; rel > 1e-12 {
-			t.Errorf("%s: derived %.17g s, direct %.17g s (relative error %.3g)", p.name, derived, direct, rel)
-		}
-		if p.placement == mem.PlacementInterleave && remote == 0 {
-			t.Fatalf("%s: no remote lines, so the comparison proves nothing", p.name)
+		for _, p := range []mem.Placement{mem.PlacementFirstTouch, mem.PlacementInterleave} {
+			direct, err := numaStream(cfg, rf, p, serialInit, bytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := h1.RemoteLines(p)
+			if got := direct.Stats().RemoteDRAMBytes / line; got != remote {
+				t.Fatalf("serial init %v, placement %d: %d remote lines simulated directly at factor %d, %d derived",
+					serialInit, p, got, rf, remote)
+			}
+			if p == mem.PlacementInterleave && remote == 0 {
+				t.Fatalf("serial init %v: no interleaved remote lines, so the comparison proves nothing", serialInit)
+			}
+			derived := numaSweep(cfg.machine(), h1.TimeSec(), remote, []float64{rf})[0]
+			if rel := math.Abs(derived-direct.TimeSec()) / direct.TimeSec(); rel > 1e-12 {
+				t.Errorf("serial init %v, placement %d: derived %.17g s, direct %.17g s (relative error %.3g)",
+					serialInit, p, derived, direct.TimeSec(), rel)
+			}
 		}
 	}
 }

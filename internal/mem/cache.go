@@ -27,6 +27,12 @@ type cache struct {
 	lastUse []uint64 // LRU stamp; 0 exactly for invalid ways
 	dirty   []bool
 	tick    uint64 // LRU clock, monotone per cache; valid stamps start at 1
+
+	// pf marks the ways a prefetch filled that no demand access has used
+	// yet. Only shared levels of a prefetching hierarchy have it (nil
+	// otherwise); fill clears the mark of the way it reuses, so a mark
+	// never outlives its line.
+	pf []bool
 }
 
 func newCache(spec machine.LevelSpec) *cache {
@@ -95,6 +101,9 @@ func (c *cache) fill(lineAddr uint64, dirty bool) (evicted uint64, evictedDirty,
 	}
 	c.tick++
 	c.tags[v], c.lastUse[v], c.dirty[v] = lineAddr+1, c.tick, dirty
+	if c.pf != nil {
+		c.pf[v] = false
+	}
 	return evicted, evictedDirty, evictedValid
 }
 
@@ -128,15 +137,6 @@ func (c *cache) clean(lineAddr uint64) {
 	}
 }
 
-// dirEntry is the directory's view of one line across private hierarchies.
-// The directory stores entries by value, so tracking a line allocates
-// nothing beyond the map's own growth.
-type dirEntry struct {
-	sharers  uint64 // bitmask of cores holding the line privately
-	owner    int    // core with the modified copy, valid iff modified
-	modified bool
-}
-
 // Stats aggregates hierarchy activity.
 type Stats struct {
 	LevelHits       []int64 // per configured level (private levels summed over cores)
@@ -164,16 +164,18 @@ type Hierarchy struct {
 	shared  []*cache   // shared levels in order
 	privIdx []int      // indices into spec.Levels for private levels
 	shIdx   []int      // indices into spec.Levels for shared levels
-	dir     map[uint64]dirEntry
+	dir     dirTable   // coherence directory; unused with one core
 	stats   Stats
 	line    uint64 // line size in bytes (uniform across levels)
 
-	prefetchOn bool
-	prefetched map[uint64]bool // lines resident due to an un-consumed prefetch
+	prefetchOn bool // un-consumed prefetches are marked in the shared levels' pf
 
 	numaOn     bool
 	placement  Placement
 	firstTouch map[uint64]int // page -> home domain, first-touch policy
+	// Demand DRAM lines fetched from a remote domain since the last
+	// ResetStats, under each placement (see RemoteLines).
+	remoteFirstTouch, remoteInterleave int64
 }
 
 // EnablePrefetch turns on a next-line prefetcher: every demand miss to
@@ -184,8 +186,10 @@ type Hierarchy struct {
 // which is exactly the W1 ablation story (F17).
 func (h *Hierarchy) EnablePrefetch() {
 	h.prefetchOn = true
-	if h.prefetched == nil {
-		h.prefetched = make(map[uint64]bool)
+	for _, c := range h.shared {
+		if c.pf == nil {
+			c.pf = make([]bool, len(c.tags))
+		}
 	}
 }
 
@@ -205,7 +209,6 @@ func NewHierarchy(spec *machine.Spec, cores int) (*Hierarchy, error) {
 	h := &Hierarchy{
 		spec:  spec,
 		cores: cores,
-		dir:   make(map[uint64]dirEntry),
 		line:  uint64(spec.Levels[0].LineBytes),
 	}
 	for i, l := range spec.Levels {
@@ -287,14 +290,14 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 	var e dirEntry
 	var tracked bool
 	if h.cores > 1 {
-		e, tracked = h.dir[lineAddr]
+		e, tracked = h.dir.get(lineAddr)
 	}
 	if tracked {
 		if write {
-			if e.modified && e.owner != core {
+			if e.modified && int(e.owner) != core {
 				// Cache-to-cache intervention: fetch the modified copy
 				// and invalidate the owner.
-				h.invalidateEverywhere(e.owner, lineAddr)
+				h.invalidateEverywhere(int(e.owner), lineAddr)
 				h.stats.CacheTransfers++
 				h.stats.CoherenceBytes += int64(h.line)
 				h.stats.Invalidations++
@@ -310,11 +313,11 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 				}
 			}
 			e.modified = true
-			e.owner = core
-		} else if e.modified && e.owner != core {
+			e.owner = int32(core)
+		} else if e.modified && int(e.owner) != core {
 			// Read of a remotely modified line: owner downgrades to shared
 			// and forwards the data.
-			h.cleanEverywhere(e.owner, lineAddr)
+			h.cleanEverywhere(int(e.owner), lineAddr)
 			h.stats.CacheTransfers++
 			h.stats.CoherenceBytes += int64(h.line)
 			cycles += h.interventionCycles()
@@ -343,14 +346,13 @@ func (h *Hierarchy) accessLine(core int, lineAddr uint64, write bool) AccessResu
 
 	// Probe shared levels.
 	for si, c := range h.shared {
-		if _, ok := c.lookup(lineAddr); ok {
+		if w, ok := c.lookup(lineAddr); ok {
 			li := h.shIdx[si]
 			h.stats.LevelHits[li]++
 			cycles += levels[li].LatencyCycles
 			h.fillPrivate(core, lineAddr, len(priv)-1, write)
 			h.track(core, lineAddr, e, write)
-			if h.prefetchOn && h.prefetched[lineAddr] {
-				delete(h.prefetched, lineAddr)
+			if h.prefetchOn && h.consumePrefetch(si, w, lineAddr) {
 				h.issuePrefetch(core, lineAddr+1)
 			}
 			return AccessResult{Cycles: cycles, HitLevel: li}
@@ -430,15 +432,15 @@ func (h *Hierarchy) handlePrivateEviction(core, fromLevel int, lineAddr uint64, 
 		return
 	}
 	if !h.coreHolds(core, lineAddr) {
-		if e, ok := h.dir[lineAddr]; ok {
+		if e, ok := h.dir.get(lineAddr); ok {
 			e.sharers &^= 1 << uint(core)
-			if e.modified && e.owner == core {
+			if e.modified && int(e.owner) == core {
 				e.modified = false
 			}
 			if e.sharers == 0 {
-				delete(h.dir, lineAddr)
+				h.dir.del(lineAddr)
 			} else {
-				h.dir[lineAddr] = e
+				h.dir.put(lineAddr, e)
 			}
 		}
 	}
@@ -472,6 +474,8 @@ func (h *Hierarchy) issuePrefetch(core int, lineAddr uint64) {
 	if len(h.shared) > 0 {
 		for si := len(h.shared) - 1; si >= 0; si-- {
 			h.fillShared(si, lineAddr, false)
+			c := h.shared[si]
+			c.pf[c.find(lineAddr)] = true
 		}
 	} else {
 		// No shared level: the prefetched copy is private to core, so the
@@ -485,9 +489,25 @@ func (h *Hierarchy) issuePrefetch(core int, lineAddr uint64) {
 				h.handlePrivateEviction(core, pi, ev, evD)
 			}
 		}
-		h.track(core, lineAddr, h.dir[lineAddr], false)
+		e, _ := h.dir.get(lineAddr)
+		h.track(core, lineAddr, e, false)
 	}
-	h.prefetched[lineAddr] = true
+}
+
+// consumePrefetch reports whether a demand hit on lineAddr, found in way w
+// of shared level si, uses a prefetched copy, and clears the line's mark in
+// every shared level, so the chain it continues is issued once. The levels
+// above si have just missed, so only si and the deeper ones can hold it.
+func (h *Hierarchy) consumePrefetch(si, w int, lineAddr uint64) bool {
+	marked := h.shared[si].pf[w]
+	h.shared[si].pf[w] = false
+	for _, c := range h.shared[si+1:] {
+		if v := c.find(lineAddr); v >= 0 && c.pf[v] {
+			c.pf[v] = false
+			marked = true
+		}
+	}
+	return marked
 }
 
 func (h *Hierarchy) coreHolds(core int, lineAddr uint64) bool {
@@ -522,9 +542,9 @@ func (h *Hierarchy) track(core int, lineAddr uint64, e dirEntry, write bool) {
 	}
 	e.sharers |= 1 << uint(core)
 	if write {
-		e.modified, e.owner = true, core
+		e.modified, e.owner = true, int32(core)
 	}
-	h.dir[lineAddr] = e
+	h.dir.put(lineAddr, e)
 }
 
 // ResetStats clears the accumulated statistics, keeping cache contents and
@@ -537,6 +557,7 @@ func (h *Hierarchy) ResetStats() {
 		LevelBytesIn: make([]int64, len(h.spec.Levels)),
 	}
 	h.stats = st
+	h.remoteFirstTouch, h.remoteInterleave = 0, 0
 }
 
 // Stats returns a copy of the accumulated statistics.

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -450,6 +452,87 @@ func TestZeroAllocStreaming(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
 		t.Fatalf("streaming allocated %v times per run, want 0", allocs)
+	}
+}
+
+// A cold hierarchy allocates only as its directory doubles: an F20-sized
+// parallel initialisation and stream over 4 cores costs at most one
+// allocation per directory size it passed through, and the directory
+// stays within the bound the private capacity puts on it.
+func TestColdStreamAllocatesPerDoubling(t *testing.T) {
+	const cores = 4
+	const bytes = 16 << 20
+	spec := machine.Petascale2009()
+	h, err := NewHierarchy(spec, cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := uint64(bytes / cores)
+	run := func() {
+		for c := 0; c < cores; c++ {
+			for a := uint64(c) * part; a < uint64(c+1)*part; a += 64 {
+				h.Write(c, a, 8)
+			}
+		}
+		for c := 0; c < cores; c++ {
+			for a := uint64(c) * part; a < uint64(c+1)*part; a += 64 {
+				h.Read(c, a, 8)
+			}
+		}
+	}
+	// A collection allocates on the runtime's own account; the stream's
+	// garbage is only the directory's outgrown tables, so keep it off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	sizes := 0
+	for n := len(h.dir.slots); n >= dirInitialSlots; n /= 2 {
+		sizes++
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > uint64(sizes) {
+		t.Fatalf("cold stream allocated %d times, want at most %d (one per directory size up to %d slots)",
+			allocs, sizes, len(h.dir.slots))
+	}
+	var privLines int64
+	for _, l := range spec.Levels {
+		if !l.Shared {
+			privLines += l.CapacityBytes / int64(l.LineBytes)
+		}
+	}
+	if bound := cores * privLines; int64(h.dir.n) > bound || int64(len(h.dir.slots)) > 4*bound {
+		t.Fatalf("directory holds %d entries in %d slots; the private capacity is %d lines", h.dir.n, len(h.dir.slots), bound)
+	}
+}
+
+// A prefetch mark lives and dies with its line in the shared levels: once
+// a prefetched line is evicted unused, the demand-fetched copy that
+// replaces it is not a prefetch, and a hit on it continues no chain.
+func TestPrefetchMarkDiesWithItsLine(t *testing.T) {
+	// tiny: L1 has 2 sets of 2 ways, the shared LLC 4 sets of 4 ways.
+	h, err := NewHierarchy(tiny(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.EnablePrefetch()
+	read := func(line uint64) { h.Read(0, line*64, 8) }
+	read(0) // misses; prefetches line 1 into LLC set 1
+	for k := uint64(1); k <= 4; k++ {
+		read(1 + 4*k) // evicts the unused prefetch of line 1 from set 1
+	}
+	read(1) // demand miss: line 1 is back, not as a prefetch; prefetches line 2
+	for k := uint64(1); k <= 4; k++ {
+		read(2 + 4*k) // evicts line 2 from LLC set 2
+	}
+	read(3) // evict line 1 from its L1 set, keeping it in the LLC
+	read(7)
+	before := h.Stats().Prefetches
+	if r := h.Read(0, 64, 8); r.HitLevel != 1 {
+		t.Fatalf("line 1 should hit the LLC, got level %d", r.HitLevel)
+	}
+	if n := h.Stats().Prefetches - before; n != 0 {
+		t.Fatalf("a hit on a demand-fetched line issued %d prefetches, want 0", n)
 	}
 }
 

@@ -45,33 +45,57 @@ func (h *Hierarchy) coreDomain(core int) int {
 	return core / perDomain
 }
 
-// homeDomain returns (and, for first-touch, records) the domain owning the
-// page containing addr.
-func (h *Hierarchy) homeDomain(core int, lineAddr uint64) int {
-	page := lineAddr * h.line / numaPageBytes
-	switch h.placement {
-	case PlacementFirstTouch:
-		if d, ok := h.firstTouch[page]; ok {
-			return d
-		}
-		d := h.coreDomain(core)
-		h.firstTouch[page] = d
+// firstTouchHome returns (and, on the page's first fetch, records) the
+// domain owning page under first-touch: the domain of the core whose
+// demand fetch reached it first.
+func (h *Hierarchy) firstTouchHome(core int, page uint64) int {
+	if d, ok := h.firstTouch[page]; ok {
 		return d
-	default:
-		return int(page % uint64(h.spec.NUMA.Domains))
 	}
+	d := h.coreDomain(core)
+	h.firstTouch[page] = d
+	return d
 }
 
-// numaDRAMPenalty classifies one DRAM line access and returns the extra
-// latency cycles beyond the local cost (0 when local or NUMA is off).
+// numaDRAMPenalty classifies one demand DRAM line fetch and returns the
+// extra latency cycles beyond the local cost (0 when local or NUMA is
+// off). A placement only labels fetches, it never changes what the caches
+// hold, so the fetch is also classified under the placement not in force:
+// one simulation of a trace yields RemoteLines for both.
 func (h *Hierarchy) numaDRAMPenalty(core int, lineAddr uint64) float64 {
 	if !h.numaOn {
 		return 0
 	}
-	if h.homeDomain(core, lineAddr) == h.coreDomain(core) {
+	page := lineAddr * h.line / numaPageBytes
+	dom := h.coreDomain(core)
+	ftRemote := h.firstTouchHome(core, page) != dom
+	ilRemote := int(page%uint64(h.spec.NUMA.Domains)) != dom
+	if ftRemote {
+		h.remoteFirstTouch++
+	}
+	if ilRemote {
+		h.remoteInterleave++
+	}
+	remote := ilRemote
+	if h.placement == PlacementFirstTouch {
+		remote = ftRemote
+	}
+	if !remote {
 		h.stats.LocalDRAMBytes += int64(h.line)
 		return 0
 	}
 	h.stats.RemoteDRAMBytes += int64(h.line)
 	return h.spec.DRAM.LatencyCycles * (h.spec.NUMA.RemoteLatencyFactor - 1)
+}
+
+// RemoteLines returns the demand DRAM line fetches since the last
+// ResetStats (or since EnableNUMA) whose page placement p homes in a
+// domain other than the fetching core's, whichever placement EnableNUMA
+// put in force; for that one it is RemoteDRAMBytes divided by the line
+// size. It is 0 when NUMA accounting is off.
+func (h *Hierarchy) RemoteLines(p Placement) int64 {
+	if p == PlacementFirstTouch {
+		return h.remoteFirstTouch
+	}
+	return h.remoteInterleave
 }

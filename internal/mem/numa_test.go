@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 
 	"tenways/internal/energy"
@@ -132,5 +133,59 @@ func TestNUMANoopOnUMA(t *testing.T) {
 	st := h.Stats()
 	if st.LocalDRAMBytes != 0 || st.RemoteDRAMBytes != 0 {
 		t.Fatal("UMA machine should not classify NUMA traffic")
+	}
+}
+
+// A placement only labels demand DRAM fetches, so one run counts the
+// remote lines of both: RemoteLines(p) under either placement in force
+// equals the remote bytes a run under p itself reports, after a ResetStats
+// as from the start.
+func TestRemoteLinesUnderEitherPlacement(t *testing.T) {
+	placements := []Placement{PlacementFirstTouch, PlacementInterleave}
+	run := func(p Placement) *Hierarchy {
+		h, err := NewHierarchy(numaSpec(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.EnableNUMA(p)
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 20000; i++ {
+			if i == 5000 {
+				h.ResetStats()
+			}
+			core, addr := rng.Intn(4), uint64(rng.Intn(256<<10))
+			if rng.Intn(3) == 0 {
+				h.Write(core, addr, 8)
+			} else {
+				h.Read(core, addr, 8)
+			}
+		}
+		return h
+	}
+	direct := map[Placement]int64{}
+	for _, p := range placements {
+		direct[p] = run(p).Stats().RemoteDRAMBytes / 64
+		if direct[p] == 0 {
+			t.Fatalf("placement %d: no remote lines, so the comparison proves nothing", p)
+		}
+	}
+	if direct[PlacementFirstTouch] == direct[PlacementInterleave] {
+		t.Fatalf("both placements fetched %d remote lines; the trace does not tell them apart", direct[PlacementFirstTouch])
+	}
+	for _, inForce := range placements {
+		h := run(inForce)
+		for _, p := range placements {
+			if got := h.RemoteLines(p); got != direct[p] {
+				t.Errorf("placement %d in force: RemoteLines(%d) = %d, a run under %d fetched %d", inForce, p, got, p, direct[p])
+			}
+		}
+	}
+	h, err := NewHierarchy(numaSpec(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Read(0, 0, 8)
+	if h.RemoteLines(PlacementInterleave) != 0 || h.RemoteLines(PlacementFirstTouch) != 0 {
+		t.Fatal("RemoteLines counted with NUMA accounting off")
 	}
 }

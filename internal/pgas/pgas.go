@@ -545,8 +545,9 @@ func (r *Rank) SignalCount(flag string) int64 {
 // Send delivers a copy of vals into dst's named mailbox after one message
 // time (two-sided messaging in the MPI style, on the same cost model as the
 // one-sided operations). The sender continues after its software overhead.
-// Messages from one sender to one box arrive in issue order when they have
-// equal size; messages from different senders interleave by delivery time.
+// Messages to another rank arrive in the order they were issued, whatever
+// their sizes and senders, because arrivals queue at the receiver's NIC
+// (arrivalFrom); a rank's sends to itself skip that queue.
 func (r *Rank) Send(dst int, box string, vals []float64) {
 	r.send("Send", dst, box, len(vals), append([]float64(nil), vals...))
 }

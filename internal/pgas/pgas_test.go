@@ -710,3 +710,32 @@ func TestRecvReleasesMessage(t *testing.T) {
 		t.Fatal("a received 1 MiB message is still reachable from the world")
 	}
 }
+
+// Messages from one rank to another are delivered in the order they were
+// issued, even when a later one is much smaller: the receiver's NIC queues
+// arrivals. collective's ring allreduce relies on it to reuse one box for
+// every step of a phase.
+func TestSendsArriveInIssueOrder(t *testing.T) {
+	w := NewWorld(2, spec(), nil, nil)
+	sizes := []int{1 << 16, 1, 1 << 12, 0, 3}
+	var got []int
+	_, err := w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			for _, words := range sizes {
+				r.Send(1, "box", make([]float64, words))
+			}
+			return
+		}
+		for range sizes {
+			got = append(got, len(r.Recv("box")))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sizes {
+		if got[i] != sizes[i] {
+			t.Fatalf("received sizes %v, sent %v", got, sizes)
+		}
+	}
+}
