@@ -45,8 +45,6 @@ func runT12(ctx context.Context, cfg Config) (Output, error) {
 		Workers:    4,
 		QueueDepth: 8,
 		Catalog:    t12Catalog(catalog),
-		ThinkMean:  0.05,
-		BurstFrac:  0.5,
 	}
 
 	// Policy ladder: each row switches one more of the daemon's remedies
@@ -89,7 +87,10 @@ func runT12(ctx context.Context, cfg Config) (Output, error) {
 		if err := ctx.Err(); err != nil {
 			return Output{}, err
 		}
-		st := sim.Simulate(row.mut(base))
+		st, err := sim.Simulate(row.mut(base))
+		if err != nil {
+			return Output{}, err
+		}
 		t.AddRow(
 			row.label,
 			strconv.Itoa(st.Runs),
