@@ -427,10 +427,3 @@ func chunkRange(m, n, i int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -174,10 +174,3 @@ func MaxReplication(p int) int {
 	}
 	return c
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -243,56 +243,70 @@ func (w *randWorkload) Handle(s Sched, ev Event) {
 	}
 }
 
-// TestQueueEquivalenceProperty is the engine's safety net: seeded random
-// workloads through every engine configuration — extreme bucket widths,
-// serial and barrier-synchronised workers, partition counts that do not
-// divide the rank count — must produce byte-identical results and per-rank
-// trace chains. One event skipped or reordered changes every subsequent
-// hash of its rank's chain.
-func TestQueueEquivalenceProperty(t *testing.T) {
+// FuzzQueueEquivalence is the engine's safety net and its determinism
+// contract as a search: a seeded random workload through any engine
+// configuration — partition counts that do not divide the rank count,
+// serial and barrier-synchronised workers, bucket widths from constant
+// respreads to one giant bucket — must produce the 1-partition run's events,
+// virtual time and per-rank trace chains. One event skipped or reordered
+// changes every subsequent hash of its rank's chain. Partitions wrap into
+// [1, 16], workers into [1, min(partitions, 4)] and the width exponent
+// into [-8, 14], so no input starts more than three helper goroutines.
+func FuzzQueueEquivalence(f *testing.F) {
 	const n = 96
 	const look = 2e-6
-	configs := []struct {
-		cfg   Config
-		width float64
-	}{
-		{Config{Partitions: 1, Workers: 1}, look / 64},
-		{Config{Partitions: 1, Workers: 1}, look * 1e4},
-		{Config{Partitions: 7, Workers: 1}, look / 4},
-		{Config{Partitions: 7, Workers: 3}, look / 4},
-		{Config{Partitions: 16, Workers: 4}, look / 64},  // constant respreads
-		{Config{Partitions: 16, Workers: 4}, look * 1e4}, // one giant bucket
-		{Config{Partitions: 16, Workers: 4}, look / 4},
-	}
+	// The fixed grid this target grew from: three seeds through seven
+	// configurations (bucket width look * 2^widthExp).
 	for _, seed := range []uint64{1, 0xabcdef, 77777} {
+		for _, c := range []struct {
+			parts, workers uint8
+			widthExp       int8
+		}{
+			{1, 1, -6},
+			{1, 1, 13},
+			{7, 1, -2},
+			{7, 3, -2},
+			{16, 4, -6}, // constant respreads
+			{16, 4, 13}, // one giant bucket
+			{16, 4, -2},
+		} {
+			f.Add(seed, c.parts, c.workers, c.widthExp)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, parts, workers uint8, widthExp int8) {
+		p := wrap(int(parts), 1, 16)
+		cfg := Config{Partitions: p, Workers: wrap(int(workers), 1, min(p, 4)), Lookahead: look}
+		width := look * math.Exp2(float64(wrap(int(widthExp), -8, 14)))
 		base := newRandWorkload(n, seed, look)
 		bres, err := Run(base, Config{Partitions: 1, Workers: 1, Lookahead: look})
 		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
+			t.Fatalf("baseline: %v", err)
 		}
 		if bres.Events == 0 {
-			t.Fatalf("seed %d: baseline produced no events", seed)
+			t.Fatal("baseline produced no events")
 		}
-		for ci, c := range configs {
-			w := newRandWorkload(n, seed, look)
-			cfg := c.cfg
-			cfg.Lookahead = look
-			res, err := run(w, cfg, c.width)
-			if err != nil {
-				t.Fatalf("seed %d config %d (%+v width=%g): %v", seed, ci, cfg, c.width, err)
-			}
-			if res.Events != bres.Events || res.VirtualTime != bres.VirtualTime {
-				t.Errorf("seed %d config %d (parts=%d width=%g): events %d / vt %g, baseline %d / %g",
-					seed, ci, cfg.Partitions, c.width, res.Events, res.VirtualTime, bres.Events, bres.VirtualTime)
-			}
-			for r := 0; r < n; r++ {
-				if w.trace[r] != base.trace[r] {
-					t.Fatalf("seed %d config %d (parts=%d workers=%d width=%g): rank %d trace %x, baseline %x",
-						seed, ci, cfg.Partitions, cfg.Workers, c.width, r, w.trace[r], base.trace[r])
-				}
+		w := newRandWorkload(n, seed, look)
+		res, err := run(w, cfg, width)
+		if err != nil {
+			t.Fatalf("parts=%d workers=%d width=%g: %v", cfg.Partitions, cfg.Workers, width, err)
+		}
+		if res.Events != bres.Events || res.VirtualTime != bres.VirtualTime {
+			t.Errorf("parts=%d workers=%d width=%g: events %d / vt %g, baseline %d / %g",
+				cfg.Partitions, cfg.Workers, width, res.Events, res.VirtualTime, bres.Events, bres.VirtualTime)
+		}
+		for r := 0; r < n; r++ {
+			if w.trace[r] != base.trace[r] {
+				t.Fatalf("parts=%d workers=%d width=%g: rank %d trace %x, baseline %x",
+					cfg.Partitions, cfg.Workers, width, r, w.trace[r], base.trace[r])
 			}
 		}
-	}
+	})
+}
+
+// wrap maps v into [lo, hi], leaving values already in range unchanged.
+func wrap(v, lo, hi int) int {
+	span := hi - lo + 1
+	return lo + ((v-lo)%span+span)%span
 }
 
 // TestWindowLoopSteadyStateZeroAlloc is the slab-arena acceptance gate:
