@@ -1,9 +1,10 @@
 // Package pdes is the partitioned, conservatively-synchronized parallel
 // discrete-event simulation engine, the repository's one DES kernel: F28
-// runs its million-rank idle wave on it, and every pgas world runs on it as
-// a single engine rank (internal/pgas). Ranks are split into contiguous
-// partitions, each with its own ladder (calendar) queue of pending events;
-// partitions advance together through fixed virtual-time windows of one
+// runs its million-rank idle wave on it, and every pgas world
+// (internal/pgas) and T12's daemon simulator (internal/serve/sim) run on it
+// as a single engine rank. Ranks are split into contiguous partitions,
+// each with its own ladder (calendar) queue of pending events; partitions
+// advance together through fixed virtual-time windows of one
 // lookahead, the lower bound on any cross-partition message delay. Within
 // a window every partition processes its events independently; events
 // bound for another partition are buffered into per-(src,dst) chunk chains
