@@ -4,12 +4,17 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -22,9 +27,9 @@ type Package struct {
 	Fset       *token.FileSet
 	// Files are the non-test source files, sorted by filename.
 	Files []*ast.File
-	// Types and Info are best-effort: stdlib imports are checked from
-	// GOROOT source (declarations only, once per package, without cgo) and
-	// repo imports from the module, but a failed import degrades to a stub
+	// Types and Info are best-effort: stdlib imports are read from the
+	// compiler's export data in the build cache and repo imports are
+	// checked from the module, but a failed import degrades to a stub
 	// rather than failing the load, so rules must treat missing type
 	// information as "unknown", not as proof.
 	Types *types.Package
@@ -42,14 +47,18 @@ type Package struct {
 
 // Loader parses and type-checks packages inside one module. It may be used
 // for several Load calls. Repo packages are loaded one at a time, with
-// function bodies and comments. Stdlib packages are checked from GOROOT
-// source once per package for the Loader's lifetime, independent ones
-// concurrently, with cgo off; see stdImporter.
+// function bodies and comments. Stdlib packages are not checked at all:
+// their types come from the export data the compiler wrote to the build
+// cache, located by one `go list` per Load (see listExports) and read once
+// per package for the Loader's lifetime.
 type Loader struct {
 	fset    *token.FileSet
-	root    string // module root (dir containing go.mod)
-	module  string // module path from go.mod
-	std     *stdImporter
+	root    string        // module root (dir containing go.mod)
+	module  string        // module path from go.mod
+	ctxt    build.Context // picks repo files as go build does, with cgo off
+	std     types.Importer
+	exports map[string]string   // std import path -> export data file, "" if go list gave none
+	parsed  map[string]*Package // by absolute dir, parsed by Load but not yet checked
 	checked map[string]*Package // by absolute dir
 	loading map[string]bool     // import-cycle guard
 }
@@ -73,15 +82,22 @@ func NewLoaderAt(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	return &Loader{
-		fset:    fset,
+	// With cgo off a file importing "C" is left out of its package, as
+	// go/types cannot check it.
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	l := &Loader{
+		fset:    token.NewFileSet(),
 		root:    root,
 		module:  module,
-		std:     newStdImporter(build.Default, fset),
+		ctxt:    ctxt,
+		exports: make(map[string]string),
+		parsed:  make(map[string]*Package),
 		checked: make(map[string]*Package),
 		loading: make(map[string]bool),
-	}, nil
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.openExport)
+	return l, nil
 }
 
 // Root returns the module root directory.
@@ -116,7 +132,9 @@ func findModule(dir string) (root, module string, err error) {
 // pattern is a directory, or a directory suffixed "/..." for a recursive
 // walk; the walk skips testdata, vendor, and dot/underscore directories
 // (naming a testdata directory explicitly still loads it, which is how the
-// rule fixtures are checked). Results come back sorted by import path.
+// rule fixtures are checked). Every new directory is parsed before any is
+// checked, so one `go list` finds the export data of all their std imports.
+// Results come back sorted by import path.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -167,6 +185,17 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		dirs = append(dirs, d)
 	}
 	sort.Strings(dirs)
+	for _, d := range dirs {
+		if _, ok := l.checked[d]; ok {
+			continue
+		}
+		p, err := l.parseDir(d)
+		if err != nil {
+			return nil, err
+		}
+		l.parsed[d] = p
+	}
+	l.listExports(l.stdImports())
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, d := range dirs {
 		p, err := l.loadDir(d)
@@ -207,8 +236,14 @@ func (l *Loader) importPathFor(dir string) string {
 	return l.module + "/" + filepath.ToSlash(rel)
 }
 
-// loadDir parses and type-checks one directory. Returns nil (no error) for
-// directories without non-test Go files.
+// isGoSource reports whether e is a non-test .go file.
+func isGoSource(e fs.DirEntry) bool {
+	name := e.Name()
+	return !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+}
+
+// loadDir parses and type-checks one directory, reusing Load's parse of it.
+// Returns nil (no error) for directories without non-test Go files.
 func (l *Loader) loadDir(dir string) (*Package, error) {
 	if p, ok := l.checked[dir]; ok {
 		return p, nil
@@ -219,6 +254,24 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	l.loading[dir] = true
 	defer delete(l.loading, dir)
 
+	p, ok := l.parsed[dir]
+	if !ok {
+		var err error
+		if p, err = l.parseDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	delete(l.parsed, dir)
+	if p != nil {
+		l.check(p)
+	}
+	l.checked[dir] = p
+	return p, nil
+}
+
+// parseDir parses the files of one directory that go build would compile,
+// with comments. Returns nil (no error) when there are none.
+func (l *Loader) parseDir(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -228,10 +281,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		if !isGoSource(e) {
 			continue
 		}
-		// The stdlib's build context picks repo files too, so one rule
-		// (build constraints, GOOS/GOARCH file suffixes, cgo off) decides
-		// every file the loader reads.
-		if ok, err := l.std.ctxt.MatchFile(dir, e.Name()); err != nil {
+		if ok, err := l.ctxt.MatchFile(dir, e.Name()); err != nil {
 			return nil, fmt.Errorf("lint: %v", err)
 		} else if ok {
 			names = append(names, e.Name())
@@ -257,10 +307,6 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		files = append(files, f)
 		src[path] = data
 	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-
 	p := &Package{
 		Dir:        dir,
 		ImportPath: l.importPathFor(dir),
@@ -272,7 +318,11 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	for _, f := range files {
 		p.imports[f] = importTable(f)
 	}
+	return p, nil
+}
 
+// check type-checks p into p.Types and p.Info.
+func (l *Loader) check(p *Package) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -286,15 +336,84 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	// Check never hard-fails the load: an unresolved import or a type error
 	// in one package must not stop the analyzer, it just thins the type
 	// information the rules can lean on.
-	p.Types, _ = conf.Check(p.ImportPath, l.fset, files, info)
+	p.Types, _ = conf.Check(p.ImportPath, l.fset, p.Files, info)
 	p.Info = info
-	l.checked[dir] = p
-	return p, nil
 }
 
-// moduleImporter resolves repo-internal imports through the Loader and
-// everything else through the GOROOT source importer, degrading to an empty
-// stub package when either fails.
+// isStd reports whether path, imported from this module, names a standard
+// library package: its first element has no dot, and it is not the module's.
+func (l *Loader) isStd(path string) bool {
+	first, _, _ := strings.Cut(path, "/")
+	return !strings.Contains(first, ".") && path != l.module && !strings.HasPrefix(path, l.module+"/")
+}
+
+// stdImports lists, sorted, the std imports of the parsed packages that no
+// earlier go list has been asked about.
+func (l *Loader) stdImports() []string {
+	set := make(map[string]bool)
+	for _, p := range l.parsed {
+		if p == nil {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				path, err := strconv.Unquote(spec.Path.Value)
+				if _, listed := l.exports[path]; err == nil && !listed && l.isStd(path) {
+					set[path] = true
+				}
+			}
+		}
+	}
+	paths := make([]string, 0, len(set))
+	for path := range set {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
+// listExports asks `go list` once where the compiler's export data for
+// paths and everything they import lies. It runs in the module root with
+// this process's environment, so the files are the ones go build cached
+// (on a cold cache go list compiles them first). Each path is recorded
+// even when go list gives no file for it, so it is asked about only once;
+// an import without export data degrades to a stub.
+func (l *Loader) listExports(paths []string) {
+	if len(paths) == 0 {
+		return
+	}
+	for _, path := range paths {
+		l.exports[path] = ""
+	}
+	args := append([]string{"list", "-e", "-export", "-deps", "-f",
+		"{{if .Standard}}{{.ImportPath}}\t{{.Export}}{{end}}"}, paths...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.root
+	out, _ := cmd.Output() // with -e, packages that fail just have no Export
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			l.exports[path] = file
+		}
+	}
+}
+
+// openExport is the std importer's lookup. An import that no Load listed,
+// such as a std import of a module package beyond Load's patterns, gets a
+// go list of its own.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	if _, listed := l.exports[path]; !listed {
+		l.listExports([]string{path})
+	}
+	file := l.exports[path]
+	if file == "" {
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// moduleImporter resolves repo-internal imports through the Loader and std
+// imports through the export-data importer, degrading to an empty stub
+// package when either fails and for any other import.
 type moduleImporter struct {
 	l *Loader
 }
@@ -310,8 +429,10 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		}
 		return stubPackage(path), nil
 	}
-	if pkg, err := l.std.Import(path); err == nil && pkg != nil {
-		return pkg, nil
+	if l.isStd(path) {
+		if pkg, err := l.std.Import(path); err == nil && pkg != nil {
+			return pkg, nil
+		}
 	}
 	return stubPackage(path), nil
 }

@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"go/importer"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -213,5 +216,98 @@ func Use() { missing.Call() }
 	}
 	if pkgs[0].Types == nil {
 		t.Error("stubbed import still produced a nil types.Package")
+	}
+}
+
+// TestStdExportDataMatchesSourceImporter: against go/importer's "source"
+// importer (GOROOT source, one go/build.Import per edge), every exported
+// object of a few std packages — including the method sets of named types —
+// prints the same when read from the compiler's export data. net/http
+// reaches GOROOT's vendored golang.org/x/net; net and os hold cgo files.
+func TestStdExportDataMatchesSourceImporter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a slice of GOROOT from source")
+	}
+	oracle := importer.ForCompiler(token.NewFileSet(), "source", nil)
+	l, err := NewLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{"net/http", "net", "os", "sync/atomic", "reflect", "go/types"}
+	l.listExports(paths)
+	for _, path := range paths {
+		want, err := oracle.Import(path)
+		if err != nil {
+			t.Fatalf("source importer: %v", err)
+		}
+		got, err := l.std.Import(path)
+		if err != nil {
+			t.Fatalf("export data: %v", err)
+		}
+		w, g := exportedAPI(want), exportedAPI(got)
+		if strings.Join(w, "\n") == strings.Join(g, "\n") {
+			continue
+		}
+		t.Errorf("%s: exported API differs from the source importer's (%d vs %d lines)", path, len(g), len(w))
+		for i := 0; i < len(w) || i < len(g); i++ {
+			if i >= len(w) || i >= len(g) || w[i] != g[i] {
+				t.Errorf("first difference at line %d:\n got %q\nwant %q", i, at(g, i), at(w, i))
+				break
+			}
+		}
+	}
+}
+
+// exportedAPI lists pkg's exported objects, and the method sets of its
+// exported named types and their pointers, one sorted line each.
+func exportedAPI(pkg *types.Package) []string {
+	var lines []string
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		lines = append(lines, types.ObjectString(obj, nil))
+		if _, ok := obj.(*types.TypeName); !ok {
+			continue
+		}
+		for _, typ := range []types.Type{obj.Type(), types.NewPointer(obj.Type())} {
+			mset := types.NewMethodSet(typ)
+			for i := range mset.Len() {
+				lines = append(lines, typ.String()+" has "+types.ObjectString(mset.At(i).Obj(), nil))
+			}
+		}
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end>"
+}
+
+// TestLoadModuleTypeChecks loads the whole module as T11 does and demands
+// that no package records a type error. A std import without export data
+// degrades to an empty stub, which thins the rules' type information
+// without failing anything else; here it shows up as "undefined" errors.
+// The walk also loads the nested cmd/tenbench module, whose std imports a
+// listing of the root module alone would miss.
+func TestLoadModuleTypeChecks(t *testing.T) {
+	l, err := NewLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load(l.Root() + "/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		for _, err := range p.TypeErrors {
+			t.Errorf("%s: %v", p.ImportPath, err)
+		}
 	}
 }
