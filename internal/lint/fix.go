@@ -109,8 +109,9 @@ type FixOutcome struct {
 	Changed map[string][]byte
 	// Applied counts edits written into Changed.
 	Applied int
-	// Skipped counts edits dropped for overlap or because the file no
-	// longer holds the text the edit pinned (Old mismatch).
+	// Skipped counts edits dropped for overlap, for a range outside the
+	// file, or because the file no longer holds the text the edit pinned
+	// (Old mismatch).
 	Skipped int
 }
 
@@ -119,8 +120,9 @@ type FixOutcome struct {
 // decides (WriteFixes writes, the -fix -n dry run diffs). Identical edits
 // from different findings collapse into one; edits overlapping an earlier
 // (lower-offset) edit are skipped, as are edits whose pinned Old text no
-// longer matches the file. The outcome is a pure function of (root
-// contents, findings), so repeated runs are byte-stable.
+// longer matches the file, or whose range lies outside it. The outcome is
+// a pure function of the root's contents and the set of edits, whatever
+// the order of the findings, so repeated runs are byte-stable.
 func ApplyFixes(root string, findings []Finding) (*FixOutcome, error) {
 	byFile := make(map[string][]TextEdit)
 	for _, f := range findings {
@@ -160,7 +162,7 @@ func ApplyFixes(root string, findings []Finding) (*FixOutcome, error) {
 			if len(kept) > 0 && e == prev {
 				continue // same edit suggested by two findings
 			}
-			if e.Start < prevEnd || e.Start > e.End || e.End > len(src) {
+			if e.Start < prevEnd || e.Start < 0 || e.Start > e.End || e.End > len(src) {
 				out.Skipped++
 				continue
 			}

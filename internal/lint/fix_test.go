@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"math/bits"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -203,4 +205,118 @@ func TestDiffFixes(t *testing.T) {
 	if diff != want {
 		t.Errorf("diff = %q, want %q", diff, want)
 	}
+}
+
+// FuzzApplyFixes feeds ApplyFixes random file bytes and edit lists. Each
+// four bytes of spec are one edit, as one finding: a start offset and a
+// length, both signed so ranges fall before, across and past the file; a
+// replacement from a small set, so identical edits recur; and whether Old
+// pins the file's text or a drifted one. ApplyFixes must not panic, must
+// give the same outcome for the findings in reverse, and its result must
+// be the file with Applied of the edits substituted — pinned, inside the
+// file, not overlapping — so every byte outside them survives in order.
+// The seed corpus in testdata/fuzz/FuzzApplyFixes covers overlap, drift,
+// duplicates, negative starts, insertions at one offset and an empty file.
+func FuzzApplyFixes(f *testing.F) {
+	const maxEdits = 8
+	f.Fuzz(func(t *testing.T, src, spec []byte) {
+		var edits []TextEdit
+		for i := 0; i+3 < len(spec) && len(edits) < maxEdits; i += 4 {
+			e := TextEdit{File: "f.go", Start: int(int8(spec[i]))}
+			e.End = e.Start + int(int8(spec[i+1]))
+			e.New = []string{"", "A", "BB", "\n"}[spec[i+2]%4]
+			e.Old = "?"
+			if spec[i+3]%2 == 0 && 0 <= e.Start && e.Start <= e.End && e.End <= len(src) {
+				e.Old = string(src[e.Start:e.End])
+			}
+			edits = append(edits, e)
+		}
+		dir := t.TempDir()
+		writeFile(t, filepath.Join(dir, "f.go"), string(src))
+		apply := func(order []TextEdit) *FixOutcome {
+			findings := make([]Finding, len(order))
+			for i, e := range order {
+				findings[i] = Finding{Rule: "fuzz", Fix: &SuggestedFix{Edits: []TextEdit{e}}}
+			}
+			out, err := ApplyFixes(dir, findings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		out := apply(edits)
+		reversed := make([]TextEdit, len(edits))
+		for i, e := range edits {
+			reversed[len(edits)-1-i] = e
+		}
+		if rev := apply(reversed); rev.Applied != out.Applied || rev.Skipped != out.Skipped ||
+			string(rev.Changed["f.go"]) != string(out.Changed["f.go"]) {
+			t.Fatalf("findings in reverse give applied=%d skipped=%d %q, in order applied=%d skipped=%d %q",
+				rev.Applied, rev.Skipped, rev.Changed["f.go"], out.Applied, out.Skipped, out.Changed["f.go"])
+		}
+
+		got, changed := out.Changed["f.go"]
+		if changed != (out.Applied > 0) {
+			t.Fatalf("applied=%d but file changed=%v", out.Applied, changed)
+		}
+		if !changed {
+			got = src
+		}
+		distinct := make(map[TextEdit]bool)
+		for _, e := range edits {
+			distinct[e] = true
+		}
+		if n := out.Applied + out.Skipped; n < len(distinct) || n > len(edits) {
+			t.Fatalf("applied=%d skipped=%d for %d edits, %d distinct", out.Applied, out.Skipped, len(edits), len(distinct))
+		}
+		if !substitutes(src, got, edits, out.Applied) {
+			t.Fatalf("result %q is not %q with %d of the edits %+v substituted", got, src, out.Applied, edits)
+		}
+	})
+}
+
+// substitutes reports whether got is src with some k distinct edits
+// substituted, each pinned to src's text and none overlapping another;
+// edits that touch at one offset go in ApplyFixes's order.
+func substitutes(src, got []byte, edits []TextEdit, k int) bool {
+	var cand []TextEdit
+	seen := make(map[TextEdit]bool)
+	for _, e := range edits {
+		if !seen[e] && 0 <= e.Start && e.Start <= e.End && e.End <= len(src) && string(src[e.Start:e.End]) == e.Old {
+			cand = append(cand, e)
+		}
+		seen[e] = true
+	}
+	sort.Slice(cand, func(i, j int) bool {
+		a, b := cand[i], cand[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		return a.New < b.New
+	})
+	for set := 0; set < 1<<len(cand); set++ {
+		if bits.OnesCount(uint(set)) != k {
+			continue
+		}
+		var b []byte
+		at, ok := 0, true
+		for i, e := range cand {
+			if set&(1<<i) == 0 {
+				continue
+			}
+			if e.Start < at {
+				ok = false
+				break
+			}
+			b = append(append(b, src[at:e.Start]...), e.New...)
+			at = e.End
+		}
+		if ok && string(append(b, src[at:]...)) == string(got) {
+			return true
+		}
+	}
+	return false
 }
