@@ -139,7 +139,6 @@ func runOne(ctx context.Context, e Experiment, cfg Config) RunResult {
 	if res.Err != nil {
 		reg.Counter("lab.failures").Inc()
 	}
-	reg.Timer("lab.wall_seconds").Observe(res.Wall.Seconds())
 	res.Metrics = reg.Snapshot()
 	return res
 }
