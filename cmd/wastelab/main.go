@@ -38,7 +38,6 @@ func main() {
 		machines    = flag.Bool("machines", false, "list machine presets and exit")
 		quick       = flag.Bool("quick", false, "shrink sweeps for a fast run")
 		format      = flag.String("format", "ascii", "output format: ascii, markdown, csv, json")
-		markdown    = flag.Bool("markdown", false, "render tables as markdown (alias for -format markdown)")
 		parallel    = flag.Int("parallel", 1, "experiments to run concurrently (tables stay byte-identical at any width)")
 		timeout     = flag.Duration("timeout", 0, "overall deadline for the run (0 = none), e.g. 10m")
 		jsonPath    = flag.String("json", "", "write a JSON lab report to this file ('-' for stdout)")
@@ -77,9 +76,6 @@ func main() {
 	if spec == nil {
 		fmt.Fprintf(os.Stderr, "wastelab: unknown machine %q (try -machines)\n", *machineName)
 		os.Exit(2)
-	}
-	if *markdown {
-		*format = "markdown"
 	}
 	renderer, err := tenways.RendererByName(*format)
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +23,7 @@ func TestLabHasFullSuite(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "T4", "T5",
 		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
 		"F11", "F12", "F13", "F14", "T6", "T7", "F15", "F16", "F17", "F18", "F19", "F20", "F21",
-		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "F27", "T11", "T12", "F28", "T13"}
+		"T8", "F22", "F23", "F24", "F25", "T9", "F26", "T10", "T11", "T12", "F28", "T13"}
 	ids := l.IDs()
 	if len(ids) != len(want) {
 		t.Fatalf("got %d experiments, want %d", len(ids), len(want))
@@ -36,6 +38,49 @@ func TestLabHasFullSuite(t *testing.T) {
 	}
 	if _, err := l.Get("X9"); err == nil {
 		t.Fatal("expected error for unknown id")
+	}
+}
+
+// TestT10SweepShape: quick T10 tabulates the profile sub-suite's 1-worker
+// run, one row per experiment plus its total, and plots a speedup curve
+// over the worker widths 1, 2, 4, … up to max(2, GOMAXPROCS) that starts at
+// exactly (1, 1).
+func TestT10SweepShape(t *testing.T) {
+	out, err := NewLab().Run("T10", Config{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Table == nil || out.Figure == nil {
+		t.Fatalf("T10 should return a table and a figure: %+v", out)
+	}
+	rows := out.Table.Rows
+	if len(rows) != len(profileIDs)+1 {
+		t.Fatalf("T10 has %d rows, want %d experiments plus the total", len(rows), len(profileIDs))
+	}
+	for i, id := range profileIDs {
+		if rows[i][0] != id {
+			t.Errorf("row %d is %s, want %s", i, rows[i][0], id)
+		}
+	}
+	if got := rows[len(profileIDs)][0]; got != "total (1 worker)" {
+		t.Errorf("footer is %q", got)
+	}
+	f := out.Figure
+	var want []float64
+	for wk := 1; wk <= max(2, runtime.GOMAXPROCS(0)); wk *= 2 {
+		want = append(want, float64(wk))
+	}
+	if !slices.Equal(f.Xs, want) {
+		t.Errorf("widths %v, want %v", f.Xs, want)
+	}
+	if len(f.Series) != 2 || f.Series[0].Name != "measured" || f.Series[1].Name != "ideal" {
+		t.Fatalf("series %+v", f.Series)
+	}
+	if m := f.Series[0].Ys; len(m) != len(want) || m[0] != 1 {
+		t.Errorf("measured speedup %v should start at 1", m)
+	}
+	if !slices.Equal(f.Series[1].Ys, want) {
+		t.Errorf("ideal %v, want %v", f.Series[1].Ys, want)
 	}
 }
 

@@ -87,7 +87,7 @@ type Experiment struct {
 	ID    string // "T1".."T13", "F1".."F28"
 	Title string
 	// Measured marks experiments whose cells come from host wall-clock
-	// measurement (T10, F27) rather than the deterministic simulation:
+	// measurement (T10) rather than the deterministic simulation:
 	// their numbers legitimately vary between runs, so byte-identity
 	// checks and reproducibility tests must skip them.
 	Measured bool
@@ -200,7 +200,6 @@ func allExperiments() []Experiment {
 		{ID: "T9", Title: "Autotuned remedy parameters: tuned vs default vs oracle", Run: runT9},
 		{ID: "F26", Title: "Tuner convergence: best-so-far cost vs evaluations", Run: runF26},
 		{ID: "T10", Title: "Lab self-profile: per-experiment work metrics", Run: runT10, Measured: true},
-		{ID: "F27", Title: "Parallel runner speedup vs worker count", Run: runF27, Measured: true},
 		{ID: "T11", Title: "wastevet self-audit: rule-to-waste-mode map and finding counts", Run: runT11},
 		{ID: "T12", Title: "wastelabd self-measurement: request-path policies vs daemon waste modes", Run: runT12},
 		{ID: "F28", Title: "Idle-wave propagation at scale: measured vs analytic wave speed (partitioned PDES)", Run: runF28},

@@ -9,8 +9,8 @@ import (
 )
 
 // renderAll renders every non-Measured result keyed by ID — the byte-level
-// fingerprint parallel runs must reproduce. Measured experiments (T10,
-// F27) report host wall time, so their cells legitimately differ.
+// fingerprint parallel runs must reproduce. The measured experiment (T10)
+// reports host wall time, so its cells legitimately differ.
 func renderAll(t *testing.T, results []RunResult) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(results))

@@ -423,7 +423,9 @@ func TestCallerStrideFailureStopsHelpers(t *testing.T) {
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 				runtime.Gosched()
 			}
-			if n := runtime.NumGoroutine(); n != before {
+			// Only a rise is a leak: a goroutine of an earlier test may
+			// retire during the run and leave fewer than before.
+			if n := runtime.NumGoroutine(); n > before {
 				t.Errorf("violate=%v workers=%d: %d goroutines after the run, %d before", violate, nw, n, before)
 			}
 		}

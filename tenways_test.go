@@ -44,7 +44,7 @@ func TestWastesCatalogue(t *testing.T) {
 
 func TestLabThroughFacade(t *testing.T) {
 	lab := tenways.NewLab()
-	if len(lab.IDs()) != 41 {
+	if len(lab.IDs()) != 40 {
 		t.Fatalf("experiments = %d", len(lab.IDs()))
 	}
 	out, err := lab.Run("T2", tenways.Config{Quick: true})
