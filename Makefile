@@ -1,6 +1,6 @@
 # Build and verification tiers. Tier-1 is the gate every change must pass
 # (see ROADMAP.md); race adds vet and the race detector over the measured
-# plane's real goroutines (sched.Pool, chaos.HostJitter).
+# plane's real goroutines (sched.Pool, Lab.RunAll, the serve daemon).
 
 GO ?= go
 

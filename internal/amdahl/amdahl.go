@@ -1,15 +1,11 @@
 // Package amdahl implements the classic analytic speedup models the
-// keynote's serialisation argument (W5) rests on — Amdahl's law, Gustafson's
-// scaled speedup, and the work–span bound — plus the Karp–Flatt metric,
-// which recovers the experimentally determined serial fraction from
-// measured speedups and so connects the measured plane's numbers back to
-// the models.
+// keynote's serialisation argument (W5) rests on — Amdahl's law and
+// Gustafson's scaled speedup — plus the Karp–Flatt metric, which recovers
+// the experimentally determined serial fraction from measured speedups and
+// so connects the measured plane's numbers back to the models.
 package amdahl
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // Speedup returns Amdahl's law: the speedup of a program with serial
 // fraction f on p processors, 1 / (f + (1-f)/p).
@@ -18,15 +14,6 @@ func Speedup(f float64, p int) float64 {
 		p = 1
 	}
 	return 1 / (f + (1-f)/float64(p))
-}
-
-// Limit returns Amdahl's asymptotic speedup bound 1/f for serial fraction
-// f; +Inf when f is 0.
-func Limit(f float64) float64 {
-	if f == 0 {
-		return math.Inf(1)
-	}
-	return 1 / f
 }
 
 // Gustafson returns the scaled speedup of Gustafson's law: p - f·(p-1),
@@ -59,24 +46,6 @@ func Efficiency(speedup float64, p int) float64 {
 		p = 1
 	}
 	return speedup / float64(p)
-}
-
-// WorkSpan returns the greedy-scheduler bound of Brent's theorem: the
-// execution time on p processors of a computation with the given total
-// work and critical-path span (both in the same unit), T_p <= work/p + span.
-func WorkSpan(work, span float64, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	return work/float64(p) + span
-}
-
-// Parallelism returns work/span, the maximum useful processor count.
-func Parallelism(work, span float64) float64 {
-	if span == 0 {
-		return math.Inf(1)
-	}
-	return work / span
 }
 
 // FitSerialFraction estimates a single serial fraction from several

@@ -22,15 +22,6 @@ func TestSpeedupKnownValues(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	if got := Limit(0.05); math.Abs(got-20) > 1e-12 {
-		t.Fatalf("limit = %g", got)
-	}
-	if !math.IsInf(Limit(0), 1) {
-		t.Fatal("limit of f=0 should be +Inf")
-	}
-}
-
 func TestGustafsonVsAmdahl(t *testing.T) {
 	// Gustafson's scaled speedup always dominates Amdahl's for p > 1.
 	for _, f := range []float64{0.05, 0.2, 0.5} {
@@ -77,22 +68,6 @@ func TestKarpFlattRejectsBadInput(t *testing.T) {
 func TestEfficiency(t *testing.T) {
 	if got := Efficiency(6, 8); got != 0.75 {
 		t.Fatalf("efficiency = %g", got)
-	}
-}
-
-func TestWorkSpan(t *testing.T) {
-	// work=100, span=10: T_4 <= 35, T_inf -> 10.
-	if got := WorkSpan(100, 10, 4); got != 35 {
-		t.Fatalf("T_4 = %g", got)
-	}
-	if got := WorkSpan(100, 10, 1<<20); math.Abs(got-10) > 0.01 {
-		t.Fatalf("T_inf = %g", got)
-	}
-	if got := Parallelism(100, 10); got != 10 {
-		t.Fatalf("parallelism = %g", got)
-	}
-	if !math.IsInf(Parallelism(100, 0), 1) {
-		t.Fatal("zero-span parallelism should be +Inf")
 	}
 }
 

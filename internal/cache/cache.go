@@ -1,10 +1,7 @@
 // Package cache is the lab's shared result cache: sharded to keep
-// concurrent daemon traffic off a single lock (our own W5 remedy),
+// concurrent daemon traffic off a single lock (our own W5 remedy), and
 // LRU-bounded per shard so a long-running process cannot grow without
-// limit (the unboundedness the original tune.Cache had), and
-// generation-keyed so a whole cache can be invalidated in O(1) — bumping
-// the generation makes every older entry a miss that is reclaimed lazily
-// as it is touched or evicted.
+// limit (the unboundedness the original tune.Cache had).
 //
 // The cache is generic over its value type: internal/tune stores modeled
 // Cost pairs, internal/serve stores completed experiment outputs, and the
@@ -12,10 +9,7 @@
 // in virtual time, where its behaviour is deterministic.
 package cache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Default sizing when New is handed zeros: large enough that tuning runs
 // and test suites never evict mid-run, small enough to bound a daemon.
@@ -27,7 +21,6 @@ const (
 // entry is one cached value on its shard's LRU list (most recent at head).
 type entry[V any] struct {
 	key        string
-	gen        uint64
 	val        V
 	prev, next *entry[V]
 }
@@ -41,15 +34,14 @@ type shard[V any] struct {
 	cap     int
 	// Stats are kept per shard, under the shard lock, so the hot path
 	// never touches a shared counter; Stats() aggregates on demand.
-	hits, misses, evictions, stale int64
+	hits, misses, evictions int64
 }
 
-// Cache is a sharded, LRU-bounded, generation-keyed key/value cache.
+// Cache is a sharded, LRU-bounded key/value cache.
 // All methods are safe for concurrent use.
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint64
-	gen    atomic.Uint64
 }
 
 // New returns a cache bounded to capacity entries spread over the given
@@ -93,11 +85,8 @@ func (c *Cache[V]) shardOf(key string) *shard[V] {
 	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the cached value for key, if present under the current
-// generation. A value stored before the last Bump counts as a miss and is
-// reclaimed on the spot.
+// Get returns the cached value for key, if present.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	gen := c.gen.Load()
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,59 +96,32 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	if e.gen != gen {
-		s.remove(e)
-		s.misses++
-		s.stale++
-		var zero V
-		return zero, false
-	}
 	s.moveToFront(e)
 	s.hits++
 	return e.val, true
 }
 
-// Put stores the value for key under the current generation, evicting the
-// shard's least recently used entry if the shard is full.
+// Put stores the value for key, evicting the shard's least recently used
+// entry if the shard is full.
 func (c *Cache[V]) Put(key string, v V) {
-	gen := c.gen.Load()
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {
 		e.val = v
-		e.gen = gen
 		s.moveToFront(e)
 		return
 	}
 	if len(s.entries) >= s.cap {
-		// Prefer evicting a stale-generation entry over a live one.
-		victim := s.tail
-		for e := s.tail; e != nil; e = e.prev {
-			if e.gen != gen {
-				victim = e
-				break
-			}
-		}
-		if victim != nil {
-			s.remove(victim)
-			s.evictions++
-		}
+		s.remove(s.tail)
+		s.evictions++
 	}
-	e := &entry[V]{key: key, gen: gen, val: v}
+	e := &entry[V]{key: key, val: v}
 	s.entries[key] = e
 	s.pushFront(e)
 }
 
-// Bump advances the generation, logically emptying the cache in O(1):
-// every existing entry becomes a miss and is reclaimed lazily.
-func (c *Cache[V]) Bump() { c.gen.Add(1) }
-
-// Generation returns the current generation number.
-func (c *Cache[V]) Generation() uint64 { return c.gen.Load() }
-
-// Len returns the number of resident entries, stale generations included
-// (they leave as they are touched or evicted).
+// Len returns the number of resident entries.
 func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
@@ -185,11 +147,8 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// Stale counts misses caused by a generation bump rather than absence.
-	Stale      int64  `json:"stale"`
-	Len        int    `json:"len"`
-	Cap        int    `json:"cap"`
-	Generation uint64 `json:"generation"`
+	Len       int   `json:"len"`
+	Cap       int   `json:"cap"`
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookup.
@@ -203,14 +162,13 @@ func (s Stats) HitRatio() float64 {
 
 // Stats aggregates the per-shard counters.
 func (c *Cache[V]) Stats() Stats {
-	st := Stats{Generation: c.gen.Load()}
+	var st Stats
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evictions
-		st.Stale += s.stale
 		st.Len += len(s.entries)
 		st.Cap += s.cap
 		s.mu.Unlock()

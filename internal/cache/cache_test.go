@@ -61,41 +61,6 @@ func TestBoundHoldsUnderChurn(t *testing.T) {
 	}
 }
 
-func TestGenerationBumpInvalidates(t *testing.T) {
-	c := New[int](8, 2)
-	c.Put("a", 1)
-	c.Bump()
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("pre-bump entry should miss")
-	}
-	st := c.Stats()
-	if st.Stale != 1 {
-		t.Fatalf("Stale = %d, want 1", st.Stale)
-	}
-	// The stale entry was reclaimed by the touching Get.
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after stale reclaim, want 0", c.Len())
-	}
-	c.Put("a", 2)
-	if v, ok := c.Get("a"); !ok || v != 2 {
-		t.Fatalf("post-bump Put/Get = %d, %v; want 2, true", v, ok)
-	}
-}
-
-func TestStaleEvictedBeforeLive(t *testing.T) {
-	c := New[int](2, 1)
-	c.Put("old", 1)
-	c.Bump()
-	c.Put("live1", 2)
-	c.Put("live2", 3) // shard full: must evict "old" (stale), not live1
-	if _, ok := c.Get("live1"); !ok {
-		t.Fatal("live1 evicted while a stale entry was resident")
-	}
-	if _, ok := c.Get("live2"); !ok {
-		t.Fatal("live2 missing")
-	}
-}
-
 func TestStats(t *testing.T) {
 	c := New[int](8, 2)
 	c.Put("a", 1)
@@ -121,8 +86,8 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn exercises the sharded paths under -race: readers,
-// writers, and generation bumps against a small bound.
+// TestConcurrentChurn exercises the sharded paths under -race: readers
+// and writers against a small bound.
 func TestConcurrentChurn(t *testing.T) {
 	c := New[int](128, 8)
 	var wg sync.WaitGroup
@@ -136,9 +101,6 @@ func TestConcurrentChurn(t *testing.T) {
 					c.Put(k, i)
 				} else {
 					c.Get(k)
-				}
-				if g == 0 && i%1000 == 999 {
-					c.Bump()
 				}
 			}
 		}(g)

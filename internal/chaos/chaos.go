@@ -2,19 +2,17 @@
 // otherwise perfectly quiet laboratory misbehave the way real machines do.
 // Every run in the rest of the suite models only *intrinsic* waiting
 // (imbalance, latency, synchronisation); chaos adds the *extrinsic* kind —
-// OS jitter, stragglers, delay spikes, degraded and failed links — as
-// pluggable injectors that hook the pgas runtime's Perturber interface and
-// wrap its cost models.
+// OS jitter, stragglers, delay spikes — as pluggable injectors that hook
+// the pgas runtime's Perturber interface.
 //
-// All simulated-plane injectors are seeded and deterministic: each rank
-// draws from its own splitmix64 stream, so a fixed seed reproduces a chaos
-// run bit-for-bit regardless of host scheduling, and injected time is
-// attributed to the trace.Noise category so core.Diagnose can call it out.
-// The package also carries the remedied side — idle-wave experiments with
-// noise-absorbing synchronisation (idlewave.go), over-decomposition with
-// rebalancing for stragglers (straggler.go), and checkpoint/replay for rank
-// failure (checkpoint.go) — plus real-time jitter goroutines for the
-// measured plane (hostjitter.go).
+// All injectors are seeded and deterministic: each rank draws from its own
+// splitmix64 stream, so a fixed seed reproduces a chaos run bit-for-bit
+// regardless of host scheduling, and injected time is attributed to the
+// trace.Noise category so core.Diagnose can call it out. The package also
+// carries the remedied side — idle-wave experiments with noise-absorbing
+// synchronisation (idlewave.go), over-decomposition with rebalancing for
+// stragglers (straggler.go), and checkpoint/replay for rank failure
+// (checkpoint.go).
 package chaos
 
 import (
@@ -175,12 +173,10 @@ func (s *Spike) Delay(rank int, now, d float64) float64 {
 	return s.Duration
 }
 
-// Scenario composes injectors into one pgas.Perturber and carries the
-// non-Perturber fault machinery (link faults) that must be bound to the
-// world's clock. A zero/empty scenario injects nothing.
+// Scenario composes injectors into one pgas.Perturber. A zero/empty
+// scenario injects nothing.
 type Scenario struct {
 	injectors []Injector
-	faults    []*LinkFault
 
 	// Injection instruments, bound at Arm time from the world's registry so
 	// the hot Perturber path avoids registry lookups.
@@ -194,14 +190,6 @@ func NewScenario() *Scenario { return &Scenario{} }
 // Add appends an injector and returns the scenario for chaining.
 func (s *Scenario) Add(in Injector) *Scenario {
 	s.injectors = append(s.injectors, in)
-	return s
-}
-
-// AddLinkFault registers a link fault so Arm can bind it to the world's
-// clock. The fault's cost model must separately be passed to
-// pgas.NewWorld; see LinkFault.
-func (s *Scenario) AddLinkFault(f *LinkFault) *Scenario {
-	s.faults = append(s.faults, f)
 	return s
 }
 
@@ -222,17 +210,13 @@ func (s *Scenario) ComputeDelay(rank int, now, d float64) float64 {
 }
 
 // Arm hooks the scenario into a world: the injectors become the world's
-// perturber and every registered link fault is bound to the world's clock.
-// A scenario with no injectors leaves the perturber unset so the run stays
-// byte-identical to an unperturbed one.
+// perturber. A scenario with no injectors leaves the perturber unset so the
+// run stays byte-identical to an unperturbed one.
 func (s *Scenario) Arm(w *pgas.World) {
 	if len(s.injectors) > 0 {
 		reg := w.Obs()
 		s.injections = reg.Counter("chaos.injections")
 		s.injected = reg.Gauge("chaos.injected_seconds")
 		w.SetPerturber(s)
-	}
-	for _, f := range s.faults {
-		f.Bind(w.Now)
 	}
 }

@@ -204,23 +204,6 @@ func IdleWaveDelta(spec *machine.Spec, cfg IdleWaveConfig, sc *Scenario) (noisy,
 	return
 }
 
-// ArrivalSteps extracts the wavefront: for each rank, the first step whose
-// finish-time delta exceeds threshold seconds, or −1 if the wave never
-// arrives. The injected rank itself reports the injection step.
-func ArrivalSteps(delta [][]float64, threshold float64) []int {
-	out := make([]int, len(delta))
-	for r, row := range delta {
-		out[r] = -1
-		for s, d := range row {
-			if d > threshold {
-				out[r] = s
-				break
-			}
-		}
-	}
-	return out
-}
-
 // ArrivalTimes extracts, for each rank, the quiet-run virtual time at which
 // the wavefront (first delta over threshold) arrives, or −1 if it never
 // does — the seconds-domain view whose slope is the propagation speed.

@@ -44,8 +44,11 @@ func TestLabHasFullSuite(t *testing.T) {
 // TestT10SweepShape: quick T10 tabulates the profile sub-suite's 1-worker
 // run, one row per experiment plus its total, and plots a speedup curve
 // over the worker widths 1, 2, 4, … up to max(2, GOMAXPROCS) that starts at
-// exactly (1, 1).
+// exactly (1, 1). It runs at GOMAXPROCS 16, wider than the sub-suite, where
+// no width may exceed the experiment count: RunAll starts no more workers
+// than experiments, so a wider point would plot a 7-worker run as 8 or 16.
 func TestT10SweepShape(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	out, err := NewLab().Run("T10", Config{Quick: true})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +70,16 @@ func TestT10SweepShape(t *testing.T) {
 	}
 	f := out.Figure
 	var want []float64
-	for wk := 1; wk <= max(2, runtime.GOMAXPROCS(0)); wk *= 2 {
+	for wk := 1; wk <= min(max(2, runtime.GOMAXPROCS(0)), len(profileIDs)); wk *= 2 {
 		want = append(want, float64(wk))
 	}
 	if !slices.Equal(f.Xs, want) {
 		t.Errorf("widths %v, want %v", f.Xs, want)
+	}
+	for _, x := range f.Xs {
+		if x > float64(len(profileIDs)) {
+			t.Errorf("width %g exceeds the %d-experiment sub-suite", x, len(profileIDs))
+		}
 	}
 	if len(f.Series) != 2 || f.Series[0].Name != "measured" || f.Series[1].Name != "ideal" {
 		t.Fatalf("series %+v", f.Series)

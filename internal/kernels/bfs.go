@@ -1,11 +1,6 @@
 package kernels
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"tenways/internal/workload"
-)
+import "tenways/internal/workload"
 
 // BFS runs a level-synchronous breadth-first search from src and returns
 // the distance of every vertex (-1 if unreachable).
@@ -31,48 +26,4 @@ func BFS(g *workload.Graph, src int) []int {
 		frontier = next
 	}
 	return dist
-}
-
-// BFSParallel runs the same level-synchronous BFS with the frontier
-// expanded by nw goroutines per level (atomic claim of vertices). The
-// per-level barrier is inherent to level synchronisation — the workload
-// whose W3 remedy is asynchronous traversal, modelled in the experiments.
-func BFSParallel(g *workload.Graph, src, nw int) []int {
-	if nw < 1 {
-		nw = 1
-	}
-	dist := make([]int32, g.N)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	frontier := []int{src}
-	for level := int32(1); len(frontier) > 0; level++ {
-		nexts := make([][]int, nw)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for fi := w; fi < len(frontier); fi += nw {
-					u := frontier[fi]
-					for _, v := range g.Adj[u] {
-						if atomic.CompareAndSwapInt32(&dist[v], -1, level) {
-							nexts[w] = append(nexts[w], v)
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, nx := range nexts {
-			frontier = append(frontier, nx...)
-		}
-	}
-	out := make([]int, g.N)
-	for i, d := range dist {
-		out[i] = int(d)
-	}
-	return out
 }

@@ -1,108 +1,5 @@
 package kernels
 
-import (
-	"errors"
-	"math"
-
-	"tenways/internal/workload"
-)
-
-// Laplacian2D builds the standard 5-point finite-difference Laplacian on
-// an n×n grid as a CSR matrix (dimension n², symmetric positive definite) —
-// the canonical test operator for iterative solvers.
-func Laplacian2D(n int) *workload.CSR {
-	dim := n * n
-	m := &workload.CSR{Rows: dim, Cols: dim, RowPtr: make([]int, dim+1)}
-	idx := func(i, j int) int { return i*n + j }
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			row := idx(i, j)
-			add := func(c int, v float64) {
-				m.ColIdx = append(m.ColIdx, c)
-				m.Vals = append(m.Vals, v)
-			}
-			// CSR wants ascending column order.
-			if i > 0 {
-				add(idx(i-1, j), -1)
-			}
-			if j > 0 {
-				add(idx(i, j-1), -1)
-			}
-			add(row, 4)
-			if j < n-1 {
-				add(idx(i, j+1), -1)
-			}
-			if i < n-1 {
-				add(idx(i+1, j), -1)
-			}
-			m.RowPtr[row+1] = len(m.Vals)
-		}
-	}
-	return m
-}
-
-// CGResult reports a conjugate-gradient solve.
-type CGResult struct {
-	Iterations int
-	Residual   float64 // final ||b - Ax|| / ||b||
-	Converged  bool
-}
-
-// ErrNotSPD reports a breakdown that indicates the operator is not
-// symmetric positive definite.
-var ErrNotSPD = errors.New("kernels: CG breakdown (operator not SPD?)")
-
-// CG solves A·x = b by the conjugate gradient method, overwriting x
-// (initial guess in, solution out). It stops when the relative residual
-// drops below tol or after maxIter iterations.
-func CG(a *workload.CSR, b, x []float64, tol float64, maxIter int) (CGResult, error) {
-	n := a.Rows
-	r := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-	// r = b - A x
-	a.MulVec(x, ap)
-	for i := range r {
-		r[i] = b[i] - ap[i]
-	}
-	copy(p, r)
-	rr := Dot(r, r)
-	bNorm := math.Sqrt(Dot(b, b))
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	res := CGResult{Residual: math.Sqrt(rr) / bNorm}
-	if res.Residual < tol {
-		res.Converged = true
-		return res, nil
-	}
-	for it := 0; it < maxIter; it++ {
-		a.MulVec(p, ap)
-		pap := Dot(p, ap)
-		if pap <= 0 {
-			return res, ErrNotSPD
-		}
-		alpha := rr / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rrNew := Dot(r, r)
-		res.Iterations = it + 1
-		res.Residual = math.Sqrt(rrNew) / bNorm
-		if res.Residual < tol {
-			res.Converged = true
-			return res, nil
-		}
-		beta := rrNew / rr
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rr = rrNew
-	}
-	return res, nil
-}
-
 // CGCommModel models the communication of one distributed CG iteration on
 // p ranks over a 1-D row-block decomposition of a grid Laplacian: a halo
 // exchange for the SpMV plus allreduces for the two inner products. The
@@ -113,16 +10,6 @@ type CGCommModel struct {
 	GridN int // Laplacian grid dimension (matrix dim = GridN²)
 	P     int
 	S     int // s-step blocking factor; 1 = standard CG
-}
-
-// AllreducesPerIteration returns the average number of global allreduces
-// an iteration costs.
-func (m CGCommModel) AllreducesPerIteration() float64 {
-	s := m.S
-	if s < 1 {
-		s = 1
-	}
-	return 2.0 / float64(s)
 }
 
 // HaloWordsPerIteration returns the per-rank halo traffic of one SpMV.

@@ -1,144 +1,10 @@
 package kernels
 
-import (
-	"math"
-	"testing"
-
-	"tenways/internal/workload"
-)
-
-func TestLaplacian2DStructure(t *testing.T) {
-	n := 4
-	a := Laplacian2D(n)
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Rows != 16 {
-		t.Fatalf("rows = %d", a.Rows)
-	}
-	// Row sums: 0 for interior points is wrong — the Laplacian with
-	// Dirichlet boundary has positive row sums on boundary rows; interior
-	// row (1,1)..(2,2) of a 4x4 grid has 4 neighbours -> sum 0.
-	rowSum := func(r int) float64 {
-		s := 0.0
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			s += a.Vals[k]
-		}
-		return s
-	}
-	if rowSum(0) != 2 { // corner: 4 - 1 - 1
-		t.Fatalf("corner row sum = %g", rowSum(0))
-	}
-	if rowSum(5) != 0 { // interior (1,1)
-		t.Fatalf("interior row sum = %g", rowSum(5))
-	}
-	// Symmetry.
-	dense := make([][]float64, a.Rows)
-	for i := range dense {
-		dense[i] = make([]float64, a.Cols)
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			dense[i][a.ColIdx[k]] = a.Vals[k]
-		}
-	}
-	for i := range dense {
-		for j := range dense {
-			if dense[i][j] != dense[j][i] {
-				t.Fatalf("asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestCGSolvesPoisson(t *testing.T) {
-	n := 16
-	a := Laplacian2D(n)
-	dim := n * n
-	// Manufactured solution: x* random, b = A x*.
-	rng := workload.NewRand(12)
-	xStar := make([]float64, dim)
-	for i := range xStar {
-		xStar[i] = rng.Float64()*2 - 1
-	}
-	b := make([]float64, dim)
-	a.MulVec(xStar, b)
-
-	x := make([]float64, dim)
-	res, err := CG(a, b, x, 1e-10, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("CG did not converge: %+v", res)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xStar[i]) > 1e-6 {
-			t.Fatalf("solution wrong at %d: %g vs %g", i, x[i], xStar[i])
-		}
-	}
-	// CG on an SPD system of dimension d converges in <= d iterations;
-	// for the Laplacian it should take far fewer.
-	if res.Iterations >= dim {
-		t.Fatalf("iterations = %d", res.Iterations)
-	}
-}
-
-func TestCGZeroRHS(t *testing.T) {
-	a := Laplacian2D(4)
-	x := make([]float64, 16)
-	res, err := CG(a, make([]float64, 16), x, 1e-8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || res.Iterations != 0 {
-		t.Fatalf("zero rhs should converge immediately: %+v", res)
-	}
-}
-
-func TestCGResidualMonotoneEnough(t *testing.T) {
-	// The residual after maxIter=5 should be larger than after 50 (CG
-	// residuals are not strictly monotone but improve over spans).
-	n := 12
-	a := Laplacian2D(n)
-	dim := n * n
-	b := make([]float64, dim)
-	for i := range b {
-		b[i] = 1
-	}
-	x5 := make([]float64, dim)
-	r5, err := CG(a, b, x5, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x50 := make([]float64, dim)
-	r50, err := CG(a, b, x50, 0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r50.Residual >= r5.Residual {
-		t.Fatalf("residual did not improve: %g -> %g", r5.Residual, r50.Residual)
-	}
-}
-
-func TestCGNotSPDDetected(t *testing.T) {
-	// A negative-definite operator must trip the breakdown check.
-	a := &workload.CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 2},
-		ColIdx: []int{0, 1}, Vals: []float64{-1, -1}}
-	x := make([]float64, 2)
-	_, err := CG(a, []float64{1, 1}, x, 1e-8, 10)
-	if err != ErrNotSPD {
-		t.Fatalf("expected ErrNotSPD, got %v", err)
-	}
-}
+import "testing"
 
 func TestCGCommModel(t *testing.T) {
 	std := CGCommModel{GridN: 1024, P: 16, S: 1}
 	ca := CGCommModel{GridN: 1024, P: 16, S: 4}
-	if std.AllreducesPerIteration() != 2 {
-		t.Fatalf("standard CG allreduces = %g", std.AllreducesPerIteration())
-	}
-	if ca.AllreducesPerIteration() != 0.5 {
-		t.Fatalf("s=4 allreduces = %g", ca.AllreducesPerIteration())
-	}
 	if ca.FlopsPerIteration() <= std.FlopsPerIteration() {
 		t.Fatal("s-step must pay extra local flops")
 	}
@@ -147,8 +13,5 @@ func TestCGCommModel(t *testing.T) {
 	}
 	if (CGCommModel{GridN: 64, P: 1, S: 1}).HaloWordsPerIteration() != 0 {
 		t.Fatal("single rank needs no halo")
-	}
-	if (CGCommModel{GridN: 64, P: 2, S: 0}).AllreducesPerIteration() != 2 {
-		t.Fatal("s=0 should clamp to standard")
 	}
 }

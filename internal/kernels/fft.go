@@ -43,21 +43,6 @@ func FFT(x []complex128) error {
 	return nil
 }
 
-// IFFT computes the inverse transform (normalised by 1/n).
-func IFFT(x []complex128) error {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	if err := FFT(x); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
-	}
-	return nil
-}
-
 // DFTNaive computes the O(n²) reference transform.
 func DFTNaive(x []complex128) []complex128 {
 	n := len(x)

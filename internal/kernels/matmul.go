@@ -1,10 +1,10 @@
 // Package kernels implements the scientific computing kernels the keynote
-// draws its examples from — dense and sparse linear algebra, stencils,
-// STREAM, FFT, n-body, sorting, graph traversal, Monte Carlo — each in a
-// wasteful and a remedied form where the contrast matters, together with
-// analytic operation counts (flops, DRAM bytes, communication volume) that
-// feed the modeled experiments, and trace-driven variants that drive the
-// cache simulator.
+// draws its examples from — dense matmul, STREAM triad, FFT, sample sort,
+// graph traversal — in a wasteful and a remedied form where the contrast
+// matters, together with analytic operation counts (flops, DRAM bytes,
+// communication volume) for those and for SpMV, stencils, n-body and CG
+// that feed the modeled experiments, and a trace-driven matmul that drives
+// the cache simulator.
 package kernels
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"tenways/internal/machine"
 	"tenways/internal/mem"
-	"tenways/internal/sched"
 )
 
 // MatMulNaive computes C = A·B for n×n row-major matrices with the classic
@@ -59,30 +58,6 @@ func MatMulBlocked(c, a, b []float64, n, block int) {
 			}
 		}
 	}
-}
-
-// MatMulParallel computes C = A·B with rows distributed over the pool and
-// inner blocking for locality.
-func MatMulParallel(p *sched.Pool, c, a, b []float64, n, block int) {
-	if block < 1 || block > n {
-		block = 64
-	}
-	p.ForEachChunked(n, block, func(i int) {
-		for j := 0; j < n; j++ {
-			c[i*n+j] = 0
-		}
-		for kk := 0; kk < n; kk += block {
-			kMax := min(kk+block, n)
-			for k := kk; k < kMax; k++ {
-				aik := a[i*n+k]
-				ci := c[i*n : i*n+n]
-				bk := b[k*n : k*n+n]
-				for j := range ci {
-					ci[j] += aik * bk[j]
-				}
-			}
-		}
-	})
 }
 
 // MatMulFlops returns the flop count of an n×n matmul (2n³).

@@ -1,104 +1,5 @@
 package kernels
 
-import (
-	"math"
-
-	"tenways/internal/sched"
-)
-
-// Bodies is a structure-of-arrays particle system in 2-D.
-type Bodies struct {
-	X, Y   []float64
-	VX, VY []float64
-	M      []float64
-}
-
-// NewBodies allocates n bodies at the given positions with unit mass.
-func NewBodies(xs, ys []float64) *Bodies {
-	n := len(xs)
-	b := &Bodies{
-		X:  append([]float64(nil), xs...),
-		Y:  append([]float64(nil), ys...),
-		VX: make([]float64, n), VY: make([]float64, n),
-		M: make([]float64, n),
-	}
-	for i := range b.M {
-		b.M[i] = 1
-	}
-	return b
-}
-
-// N returns the body count.
-func (b *Bodies) N() int { return len(b.X) }
-
-const softening = 1e-4
-
-// forceOn accumulates the gravitational acceleration on body i.
-func (b *Bodies) forceOn(i int) (ax, ay float64) {
-	xi, yi := b.X[i], b.Y[i]
-	for j := range b.X {
-		if j == i {
-			continue
-		}
-		dx := b.X[j] - xi
-		dy := b.Y[j] - yi
-		r2 := dx*dx + dy*dy + softening
-		inv := 1 / (r2 * math.Sqrt(r2))
-		ax += b.M[j] * dx * inv
-		ay += b.M[j] * dy * inv
-	}
-	return ax, ay
-}
-
-// Step advances all bodies by dt with direct O(n²) force evaluation.
-func (b *Bodies) Step(dt float64) {
-	n := b.N()
-	ax := make([]float64, n)
-	ay := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ax[i], ay[i] = b.forceOn(i)
-	}
-	b.integrate(ax, ay, dt)
-}
-
-// StepParallel advances all bodies with forces computed over the pool.
-// Because per-body cost is uniform for direct n², the interesting
-// imbalance case is the clustered-tree variant modelled analytically.
-func (b *Bodies) StepParallel(p *sched.Pool, dt float64) {
-	n := b.N()
-	ax := make([]float64, n)
-	ay := make([]float64, n)
-	p.ForEachChunked(n, 32, func(i int) {
-		ax[i], ay[i] = b.forceOn(i)
-	})
-	b.integrate(ax, ay, dt)
-}
-
-func (b *Bodies) integrate(ax, ay []float64, dt float64) {
-	for i := range b.X {
-		b.VX[i] += ax[i] * dt
-		b.VY[i] += ay[i] * dt
-		b.X[i] += b.VX[i] * dt
-		b.Y[i] += b.VY[i] * dt
-	}
-}
-
-// Energy returns the system's kinetic + potential energy (used to check
-// the integrator approximately conserves it over short runs).
-func (b *Bodies) Energy() float64 {
-	e := 0.0
-	for i := range b.X {
-		e += 0.5 * b.M[i] * (b.VX[i]*b.VX[i] + b.VY[i]*b.VY[i])
-		for j := i + 1; j < b.N(); j++ {
-			dx := b.X[j] - b.X[i]
-			dy := b.Y[j] - b.Y[i]
-			r := math.Sqrt(dx*dx + dy*dy + softening)
-			e -= b.M[i] * b.M[j] / r
-		}
-	}
-	return e
-}
-
 // NBodyFlops returns the flop count of one direct step (≈20 per pair).
 func NBodyFlops(n int) float64 { return 20 * float64(n) * float64(n) }
 

@@ -1,32 +1,5 @@
 package kernels
 
-import "tenways/internal/sched"
-
-// Jacobi2DStep applies one 5-point Jacobi relaxation sweep on an
-// (n+2)×(n+2) grid (one-cell halo), reading src and writing dst interior
-// points: dst[i][j] = (src up + down + left + right) / 4.
-func Jacobi2DStep(dst, src []float64, n int) {
-	w := n + 2
-	for i := 1; i <= n; i++ {
-		row := i * w
-		for j := 1; j <= n; j++ {
-			dst[row+j] = 0.25 * (src[row+j-1] + src[row+j+1] + src[row-w+j] + src[row+w+j])
-		}
-	}
-}
-
-// Jacobi2DParallel runs one sweep with rows distributed over the pool.
-func Jacobi2DParallel(p *sched.Pool, dst, src []float64, n int) {
-	w := n + 2
-	p.ForEachChunked(n, 16, func(r int) {
-		i := r + 1
-		row := i * w
-		for j := 1; j <= n; j++ {
-			dst[row+j] = 0.25 * (src[row+j-1] + src[row+j+1] + src[row-w+j] + src[row+w+j])
-		}
-	})
-}
-
 // Jacobi2DFlops returns the flop count of one sweep over an n×n interior
 // (3 adds + 1 multiply per point).
 func Jacobi2DFlops(n int) float64 { return 4 * float64(n) * float64(n) }
@@ -73,22 +46,3 @@ func (h HaloModel) StepFlopsPerRank() float64 {
 func (h HaloModel) StepBytesPerRank() float64 {
 	return 16 * float64(h.RowsPerRank()+2) * float64(h.N+2)
 }
-
-// Jacobi3DStep applies one 7-point sweep on an (n+2)³ grid.
-func Jacobi3DStep(dst, src []float64, n int) {
-	w := n + 2
-	plane := w * w
-	inv6 := 1.0 / 6.0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			base := i*plane + j*w
-			for k := 1; k <= n; k++ {
-				c := base + k
-				dst[c] = inv6 * (src[c-1] + src[c+1] + src[c-w] + src[c+w] + src[c-plane] + src[c+plane])
-			}
-		}
-	}
-}
-
-// Jacobi3DFlops returns the flop count of one 3-D sweep (5 adds + 1 mul).
-func Jacobi3DFlops(n int) float64 { return 6 * float64(n) * float64(n) * float64(n) }

@@ -1,50 +1,13 @@
 package kernels
 
-import "tenways/internal/sched"
-
 // The STREAM kernels: the canonical bandwidth-bound workloads whose
 // arithmetic intensity sits far below every machine's ridge point (W8).
-
-// Copy performs b[i] = a[i].
-func Copy(b, a []float64) {
-	copy(b, a)
-}
-
-// Scale performs b[i] = s·a[i].
-func Scale(b, a []float64, s float64) {
-	for i := range a {
-		b[i] = s * a[i]
-	}
-}
-
-// Add performs c[i] = a[i] + b[i].
-func Add(c, a, b []float64) {
-	for i := range a {
-		c[i] = a[i] + b[i]
-	}
-}
 
 // Triad performs c[i] = a[i] + s·b[i], the headline STREAM kernel.
 func Triad(c, a, b []float64, s float64) {
 	for i := range a {
 		c[i] = a[i] + s*b[i]
 	}
-}
-
-// TriadParallel runs Triad with the range split over the pool.
-func TriadParallel(p *sched.Pool, c, a, b []float64, s float64) {
-	p.ForEachStatic(len(a), func(i int) {
-		c[i] = a[i] + s*b[i]
-	})
-}
-
-// Dot returns Σ a[i]·b[i].
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // TriadFlops returns the flop count of an n-element triad (mul + add).

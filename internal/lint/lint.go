@@ -139,19 +139,18 @@ type Config struct {
 }
 
 // DefaultConfig scopes the planes the way the repo is laid out: the
-// measured plane (trace, sched, obs, chaos, core, the commands, the
+// measured plane (trace, sched, obs, core, serve, the commands, the
 // examples) may read wall clocks; the presentation plane (report, core,
 // waste, tune, the commands, the examples) may format per element.
 func DefaultConfig() Config {
 	return Config{
 		MeasuredPlane: []string{
 			"internal/trace", "internal/sched", "internal/obs",
-			"internal/chaos", "internal/core", "internal/serve",
-			"cmd/", "examples/",
+			"internal/core", "internal/serve", "cmd/", "examples/",
 		},
 		PresentationPlane: []string{
 			"internal/report", "internal/core", "internal/waste",
-			"internal/tune", "internal/stats", "cmd/", "examples/",
+			"internal/tune", "cmd/", "examples/",
 		},
 	}
 }

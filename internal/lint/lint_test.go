@@ -137,9 +137,6 @@ func TestReportByteStable(t *testing.T) {
 			buf.WriteByte('\n')
 		}
 		for _, r := range []report.Renderer{report.ASCII{}, report.Markdown{}, report.CSV{}, report.JSON{}} {
-			if err := r.Table(&buf, FindingsTable("LINT", "fixture findings", res.Findings, true)); err != nil {
-				t.Fatal(err)
-			}
 			if err := r.Table(&buf, CatalogTable("LINT", "fixture catalog", res)); err != nil {
 				t.Fatal(err)
 			}

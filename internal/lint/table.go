@@ -7,24 +7,6 @@ import (
 	"tenways/internal/report"
 )
 
-// FindingsTable renders findings as a suite table: position, rule, the
-// waste mode guarded, and the message. Suppressed findings are included
-// only when showSuppressed is set, marked in a trailing column.
-func FindingsTable(id, caption string, findings []Finding, showSuppressed bool) *report.Table {
-	t := report.NewTable(id, caption, "position", "rule", "waste", "message", "suppressed")
-	for _, f := range findings {
-		if f.Suppressed && !showSuppressed {
-			continue
-		}
-		sup := ""
-		if f.Suppressed {
-			sup = f.Reason
-		}
-		t.AddRow(f.Pos(), f.Rule, f.Waste, f.Msg, sup)
-	}
-	return t
-}
-
 // CatalogTable renders the rule catalog with per-rule finding counts from
 // res (nil res renders counts as blank). This is the shape the T11
 // experiment and wastevet's summary share.

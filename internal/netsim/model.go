@@ -84,15 +84,6 @@ func (m *Model) Makespan(ts []Transfer) float64 {
 	return latBound
 }
 
-// BatchEnergy returns the total energy of a batch of transfers.
-func (m *Model) BatchEnergy(ts []Transfer) float64 {
-	e := 0.0
-	for _, t := range ts {
-		e += m.MsgEnergy(t.Src, t.Dst, t.Bytes)
-	}
-	return e
-}
-
 // TotalLinkBytes returns the sum over links of bytes carried — the "wire
 // traffic" volume metric used in communication-avoidance figures.
 func (m *Model) TotalLinkBytes(ts []Transfer) float64 {

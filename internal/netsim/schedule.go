@@ -92,12 +92,3 @@ func (m *Model) ScheduleCost(rounds [][]Transfer) float64 {
 	}
 	return total
 }
-
-// ScheduleBytes returns the total link bytes a schedule moves.
-func (m *Model) ScheduleBytes(rounds [][]Transfer) float64 {
-	total := 0.0
-	for _, r := range rounds {
-		total += m.TotalLinkBytes(r)
-	}
-	return total
-}

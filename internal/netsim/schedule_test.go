@@ -122,15 +122,6 @@ func TestScheduleCostContentionOrdering(t *testing.T) {
 	}
 }
 
-func TestScheduleBytes(t *testing.T) {
-	m := NewModel(testSpec(), NewFullyConnected(4))
-	rounds := AlltoallPairwise(4, 100)
-	// 12 messages x 100 bytes x 1 hop.
-	if got := m.ScheduleBytes(rounds); got != 1200 {
-		t.Fatalf("schedule bytes = %g", got)
-	}
-}
-
 func TestScheduleCostEmptyRounds(t *testing.T) {
 	m := NewModel(testSpec(), NewRing(4))
 	if m.ScheduleCost(nil) != 0 {

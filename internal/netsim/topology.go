@@ -235,22 +235,3 @@ func Hops(t Topology, src, dst int) int {
 	}
 	return len(t.Path(src, dst))
 }
-
-// AverageHops returns the mean path length over all ordered pairs, a
-// summary statistic used in topology tables.
-func AverageHops(t Topology) float64 {
-	n := t.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			total += len(t.Path(s, d))
-		}
-	}
-	return float64(total) / float64(n*(n-1))
-}

@@ -2,9 +2,9 @@
 // gauges, histograms with fixed log-scale buckets, and timers, grouped in a
 // Registry. Every instrument is safe for concurrent use (the parallel lab
 // runner executes experiments on a bounded worker pool, and the measured
-// plane's pools and jitter goroutines record from real threads), and a
-// Registry can be snapshotted at any time into a plain, JSON-serialisable
-// Snapshot that merges associatively across registries.
+// plane's pools record from real threads), and a Registry can be
+// snapshotted at any time into a plain, JSON-serialisable Snapshot that
+// merges associatively across registries.
 //
 // The instrumented hot paths — the sim event loop, the collectives, the
 // scheduler pools, the chaos injectors, the tuner — each write to the

@@ -49,12 +49,3 @@ func Efficiency(s *machine.Spec, intensity float64) float64 {
 func TimeSec(s *machine.Spec, flops, intensity float64) float64 {
 	return flops / Attainable(s, intensity)
 }
-
-// Sweep returns attainable flop/s at each intensity — one roofline curve.
-func Sweep(s *machine.Spec, intensities []float64) []float64 {
-	out := make([]float64, len(intensities))
-	for i, ai := range intensities {
-		out[i] = Attainable(s, ai)
-	}
-	return out
-}

@@ -62,17 +62,6 @@ func TestTimeSec(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesPointwise(t *testing.T) {
-	s := machine.Exascale()
-	ais := []float64{0.1, 1, 10, 100}
-	ys := Sweep(s, ais)
-	for i, ai := range ais {
-		if ys[i] != Attainable(s, ai) {
-			t.Fatalf("sweep[%d] mismatch", i)
-		}
-	}
-}
-
 func TestExascaleRidgeFartherRight(t *testing.T) {
 	// The keynote's point: future machines demand higher intensity.
 	if machine.Exascale().RidgeIntensity() <= machine.Laptop2009().RidgeIntensity() {

@@ -540,9 +540,15 @@ type adviceResponse struct {
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
 	var req diagnoseRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err := dec.Decode(&req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
+		return
+	}
+	// The body is one JSON value: anything after it but whitespace is
+	// rejected rather than silently ignored.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		s.writeErr(w, http.StatusBadRequest, "bad body: data after the JSON value")
 		return
 	}
 	if len(req.Workers) == 0 {

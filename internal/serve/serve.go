@@ -6,7 +6,7 @@
 // The request path composes the repo's own remedies instead of the naive
 // stack it warns about:
 //
-//   - a sharded, LRU-bounded, generation-keyed result cache
+//   - a sharded, LRU-bounded result cache
 //     (internal/cache) keyed machine+experiment+params+seed, so repeated
 //     identical requests are W2 (redundant work) that never happens twice;
 //   - a hand-rolled singleflight so N concurrent identical requests
@@ -143,10 +143,6 @@ func New(lab Lab, opts Options) *Server {
 
 // Metrics returns the daemon's registry (the one /metrics renders).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// InvalidateCache bumps the result cache's generation, making every cached
-// result a miss (O(1); stale entries are reclaimed lazily).
-func (s *Server) InvalidateCache() { s.cache.Bump() }
 
 // defaultMachine resolves the server's default machine spec.
 func (s *Server) defaultMachine() *machine.Spec { return machine.Preset(s.opts.Machine) }

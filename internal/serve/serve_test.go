@@ -351,20 +351,6 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
-func TestInvalidateCache(t *testing.T) {
-	lab := &stubLab{}
-	srv, ts := newTestServer(t, lab, Options{})
-	get(t, ts.URL+"/v1/run?id=E1")
-	srv.InvalidateCache()
-	_, hdr, _ := get(t, ts.URL+"/v1/run?id=E1")
-	if hdr.Get("X-Cache") != "miss" {
-		t.Fatalf("post-invalidate X-Cache = %q, want miss", hdr.Get("X-Cache"))
-	}
-	if n := lab.runs.Load(); n != 2 {
-		t.Fatalf("lab ran %d times, want 2 after invalidation", n)
-	}
-}
-
 func TestDiagnoseEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, &stubLab{}, Options{})
 	// A breakdown dominated by sync-wait should surface at least one mode.
@@ -389,8 +375,12 @@ func TestDiagnoseEndpoint(t *testing.T) {
 		t.Fatalf("no advice for a sync-dominated breakdown: %s", body)
 	}
 
-	// Unknown category and empty body are client errors.
-	for _, bad := range []string{`{"workers":[{"nope":1}]}`, `{"workers":[]}`, `not json`} {
+	// Unknown category, empty body and data after the object are client
+	// errors.
+	for _, bad := range []string{
+		`{"workers":[{"nope":1}]}`, `{"workers":[]}`, `not json`,
+		`{"workers":[{"steal":1}]} garbage`, `{"workers":[{"steal":1}]}{}`,
+	} {
 		resp, err := http.Post(ts.URL+"/v1/diagnose", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatalf("POST diagnose: %v", err)

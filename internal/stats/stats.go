@@ -1,75 +1,11 @@
-// Package stats provides the small set of statistics used by the tenways
-// experiment harness: summary statistics with confidence intervals, least
-// squares fits, and crossover detection between two measured series.
+// Package stats provides the least-squares line fit F28 uses to measure
+// the idle wave's propagation speed from its arrival times.
 //
 // The package is deliberately dependency-free and deterministic; it never
 // consults a random source.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// Summary describes a sample of float64 observations.
-type Summary struct {
-	N      int
-	Mean   float64
-	Min    float64
-	Max    float64
-	Stddev float64 // sample standard deviation (n-1 denominator)
-	Median float64
-}
-
-// Summarize computes a Summary over xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	s.Min = xs[0]
-	s.Max = xs[0]
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := s.N / 2
-	if s.N%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
-// CI95 returns the half-width of an approximate 95% confidence interval for
-// the mean, using the normal approximation (1.96 standard errors). For n < 2
-// it returns 0.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev / math.Sqrt(float64(s.N))
-}
+import "errors"
 
 // Fit is a least-squares line y = Slope*x + Intercept with goodness of fit.
 type Fit struct {
@@ -112,89 +48,4 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 		f.R2 = (sxy * sxy) / (sxx * syy)
 	}
 	return f, nil
-}
-
-// LogLogSlope fits log(y) on log(x) and returns the exponent, i.e. the p in
-// y ≈ c·x^p. All values must be positive.
-func LogLogSlope(xs, ys []float64) (float64, error) {
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || i >= len(ys) || ys[i] <= 0 {
-			return 0, ErrBadFit
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	f, err := LinearFit(lx, ly)
-	if err != nil {
-		return 0, err
-	}
-	return f.Slope, nil
-}
-
-// Crossover locates the first x at which series b stops being larger than
-// series a (i.e. the advantage of a over b disappears). Both series must be
-// sampled at the same xs, in increasing x order. It returns the interpolated
-// x of the crossing and true, or 0 and false if the series never cross.
-func Crossover(xs, a, b []float64) (float64, bool) {
-	if len(xs) != len(a) || len(xs) != len(b) || len(xs) == 0 {
-		return 0, false
-	}
-	prev := b[0] - a[0]
-	if prev <= 0 {
-		return xs[0], true
-	}
-	for i := 1; i < len(xs); i++ {
-		cur := b[i] - a[i]
-		if cur <= 0 {
-			// Linear interpolation between sample i-1 and i.
-			if prev == cur {
-				return xs[i], true
-			}
-			t := prev / (prev - cur)
-			return xs[i-1] + t*(xs[i]-xs[i-1]), true
-		}
-		prev = cur
-	}
-	return 0, false
-}
-
-// GeoMean returns the geometric mean of positive observations; it returns 0
-// for an empty sample and NaN when any observation is non-positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// Speedup returns base/opt, the conventional "how many times faster" ratio.
-// It returns +Inf when opt is zero and base is positive, and NaN when both
-// are zero.
-func Speedup(base, opt float64) float64 {
-	return base / opt
-}
-
-// HarmonicMean returns the harmonic mean of positive observations, the right
-// mean for rates. Returns 0 for empty input, NaN for non-positive entries.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += 1 / x
-	}
-	return float64(len(xs)) / sum
 }

@@ -13,51 +13,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Stddev != 0 {
-		t.Fatalf("empty summary not zero: %+v", s)
-	}
-	if s.CI95() != 0 {
-		t.Fatalf("CI of empty sample should be 0")
-	}
-}
-
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if !almostEqual(s.Mean, 5, 1e-12) {
-		t.Fatalf("mean = %g", s.Mean)
-	}
-	// Sample stddev of this classic dataset is sqrt(32/7).
-	if !almostEqual(s.Stddev, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("stddev = %g", s.Stddev)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max = %g/%g", s.Min, s.Max)
-	}
-	if !almostEqual(s.Median, 4.5, 1e-12) {
-		t.Fatalf("median = %g", s.Median)
-	}
-}
-
-func TestSummarizeMedianOdd(t *testing.T) {
-	s := Summarize([]float64{9, 1, 5})
-	if s.Median != 5 {
-		t.Fatalf("median = %g, want 5", s.Median)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatalf("input mutated: %v", in)
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 2x + 1
@@ -92,107 +47,6 @@ func TestLinearFitConstantY(t *testing.T) {
 	}
 	if !almostEqual(f.Slope, 0, 1e-12) || !almostEqual(f.R2, 1, 1e-12) {
 		t.Fatalf("constant-y fit = %+v", f)
-	}
-}
-
-func TestLogLogSlope(t *testing.T) {
-	// y = 5 x^3
-	xs := []float64{1, 2, 4, 8}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 * x * x * x
-	}
-	p, err := LogLogSlope(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(p, 3, 1e-9) {
-		t.Fatalf("exponent = %g, want 3", p)
-	}
-	if _, err := LogLogSlope([]float64{0, 1}, []float64{1, 1}); err == nil {
-		t.Fatal("expected error on non-positive x")
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	a := []float64{10, 10, 10, 10}
-	b := []float64{16, 14, 8, 2} // crosses between x=2 and x=3, at x=2+4/6*1
-	x, ok := Crossover(xs, a, b)
-	if !ok {
-		t.Fatal("expected crossover")
-	}
-	if !almostEqual(x, 2+4.0/6.0, 1e-9) {
-		t.Fatalf("crossover at %g", x)
-	}
-}
-
-func TestCrossoverNone(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	a := []float64{1, 1, 1}
-	b := []float64{2, 3, 4}
-	if _, ok := Crossover(xs, a, b); ok {
-		t.Fatal("unexpected crossover")
-	}
-}
-
-func TestCrossoverImmediate(t *testing.T) {
-	xs := []float64{1, 2}
-	a := []float64{5, 5}
-	b := []float64{4, 3}
-	x, ok := Crossover(xs, a, b)
-	if !ok || x != 1 {
-		t.Fatalf("got %g,%v want 1,true", x, ok)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); !almostEqual(g, 4, 1e-12) {
-		t.Fatalf("geomean = %g", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("empty geomean = %g", g)
-	}
-	if g := GeoMean([]float64{1, -1}); !math.IsNaN(g) {
-		t.Fatalf("negative geomean = %g, want NaN", g)
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	if h := HarmonicMean([]float64{1, 2, 4}); !almostEqual(h, 3.0/(1+0.5+0.25), 1e-12) {
-		t.Fatalf("harmonic = %g", h)
-	}
-	if h := HarmonicMean(nil); h != 0 {
-		t.Fatalf("empty harmonic = %g", h)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if s := Speedup(10, 2); s != 5 {
-		t.Fatalf("speedup = %g", s)
-	}
-	if s := Speedup(1, 0); !math.IsInf(s, 1) {
-		t.Fatalf("speedup by zero = %g", s)
-	}
-}
-
-// Property: mean is bounded by min and max, and stddev is non-negative.
-func TestSummaryBoundsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Min <= s.Mean+1e-6 && s.Mean <= s.Max+1e-6 && s.Stddev >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

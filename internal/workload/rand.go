@@ -1,8 +1,7 @@
 // Package workload provides the deterministic generators behind every
 // experiment's inputs: a seedable splitmix64 PRNG (so runs are reproducible
 // without touching math/rand global state), skewed task-cost distributions
-// for the load-imbalance experiments, sparse matrices, R-MAT graphs, and
-// particle distributions.
+// for the load-imbalance experiments, and R-MAT graphs.
 package workload
 
 import "math"
@@ -36,16 +35,6 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a uniform float in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Norm returns a standard normal variate (Box–Muller).
-func (r *Rand) Norm() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Exp returns an exponential variate with mean 1.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -47,149 +46,6 @@ func (d *TaskDist) ZipfSorted(n int, s, mean float64) []float64 {
 	out := d.Zipf(n, s, mean)
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out
-}
-
-// Bimodal returns n costs where fraction heavyFrac of tasks cost
-// heavyCost and the rest cost lightCost, shuffled.
-func (d *TaskDist) Bimodal(n int, heavyFrac, lightCost, heavyCost float64) []float64 {
-	out := make([]float64, n)
-	heavy := int(heavyFrac * float64(n))
-	for i := range out {
-		if i < heavy {
-			out[i] = heavyCost
-		} else {
-			out[i] = lightCost
-		}
-	}
-	d.rng.Shuffle(out)
-	return out
-}
-
-// Skew summarises a cost vector's imbalance potential: max/mean.
-func Skew(costs []float64) float64 {
-	if len(costs) == 0 {
-		return 0
-	}
-	max, sum := costs[0], 0.0
-	for _, c := range costs {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	return max / (sum / float64(len(costs)))
-}
-
-// CSR is a sparse matrix in compressed sparse row form.
-type CSR struct {
-	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int
-	Vals       []float64
-}
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// MulVec computes y = A·x.
-func (m *CSR) MulVec(x, y []float64) {
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
-	}
-}
-
-// Validate checks structural invariants.
-func (m *CSR) Validate() error {
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("workload: RowPtr length %d != rows+1 %d", len(m.RowPtr), m.Rows+1)
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.Vals) {
-		return fmt.Errorf("workload: RowPtr endpoints invalid")
-	}
-	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
-			return fmt.Errorf("workload: RowPtr not monotone at row %d", i)
-		}
-	}
-	if len(m.ColIdx) != len(m.Vals) {
-		return fmt.Errorf("workload: ColIdx/Vals length mismatch")
-	}
-	for _, c := range m.ColIdx {
-		if c < 0 || c >= m.Cols {
-			return fmt.Errorf("workload: column index %d out of range", c)
-		}
-	}
-	return nil
-}
-
-// RandomCSR builds an n×n sparse matrix with ~nnzPerRow uniform nonzeros
-// per row (duplicates collapsed), values in (0, 1].
-func RandomCSR(seed uint64, n, nnzPerRow int) *CSR {
-	rng := NewRand(seed)
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		seen := map[int]bool{}
-		for k := 0; k < nnzPerRow; k++ {
-			c := rng.Intn(n)
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
-		}
-		cols := make([]int, 0, len(seen))
-		for c := range seen {
-			cols = append(cols, c)
-		}
-		sort.Ints(cols)
-		for _, c := range cols {
-			m.ColIdx = append(m.ColIdx, c)
-			m.Vals = append(m.Vals, rng.Float64()/2+0.5)
-		}
-		m.RowPtr[i+1] = len(m.Vals)
-	}
-	return m
-}
-
-// PowerLawCSR builds an n×n matrix whose row lengths follow a power law —
-// the row-skew input for imbalance-under-SpMV experiments. Row i (after a
-// deterministic shuffle) has about maxRow/(rank^s) nonzeros.
-func PowerLawCSR(seed uint64, n, maxRow int, s float64) *CSR {
-	rng := NewRand(seed)
-	lengths := make([]int, n)
-	for i := range lengths {
-		l := int(float64(maxRow) / math.Pow(float64(i+1), s))
-		if l < 1 {
-			l = 1
-		}
-		lengths[i] = l
-	}
-	// Shuffle so heavy rows are scattered.
-	for i := n - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		lengths[i], lengths[j] = lengths[j], lengths[i]
-	}
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		seen := map[int]bool{}
-		for len(seen) < lengths[i] && len(seen) < n {
-			seen[rng.Intn(n)] = true
-		}
-		cols := make([]int, 0, len(seen))
-		for c := range seen {
-			cols = append(cols, c)
-		}
-		sort.Ints(cols)
-		for _, c := range cols {
-			m.ColIdx = append(m.ColIdx, c)
-			m.Vals = append(m.Vals, 1)
-		}
-		m.RowPtr[i+1] = len(m.Vals)
-	}
-	return m
 }
 
 // Graph is an adjacency-list graph.
@@ -248,44 +104,4 @@ func RMAT(seed uint64, scale, edgeFactor int) *Graph {
 		sort.Ints(a)
 	}
 	return g
-}
-
-// UniformGraph generates an Erdős–Rényi-style directed graph with n
-// vertices and about deg out-edges per vertex.
-func UniformGraph(seed uint64, n, deg int) *Graph {
-	rng := NewRand(seed)
-	g := &Graph{N: n, Adj: make([][]int, n)}
-	for u := 0; u < n; u++ {
-		seen := map[int]bool{}
-		for len(seen) < deg {
-			v := rng.Intn(n)
-			if v != u {
-				seen[v] = true
-			}
-		}
-		for v := range seen {
-			g.Adj[u] = append(g.Adj[u], v)
-		}
-		sort.Ints(g.Adj[u])
-	}
-	return g
-}
-
-// Particles returns n 2-D positions. clustered=false gives a uniform box
-// [0,1)²; clustered=true concentrates 80% of particles in a 0.1-wide
-// corner blob — the adversarial input for spatially partitioned n-body.
-func Particles(seed uint64, n int, clustered bool) (xs, ys []float64) {
-	rng := NewRand(seed)
-	xs = make([]float64, n)
-	ys = make([]float64, n)
-	for i := 0; i < n; i++ {
-		if clustered && i < n*8/10 {
-			xs[i] = rng.Float64() * 0.1
-			ys[i] = rng.Float64() * 0.1
-		} else {
-			xs[i] = rng.Float64()
-			ys[i] = rng.Float64()
-		}
-	}
-	return xs, ys
 }

@@ -149,7 +149,7 @@ type MetricsSnapshot = obs.Snapshot
 // it. All built-in injectors are seeded and deterministic.
 type Injector = chaos.Injector
 
-// Scenario composes injectors and link faults into one perturbation plan;
+// Scenario composes injectors into one perturbation plan;
 // arm it on a World with Scenario.Arm. An empty scenario injects nothing
 // and leaves runs bit-identical to unperturbed ones.
 type Scenario = chaos.Scenario
@@ -320,7 +320,7 @@ func BFSCampaign(m *Machine, ranks int, g *Graph, wasteful bool) (BFSResult, err
 	return core.BFSCampaign(m, ranks, g, wasteful)
 }
 
-// Graph is an adjacency-list graph (see RMAT and UniformGraph generators).
+// Graph is an adjacency-list graph (see the RMAT generator).
 type Graph = workload.Graph
 
 // RMAT generates a scale-free directed graph with 2^scale vertices and
