@@ -33,13 +33,14 @@ fix:
 fix-clean: fix
 	git diff --exit-code
 
-# Tier-2 verify: static analysis + race detector. The pdes line reruns the
-# engine at GOMAXPROCS 1, 2 and 4, so its default-worker tests exercise the
-# window loop with 0, 1 and 3 helper goroutines.
+# Tier-2 verify: static analysis + race detector. The last line reruns
+# pdes, obs and serve at GOMAXPROCS 1, 2 and 4: the engine's default-worker
+# tests exercise the window loop with 0, 1 and 3 helper goroutines, and the
+# obs instruments and the daemon's request accounting see 1, 2 and 4 Ps.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/pdes
+	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/serve
 
 # Native fuzzing: run every Fuzz* target of the module for FUZZTIME each
 # (go test fuzzes one target per invocation). Seed corpora live under each

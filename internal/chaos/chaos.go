@@ -202,7 +202,7 @@ func (s *Scenario) ComputeDelay(rank int, now, d float64) float64 {
 	for _, in := range s.injectors {
 		total += in.Delay(rank, now, d)
 	}
-	if total > 0 && s.injections != nil {
+	if total > 0 {
 		s.injections.Inc()
 		s.injected.Add(total)
 	}

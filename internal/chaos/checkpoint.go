@@ -29,7 +29,7 @@ type CheckpointConfig struct {
 	FailStep   int
 	FailRank   int
 	RestartSec float64
-	Obs        *obs.Registry // nil = process-wide default registry
+	Obs        *obs.Registry // nil records nothing
 }
 
 // CheckpointResult is the campaign outcome.
@@ -53,9 +53,7 @@ func RunCheckpointCampaign(spec *machine.Spec, cfg CheckpointConfig) (Checkpoint
 		return CheckpointResult{}, fmt.Errorf("chaos: failing rank %d outside world of %d", cfg.FailRank, p)
 	}
 	w := pgas.NewWorld(p, spec, nil, nil)
-	if cfg.Obs != nil {
-		w.SetObs(cfg.Obs)
-	}
+	w.SetObs(cfg.Obs)
 	var checkpoints, replay int
 	makespan, err := w.Run(func(r *pgas.Rank) {
 		id := r.ID()

@@ -75,7 +75,7 @@ type IdleWaveConfig struct {
 	Stack   Stack
 	Cost    pgas.CostModel // nil = topology-free LogGP
 	Chaos   *Scenario      // nil = quiet run
-	Obs     *obs.Registry  // nil = process-wide default registry
+	Obs     *obs.Registry  // nil records nothing
 }
 
 func (c IdleWaveConfig) offsets() []int {
@@ -106,9 +106,7 @@ func RunIdleWave(spec *machine.Spec, cfg IdleWaveConfig) (IdleWaveResult, error)
 	}
 	offs := cfg.offsets()
 	w := pgas.NewWorld(p, spec, cfg.Cost, nil)
-	if cfg.Obs != nil {
-		w.SetObs(cfg.Obs)
-	}
+	w.SetObs(cfg.Obs)
 	if cfg.Chaos != nil {
 		cfg.Chaos.Arm(w)
 	}

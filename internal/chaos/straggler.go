@@ -25,7 +25,7 @@ type StragglerConfig struct {
 	TaskSec float64
 	Dynamic bool
 	Chaos   *Scenario
-	Obs     *obs.Registry // nil = process-wide default registry
+	Obs     *obs.Registry // nil records nothing
 }
 
 // StragglerResult is the campaign outcome.
@@ -45,9 +45,7 @@ func RunStragglerCampaign(spec *machine.Spec, cfg StragglerConfig) (StragglerRes
 		return StragglerResult{}, fmt.Errorf("chaos: straggler campaign needs tasks and a positive task cost")
 	}
 	w := pgas.NewWorld(p, spec, nil, nil)
-	if cfg.Obs != nil {
-		w.SetObs(cfg.Obs)
-	}
+	w.SetObs(cfg.Obs)
 	if cfg.Chaos != nil {
 		cfg.Chaos.Arm(w)
 	}

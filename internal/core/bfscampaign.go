@@ -45,11 +45,9 @@ func (r BFSResult) TEPS() float64 {
 // the flat allreduce (serialised at rank 0), and inserts a central barrier
 // per level (W3); the remedied stack sends bulk and uses recursive
 // doubling with no extra barrier (p must be a power of two for it).
-func BFSCampaign(spec *machine.Spec, p int, g *workload.Graph, wasteful bool) (BFSResult, error) {
-	return bfsCampaign(obs.Default(), spec, p, g, wasteful)
-}
-
-func bfsCampaign(reg *obs.Registry, spec *machine.Spec, p int, g *workload.Graph, wasteful bool) (BFSResult, error) {
+//
+// reg receives the run's metrics; nil records nothing.
+func BFSCampaign(reg *obs.Registry, spec *machine.Spec, p int, g *workload.Graph, wasteful bool) (BFSResult, error) {
 	if !wasteful && p&(p-1) != 0 {
 		return BFSResult{}, fmt.Errorf("core: remedied BFS needs power-of-two ranks, got %d", p)
 	}
@@ -181,11 +179,11 @@ func runF21(ctx context.Context, cfg Config) (Output, error) {
 			return Output{}, err
 		}
 		f.Xs = append(f.Xs, float64(p))
-		wres, err := bfsCampaign(cfg.metrics(), spec, p, g, true)
+		wres, err := BFSCampaign(cfg.Obs, spec, p, g, true)
 		if err != nil {
 			return Output{}, err
 		}
-		rres, err := bfsCampaign(cfg.metrics(), spec, p, g, false)
+		rres, err := BFSCampaign(cfg.Obs, spec, p, g, false)
 		if err != nil {
 			return Output{}, err
 		}

@@ -36,11 +36,9 @@ func (r CGCampaignResult) SecondsPerIteration() float64 {
 // s-step formulation: one allreduce round (of 2·s fused scalars) every
 // sStep iterations, at ~1.5× the local flops — Yelick's communication-
 // avoiding Krylov trade, which wins once allreduce latency dominates.
-func CGCampaign(spec *machine.Spec, p, gridN, iters, sStep int) (CGCampaignResult, error) {
-	return cgCampaign(obs.Default(), spec, p, gridN, iters, sStep)
-}
-
-func cgCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, iters, sStep int) (CGCampaignResult, error) {
+//
+// reg receives the run's metrics; nil records nothing.
+func CGCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, iters, sStep int) (CGCampaignResult, error) {
 	if p&(p-1) != 0 {
 		return CGCampaignResult{}, fmt.Errorf("core: CGCampaign needs power-of-two ranks, got %d", p)
 	}
@@ -124,11 +122,11 @@ func runF19(ctx context.Context, cfg Config) (Output, error) {
 			return Output{}, err
 		}
 		f.Xs = append(f.Xs, float64(p))
-		s, err := cgCampaign(cfg.metrics(), spec, p, gridN, iters, 1)
+		s, err := CGCampaign(cfg.Obs, spec, p, gridN, iters, 1)
 		if err != nil {
 			return Output{}, err
 		}
-		c, err := cgCampaign(cfg.metrics(), spec, p, gridN, iters, 4)
+		c, err := CGCampaign(cfg.Obs, spec, p, gridN, iters, 4)
 		if err != nil {
 			return Output{}, err
 		}

@@ -41,7 +41,7 @@ func runT8(ctx context.Context, cfg Config) (Output, error) {
 		{"straggler r3 1.5x", func() chaos.Injector { return chaos.NewStraggler(3, 1.5) }},
 	}
 	run := func(stack chaos.Stack, mk func() chaos.Injector) (chaos.IdleWaveResult, error) {
-		c := chaos.IdleWaveConfig{Ranks: p, Steps: steps, Compute: compute, Words: 16, Stack: stack, Obs: cfg.metrics()}
+		c := chaos.IdleWaveConfig{Ranks: p, Steps: steps, Compute: compute, Words: 16, Stack: stack, Obs: cfg.Obs}
 		if mk != nil {
 			c.Chaos = chaos.NewScenario().Add(mk())
 		}
@@ -121,7 +121,7 @@ func runF22(ctx context.Context, cfg Config) (Output, error) {
 		c := chaos.IdleWaveConfig{
 			Ranks: p, Steps: steps, Compute: compute, Words: words,
 			Offsets: v.offs, Stack: chaos.NeighborBlocking,
-			Obs: cfg.metrics(),
+			Obs: cfg.Obs,
 		}
 		if v.topo != nil {
 			c.Cost = netsim.NewModel(spec.Net, v.topo)
@@ -173,7 +173,7 @@ func runF23(ctx context.Context, cfg Config) (Output, error) {
 		sc := chaos.NewScenario().Add(chaos.NewSpike(victim, 0, dur))
 		_, _, delta, err := chaos.IdleWaveDelta(spec, chaos.IdleWaveConfig{
 			Ranks: p, Steps: steps, Compute: compute, Words: words, Stack: stack,
-			Obs: cfg.metrics(),
+			Obs: cfg.Obs,
 		}, sc)
 		if err != nil {
 			return Output{}, err
@@ -216,7 +216,7 @@ func runF24(ctx context.Context, cfg Config) (Output, error) {
 		}
 		ys := make([]float64, 0, len(factors))
 		for _, factor := range factors {
-			c := chaos.StragglerConfig{Ranks: p, Tasks: tasks, TaskSec: taskSec, Dynamic: dynamic, Obs: cfg.metrics()}
+			c := chaos.StragglerConfig{Ranks: p, Tasks: tasks, TaskSec: taskSec, Dynamic: dynamic, Obs: cfg.Obs}
 			if factor > 1 {
 				c.Chaos = chaos.NewScenario().Add(chaos.NewStraggler(p-1, factor))
 			}
@@ -254,7 +254,7 @@ func runF25(ctx context.Context, cfg Config) (Output, error) {
 			Ranks: p, Steps: steps, StepSec: stepSec,
 			Interval: interval, CkptSec: ckptSec,
 			FailStep: fail, FailRank: p / 2, RestartSec: 4 * stepSec,
-			Obs: cfg.metrics(),
+			Obs: cfg.Obs,
 		})
 	}
 	f := report.NewFigure("F25",

@@ -163,11 +163,11 @@ func TestT1FactorsExceedOne(t *testing.T) {
 
 func TestStencilCampaignRemediedWins(t *testing.T) {
 	spec := machine.Petascale2009()
-	w, err := StencilCampaign(spec, 8, 512, 5, true)
+	w, err := StencilCampaign(nil, spec, 8, 512, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := StencilCampaign(spec, 8, 512, 5, false)
+	r, err := StencilCampaign(nil, spec, 8, 512, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestStencilCampaignRemediedWins(t *testing.T) {
 }
 
 func TestStencilCampaignSingleRank(t *testing.T) {
-	if _, err := StencilCampaign(machine.Laptop2009(), 1, 128, 3, false); err != nil {
+	if _, err := StencilCampaign(nil, machine.Laptop2009(), 1, 128, 3, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,7 +201,7 @@ func TestStencilGapLargeAtEveryScale(t *testing.T) {
 	// stays large everywhere while the remedied stack keeps scaling.
 	spec := machine.Petascale2009()
 	run := func(p int, wasteful bool) float64 {
-		res, err := StencilCampaign(spec, p, 1024, 5, wasteful)
+		res, err := StencilCampaign(nil, spec, p, 1024, 5, wasteful)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,11 +414,11 @@ func TestConfigDefaultsMachine(t *testing.T) {
 
 func TestSortCampaignCorrectAndRemediedWins(t *testing.T) {
 	spec := machine.Petascale2009()
-	w, err := SortCampaign(spec, 8, 512, true)
+	w, err := SortCampaign(nil, spec, 8, 512, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := SortCampaign(spec, 8, 512, false)
+	r, err := SortCampaign(nil, spec, 8, 512, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,18 +442,18 @@ func TestSortCampaignCorrectAndRemediedWins(t *testing.T) {
 func TestCGCampaignShapes(t *testing.T) {
 	spec := machine.Petascale2009()
 	// s-step must win at scale, where allreduce latency dominates.
-	std, err := CGCampaign(spec, 64, 1024, 10, 1)
+	std, err := CGCampaign(nil, spec, 64, 1024, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := CGCampaign(spec, 64, 1024, 10, 4)
+	ca, err := CGCampaign(nil, spec, 64, 1024, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ca.Seconds >= std.Seconds {
 		t.Fatalf("s-step (%g) should beat standard (%g) at P=64", ca.Seconds, std.Seconds)
 	}
-	if _, err := CGCampaign(spec, 3, 256, 5, 1); err == nil {
+	if _, err := CGCampaign(nil, spec, 3, 256, 5, 1); err == nil {
 		t.Fatal("non-power-of-two ranks should fail")
 	}
 	if std.SecondsPerIteration() <= 0 {
@@ -548,11 +548,11 @@ func TestDiagnoseModeledOversyncRun(t *testing.T) {
 func TestBFSCampaignCorrectAndRemediedWins(t *testing.T) {
 	spec := machine.Petascale2009()
 	g := workload.RMAT(7, 9, 8)
-	w, err := BFSCampaign(spec, 8, g, true)
+	w, err := BFSCampaign(nil, spec, 8, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BFSCampaign(spec, 8, g, false)
+	r, err := BFSCampaign(nil, spec, 8, g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,10 +568,10 @@ func TestBFSCampaignCorrectAndRemediedWins(t *testing.T) {
 	if (BFSResult{}).TEPS() != 0 {
 		t.Fatal("zero-time TEPS should be 0")
 	}
-	if _, err := BFSCampaign(spec, 3, g, false); err == nil {
+	if _, err := BFSCampaign(nil, spec, 3, g, false); err == nil {
 		t.Fatal("non-pow2 remedied BFS should fail")
 	}
-	if _, err := BFSCampaign(spec, 7, g, true); err == nil {
+	if _, err := BFSCampaign(nil, spec, 7, g, true); err == nil {
 		t.Fatal("non-dividing p should fail")
 	}
 }

@@ -177,7 +177,7 @@ func runT7(ctx context.Context, cfg Config) (Output, error) {
 	if cfg.Quick {
 		gridN, steps = 512, 5
 	}
-	base, err := stencilCampaign(cfg.metrics(), spec, 1, gridN, steps, false)
+	base, err := StencilCampaign(cfg.Obs, spec, 1, gridN, steps, false)
 	if err != nil {
 		return Output{}, err
 	}
@@ -188,7 +188,7 @@ func runT7(ctx context.Context, cfg Config) (Output, error) {
 	speedupsRemedied := make([]float64, 0, 5)
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		for _, wasteful := range []bool{true, false} {
-			res, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, wasteful)
+			res, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, wasteful)
 			if err != nil {
 				return Output{}, err
 			}

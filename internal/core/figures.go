@@ -281,11 +281,11 @@ func runF11(ctx context.Context, cfg Config) (Output, error) {
 	var t1 float64
 	for i, p := range ps {
 		f.Xs = append(f.Xs, float64(p))
-		w, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, true)
+		w, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, true)
 		if err != nil {
 			return Output{}, err
 		}
-		r, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, false)
+		r, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, false)
 		if err != nil {
 			return Output{}, err
 		}
@@ -321,11 +321,11 @@ func runF12(ctx context.Context, cfg Config) (Output, error) {
 		}
 		f.Xs = append(f.Xs, float64(p))
 		gridN := rowsPerRank * p
-		w, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, true)
+		w, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, true)
 		if err != nil {
 			return Output{}, err
 		}
-		r, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, false)
+		r, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, false)
 		if err != nil {
 			return Output{}, err
 		}
@@ -378,7 +378,7 @@ func runF14(ctx context.Context, cfg Config) (Output, error) {
 		}
 		f.Xs = append(f.Xs, float64(p))
 		for _, alg := range []string{"flat", "rdouble", "ring"} {
-			secs, err := allreduceTime(cfg.metrics(), spec, p, words, alg)
+			secs, err := allreduceTime(cfg.Obs, spec, p, words, alg)
 			if err != nil {
 				return Output{}, err
 			}

@@ -23,10 +23,10 @@ type Config struct {
 	// chaos.DefaultSeed. Two runs at the same seed produce identical
 	// tables.
 	Seed uint64
-	// Obs receives the run's subsystem metrics (sim events, collective
-	// bytes, scheduler steals, ...). nil selects the process-wide default
-	// registry; RunAll gives every experiment its own so per-experiment
-	// snapshots stay attributable under parallel execution.
+	// Obs receives the run's subsystem metrics (pdes engine events,
+	// collective bytes, tuner evaluations, ...); nil records nothing.
+	// RunAll gives every experiment its own so per-experiment snapshots
+	// stay attributable under parallel execution.
 	Obs *obs.Registry
 }
 
@@ -42,14 +42,6 @@ func (c Config) seed() uint64 {
 		return c.Seed
 	}
 	return chaos.DefaultSeed
-}
-
-// metrics returns the registry experiment code should record into.
-func (c Config) metrics() *obs.Registry {
-	if c.Obs != nil {
-		return c.Obs
-	}
-	return obs.Default()
 }
 
 // Output is what an experiment produces: a table, a figure, or both.

@@ -75,7 +75,7 @@ func runT11(ctx context.Context, cfg Config) (Output, error) {
 		return Output{}, err
 	}
 	total, sup := res.Counts()
-	reg := cfg.metrics()
+	reg := cfg.Obs
 	reg.Counter("lint.findings").Add(int64(len(res.Findings)))
 	reg.Counter("lint.unsuppressed").Add(int64(len(res.Unsuppressed())))
 	reg.Counter("lint.files").Add(int64(res.Files))
@@ -186,7 +186,7 @@ func runT13(ctx context.Context, cfg Config) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	reg := cfg.metrics()
+	reg := cfg.Obs
 	reg.Counter("lint.fix.applicable").Add(int64(fixed.Applied))
 	reg.Counter("lint.fix.skipped").Add(int64(fixed.Skipped))
 

@@ -76,7 +76,7 @@ func runF28(ctx context.Context, cfg Config) (Output, error) {
 		}
 		eng := f28Engine
 		eng.Lookahead = w.MinDelay()
-		eng.Obs = cfg.metrics()
+		eng.Obs = cfg.Obs
 		res, err := pdes.Run(w, eng)
 		if err != nil {
 			return Output{}, fmt.Errorf("F28 %s: %w", v.name, err)

@@ -38,7 +38,7 @@ type RunResult struct {
 	Wall     time.Duration
 	// Metrics is the experiment's own registry snapshot: every run records
 	// at least the lab.* instruments, plus whatever subsystems it touched
-	// (sim.*, pgas.*, collective.*, sched.*, chaos.*, tune.*).
+	// (pdes.*, pgas.*, collective.*, chaos.*, tune.*, ...).
 	Metrics obs.Snapshot
 }
 

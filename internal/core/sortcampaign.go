@@ -43,11 +43,9 @@ func (r SortResult) KeysPerJoule() float64 {
 // in 32-word chunks (W7), and central-barriers between phases (W3); the
 // remedied stack uses the binomial broadcast, bulk exchange, and no extra
 // barriers.
-func SortCampaign(spec *machine.Spec, p, perRank int, wasteful bool) (SortResult, error) {
-	return sortCampaign(obs.Default(), spec, p, perRank, wasteful)
-}
-
-func sortCampaign(reg *obs.Registry, spec *machine.Spec, p, perRank int, wasteful bool) (SortResult, error) {
+//
+// reg receives the run's metrics; nil records nothing.
+func SortCampaign(reg *obs.Registry, spec *machine.Spec, p, perRank int, wasteful bool) (SortResult, error) {
 	w := pgas.NewWorld(p, spec, nil, nil)
 	w.SetObs(reg)
 	var firstErr error
@@ -166,11 +164,11 @@ func runF18(ctx context.Context, cfg Config) (Output, error) {
 		if err := ctx.Err(); err != nil {
 			return Output{}, err
 		}
-		wres, err := sortCampaign(cfg.metrics(), spec, p, perRank, true)
+		wres, err := SortCampaign(cfg.Obs, spec, p, perRank, true)
 		if err != nil {
 			return Output{}, err
 		}
-		rres, err := sortCampaign(cfg.metrics(), spec, p, perRank, false)
+		rres, err := SortCampaign(cfg.Obs, spec, p, perRank, false)
 		if err != nil {
 			return Output{}, err
 		}

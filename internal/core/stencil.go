@@ -37,11 +37,9 @@ func (r StencilResult) StepsPerJoule() float64 {
 //
 // This is the integrated experiment behind T5, F11 and F12: individual
 // wastes compound, so the stacks separate far more than any single mode.
-func StencilCampaign(spec *machine.Spec, p, gridN, steps int, wasteful bool) (StencilResult, error) {
-	return stencilCampaign(obs.Default(), spec, p, gridN, steps, wasteful)
-}
-
-func stencilCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, steps int, wasteful bool) (StencilResult, error) {
+//
+// reg receives the run's metrics; nil records nothing.
+func StencilCampaign(reg *obs.Registry, spec *machine.Spec, p, gridN, steps int, wasteful bool) (StencilResult, error) {
 	hm := kernels.HaloModel{N: gridN, P: p}
 	words := hm.HaloWords() / 2
 	if wasteful {

@@ -117,7 +117,7 @@ func runT3(ctx context.Context, cfg Config) (Output, error) {
 	for _, b := range barriers {
 		row := []string{b.name}
 		for _, p := range ps {
-			secs, err := barrierTime(cfg.metrics(), spec, p, b.fn)
+			secs, err := barrierTime(cfg.Obs, spec, p, b.fn)
 			if err != nil {
 				return Output{}, err
 			}
@@ -132,7 +132,7 @@ func runT3(ctx context.Context, cfg Config) (Output, error) {
 		for _, alg := range []string{"flat", "rdouble", "ring"} {
 			row := []string{fmt.Sprintf("%s %s", size.label, alg)}
 			for _, p := range ps {
-				secs, err := allreduceTime(cfg.metrics(), spec, p, size.words, alg)
+				secs, err := allreduceTime(cfg.Obs, spec, p, size.words, alg)
 				if err != nil {
 					return Output{}, err
 				}
@@ -199,11 +199,11 @@ func runT5(ctx context.Context, cfg Config) (Output, error) {
 		fmt.Sprintf("stencil science per joule (%d ranks, %d^2 grid, %d steps)", p, gridN, steps),
 		"machine", "stack", "time", "energy", "EDP", "steps/J", "improvement")
 	for _, spec := range machine.Presets() {
-		w, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, true)
+		w, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, true)
 		if err != nil {
 			return Output{}, err
 		}
-		r, err := stencilCampaign(cfg.metrics(), spec, p, gridN, steps, false)
+		r, err := StencilCampaign(cfg.Obs, spec, p, gridN, steps, false)
 		if err != nil {
 			return Output{}, err
 		}

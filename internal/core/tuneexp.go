@@ -35,11 +35,11 @@ func runT9(ctx context.Context, cfg Config) (Output, error) {
 			if err != nil {
 				return Output{}, err
 			}
-			tuned, err := tn.Tune(m, tune.Options{Cache: cache, Obs: cfg.metrics()})
+			tuned, err := tn.Tune(m, tune.Options{Cache: cache, Obs: cfg.Obs})
 			if err != nil {
 				return Output{}, err
 			}
-			oracle, err := tn.Tune(m, tune.Options{Strategy: tune.Grid{}, Cache: cache, Obs: cfg.metrics()})
+			oracle, err := tn.Tune(m, tune.Options{Strategy: tune.Grid{}, Cache: cache, Obs: cfg.Obs})
 			if err != nil {
 				return Output{}, err
 			}
@@ -89,7 +89,7 @@ func runF26(ctx context.Context, cfg Config) (Output, error) {
 			return Output{}, err
 		}
 		// Fresh cache per strategy: each pays for its own evaluations.
-		res, err := tn.Tune(m, tune.Options{Strategy: s, Cache: tune.NewCache(), Obs: cfg.metrics()})
+		res, err := tn.Tune(m, tune.Options{Strategy: s, Cache: tune.NewCache(), Obs: cfg.Obs})
 		if err != nil {
 			return Output{}, err
 		}

@@ -1,17 +1,19 @@
 // Package obs is the lab's dependency-free metrics layer: named counters,
-// gauges, histograms with fixed log-scale buckets, and timers, grouped in a
+// gauges and histograms with fixed log-scale buckets, grouped in a
 // Registry. Every instrument is safe for concurrent use (the parallel lab
 // runner executes experiments on a bounded worker pool, and the measured
 // plane's pools record from real threads), and a Registry can be
 // snapshotted at any time into a plain, JSON-serialisable Snapshot that
 // merges associatively across registries.
 //
-// The instrumented hot paths — the sim event loop, the collectives, the
+// The instrumented hot paths — the pdes engine, the collectives, the
 // scheduler pools, the chaos injectors, the tuner — each write to the
-// Registry they were handed, defaulting to the process-wide Default()
-// registry. core.Lab.RunAll hands every experiment a fresh Registry, so a
-// RunResult carries exactly the metric activity of its own experiment even
-// when eight of them run at once.
+// Registry they were handed. A nil *Registry is the silent registry: its
+// accessors return nil instruments, whose methods do nothing, and its
+// Snapshot is empty, so code handed no registry records nothing at the
+// cost of a nil check. core.Lab.RunAll hands every experiment a fresh
+// Registry, so a RunResult carries exactly the metric activity of its own
+// experiment even when eight of them run at once.
 package obs
 
 import (
@@ -19,37 +21,53 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Counter is a monotonically increasing integer metric.
+// Counter is a monotonically increasing integer metric. A nil *Counter
+// records nothing and reads 0.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative n is tolerated but makes the counter a gauge in
 // spirit; prefer Gauge for that).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an accumulating float metric (seconds of idle time, joules,
 // injected delay). Add accumulates; Set overwrites. Snapshots merge gauges
 // by summing, so treat a Gauge as an accumulator when results will be
-// aggregated.
+// aggregated. A nil *Gauge records nothing and reads 0.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add accumulates d into the gauge.
 func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
 	for {
 		old := g.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + d)
@@ -60,7 +78,12 @@ func (g *Gauge) Add(d float64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram bucket layout: fixed base-2 log-scale buckets covering
 // [2^histMinExp, 2^histMaxExp). Observations below the range land in the
@@ -74,7 +97,8 @@ const (
 )
 
 // Histogram counts observations into fixed log-scale buckets and tracks
-// their sum and count. The zero value is ready to use.
+// their sum and count. The zero value is ready to use; a nil *Histogram
+// records nothing and reads empty.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	// The bucket array, the sum, and the count are all written on every
@@ -119,6 +143,9 @@ func BucketUpperBound(i int) float64 {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.counts[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	for {
@@ -131,41 +158,28 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Timer records durations, in seconds, into a histogram.
-type Timer struct {
-	h *Histogram
-}
-
-// Observe records an already-measured duration in seconds (virtual or
-// wall-clock; the lab records simulated makespans too).
-func (t *Timer) Observe(seconds float64) { t.h.Observe(seconds) }
-
-// Start begins a wall-clock measurement; the returned stop function records
-// the elapsed time and returns it.
-func (t *Timer) Start() func() time.Duration {
-	t0 := time.Now()
-	return func() time.Duration {
-		d := time.Since(t0)
-		t.h.Observe(d.Seconds())
-		return d
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
 	}
+	return math.Float64frombits(h.sumBits.Load())
 }
-
-// Time measures fn's wall-clock duration.
-func (t *Timer) Time(fn func()) { stop := t.Start(); fn(); stop() }
 
 // Registry is a named set of instruments. Get-or-create accessors hand out
 // stable pointers, so hot paths fetch their instruments once and then touch
-// only atomics.
+// only atomics. A nil *Registry is the silent registry: every accessor
+// returns a nil instrument and Snapshot is empty.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	sharded  map[string]*ShardedCounter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -174,20 +188,16 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		sharded:  make(map[string]*ShardedCounter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
 
-var def = NewRegistry()
-
-// Default returns the process-wide registry, the sink for instrumented code
-// that was not handed a more specific one.
-func Default() *Registry { return def }
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -200,6 +210,9 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -212,6 +225,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -221,9 +237,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// Timer returns a timer over the named histogram.
-func (r *Registry) Timer(name string) *Timer { return &Timer{h: r.Histogram(name)} }
 
 // names returns the sorted keys of a map, for deterministic iteration.
 func names[V any](m map[string]V) []string {

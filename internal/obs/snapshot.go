@@ -41,16 +41,15 @@ type Snapshot struct {
 
 // Snapshot captures the registry's current state. It is safe to call while
 // other goroutines keep recording; the result is a per-instrument-atomic
-// (not globally atomic) view.
+// (not globally atomic) view. A nil registry's snapshot is empty.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
 		counters[k] = v
-	}
-	sharded := make(map[string]*ShardedCounter, len(r.sharded))
-	for k, v := range r.sharded {
-		sharded[k] = v
 	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
@@ -69,16 +68,6 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Counters = make(map[string]int64)
 			}
 			s.Counters[k] = v
-		}
-	}
-	// Sharded counters fold into the same namespace: a snapshot consumer
-	// should not care how a counter was implemented.
-	for k, c := range sharded {
-		if v := c.Value(); v != 0 {
-			if s.Counters == nil {
-				s.Counters = make(map[string]int64)
-			}
-			s.Counters[k] += v
 		}
 	}
 	for k, g := range gauges {

@@ -366,19 +366,18 @@ func run(w Workload, cfg Config, width float64) (Result, error) {
 		chunkAllocs += ps.arena.allocs
 		respreads += ps.q.respreads
 	}
-	if reg := cfg.Obs; reg != nil {
-		reg.Counter("pdes.runs").Inc()
-		reg.Counter("pdes.events").Add(int64(res.Events))
-		reg.Counter("pdes.windows").Add(int64(res.Windows))
-		reg.Counter("pdes.window_stalls").Add(int64(res.Stalls))
-		reg.Counter("pdes.cross_events").Add(int64(res.CrossEvents))
-		reg.Counter("pdes.cross_batches").Add(int64(res.CrossBatches))
-		reg.Counter("pdes.chunk_allocs").Add(int64(chunkAllocs))
-		reg.Gauge("pdes.virtual_seconds").Add(res.VirtualTime)
-		reg.Counter("pdes.ladder_respreads").Add(int64(respreads))
-		if res.CrossBatches > 0 {
-			reg.Histogram("pdes.batch_events").Observe(float64(res.CrossEvents) / float64(res.CrossBatches))
-		}
+	reg := cfg.Obs
+	reg.Counter("pdes.runs").Inc()
+	reg.Counter("pdes.events").Add(int64(res.Events))
+	reg.Counter("pdes.windows").Add(int64(res.Windows))
+	reg.Counter("pdes.window_stalls").Add(int64(res.Stalls))
+	reg.Counter("pdes.cross_events").Add(int64(res.CrossEvents))
+	reg.Counter("pdes.cross_batches").Add(int64(res.CrossBatches))
+	reg.Counter("pdes.chunk_allocs").Add(int64(chunkAllocs))
+	reg.Gauge("pdes.virtual_seconds").Add(res.VirtualTime)
+	reg.Counter("pdes.ladder_respreads").Add(int64(respreads))
+	if res.CrossBatches > 0 {
+		reg.Histogram("pdes.batch_events").Observe(float64(res.CrossEvents) / float64(res.CrossBatches))
 	}
 	return res, e.firstError()
 }

@@ -129,7 +129,6 @@ func NewWorld(n int, spec *machine.Spec, cost CostModel, meter *energy.Meter) *W
 		rxFree:   make([]float64, n),
 		attr:     make([]attrLedger, n),
 		rankSent: make([]int64, n),
-		obs:      obs.Default(),
 	}
 	for i := range w.flags {
 		w.flags[i] = make(map[string]*flagVar)
@@ -160,17 +159,12 @@ func (w *World) SetPerturber(p Perturber) { w.perturb = p }
 
 // SetObs redirects the world's metrics — the pdes engine's counters
 // (pdes.events, pdes.virtual_seconds, ...) and the world's message stats —
-// to the given registry. Worlds default to obs.Default(); the lab runner
-// injects a per-experiment registry so concurrent experiments never mix
-// their metrics. Call before Run; nil restores the default.
-func (w *World) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	w.obs = reg
-}
+// to the given registry. Worlds start with the silent nil registry; the
+// lab runner injects a per-experiment registry so concurrent experiments
+// never mix their metrics. Call before Run.
+func (w *World) SetObs(reg *obs.Registry) { w.obs = reg }
 
-// Obs returns the registry this world records into (never nil).
+// Obs returns the registry this world records into (nil records nothing).
 func (w *World) Obs() *obs.Registry { return w.obs }
 
 // Now returns the current virtual time in seconds. Useful to time-gated

@@ -23,16 +23,13 @@ func NewPool(workers int, rec *trace.Recorder) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool{workers: workers, rec: rec, obs: obs.Default()}
+	return &Pool{workers: workers, rec: rec}
 }
 
 // SetObs redirects the pool's scheduling metrics (sched.grabs,
-// sched.steals, sched.idle_seconds) to the given registry; nil restores
-// the process-wide default.
+// sched.steals, sched.idle_seconds) to the given registry. Pools start
+// with the silent nil registry.
 func (p *Pool) SetObs(reg *obs.Registry) *Pool {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	p.obs = reg
 	return p
 }

@@ -438,9 +438,10 @@ func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry
 			return nil, err
 		}
 		defer release()
-		stop := s.runSec.Start()
+		t0 := time.Now()
 		e, err := miss()
-		wall := stop()
+		wall := time.Since(t0)
+		s.runSec.Observe(wall.Seconds())
 		if err != nil {
 			return nil, err
 		}
@@ -495,12 +496,11 @@ func (s *Server) writeRunErr(w http.ResponseWriter, err error) {
 // mean observed run time, scaled by the queue the caller would sit behind,
 // clamped to [1s, 60s]. With no completed runs yet it answers 1.
 func (s *Server) retryAfterSeconds() int {
-	h := s.reg.Histogram("serve.run_seconds")
-	n := h.Count()
+	n := s.runSec.Count()
 	if n == 0 {
 		return 1
 	}
-	mean := h.Sum() / float64(n)
+	mean := s.runSec.Sum() / float64(n)
 	backlog := float64(s.adm.queued())/float64(s.opts.Parallel) + 1
 	sec := int(math.Ceil(mean * backlog))
 	if sec < 1 {

@@ -16,9 +16,9 @@
 //     early with 429 + Retry-After rather than queued without bound —
 //     load shedding applied to ourselves;
 //   - per-request timeouts threaded through context;
-//   - per-CPU sharded obs counters on the hot path (queue depth, wait
-//     time, hit ratio, coalesce count, in-flight gauge) so observability
-//     itself stays off the profile (W5/W9).
+//   - obs counters and histograms resolved once at startup (requests, hit
+//     and miss counts, coalesce count, queue wait, run time), so the hot
+//     path pays one atomic add per event and no registry lookup.
 //
 // The same policies are modeled deterministically in virtual time by
 // internal/serve/sim, which experiment T12 uses to render the daemon's
@@ -108,9 +108,9 @@ type Server struct {
 	tuneCache *tune.Cache
 
 	// Hot-path instruments, resolved once so request handling touches only
-	// atomics (and the sharded ones mostly core-private lines).
-	reqs, hits, misses, coalesced, rejected, timeouts, errs, notModified *obs.ShardedCounter
-	queueWait, runSec                                                    *obs.Timer
+	// atomics.
+	reqs, hits, misses, coalesced, rejected, timeouts, errs, notModified *obs.Counter
+	queueWait, runSec                                                    *obs.Histogram
 }
 
 // New returns a Server over the lab. A nil lab selects core.NewLab().
@@ -128,16 +128,16 @@ func New(lab Lab, opts Options) *Server {
 		flight:      newFlight(),
 		adm:         newAdmission(opts.Parallel, opts.QueueDepth),
 		tuneCache:   tune.NewCache(),
-		reqs:        reg.Sharded("serve.requests"),
-		hits:        reg.Sharded("serve.cache_hits"),
-		misses:      reg.Sharded("serve.cache_misses"),
-		coalesced:   reg.Sharded("serve.coalesced"),
-		rejected:    reg.Sharded("serve.rejected"),
-		timeouts:    reg.Sharded("serve.timeouts"),
-		errs:        reg.Sharded("serve.errors"),
-		notModified: reg.Sharded("serve.not_modified"),
-		queueWait:   reg.Timer("serve.queue_wait_seconds"),
-		runSec:      reg.Timer("serve.run_seconds"),
+		reqs:        reg.Counter("serve.requests"),
+		hits:        reg.Counter("serve.cache_hits"),
+		misses:      reg.Counter("serve.cache_misses"),
+		coalesced:   reg.Counter("serve.coalesced"),
+		rejected:    reg.Counter("serve.rejected"),
+		timeouts:    reg.Counter("serve.timeouts"),
+		errs:        reg.Counter("serve.errors"),
+		notModified: reg.Counter("serve.not_modified"),
+		queueWait:   reg.Histogram("serve.queue_wait_seconds"),
+		runSec:      reg.Histogram("serve.run_seconds"),
 	}
 }
 

@@ -313,6 +313,76 @@ func TestAdmissionOverflow(t *testing.T) {
 	}
 }
 
+// TestRunAccounting sends valid concurrent /v1/run requests that mix cache
+// misses, coalesced followers, one 429 and cache hits, then checks that
+// /metrics accounts for every request exactly once: each request is a hit
+// or a miss, and coalesced followers and rejections are both kinds of miss.
+func TestRunAccounting(t *testing.T) {
+	lab := &stubLab{gate: make(chan struct{})}
+	srv, ts := newTestServer(t, lab, Options{Parallel: 1, QueueDepth: 1})
+
+	// Eight E1 requests: one leader takes the run slot, seven follow it.
+	// E2 then waits in the queue, and after the gate opens six repeats hit.
+	const followers, hits = 7, 6
+	var wg sync.WaitGroup
+	codes := make(chan int, followers+2+hits) // one per background request
+	run := func(id string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/v1/run?id=" + id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for i := 0; i <= followers; i++ {
+		run("E1")
+	}
+	waitFor(t, "E1 leader running with its followers parked", func() bool {
+		return srv.adm.running() == 1 && srv.flight.waiters() == followers
+	})
+	// E2 takes the one queue position, so E3 is shed.
+	run("E2")
+	waitFor(t, "E2 queued", func() bool { return srv.adm.queued() == 1 })
+	if code, _, body := get(t, ts.URL+"/v1/run?id=E3"); code != http.StatusTooManyRequests {
+		t.Fatalf("E3 = %d, want 429: %s", code, body)
+	}
+	close(lab.gate)
+	wg.Wait()
+	// Both results are cached now: the concurrent repeats are hits.
+	for i := 0; i < hits; i++ {
+		run([]string{"E1", "E2"}[i%2])
+	}
+	wg.Wait()
+	close(codes)
+	for code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("request = %d, want 200", code)
+		}
+	}
+
+	_, _, body := get(t, ts.URL+"/metrics")
+	c := func(name string) int64 { return int64(counterValue(t, body, name)) }
+	reqs, hit, miss := c("serve.requests"), c("serve.cache_hits"), c("serve.cache_misses")
+	coalesced, rejected := c("serve.coalesced"), c("serve.rejected")
+	if reqs != hit+miss {
+		t.Errorf("serve.requests = %d, want cache_hits + cache_misses = %d + %d", reqs, hit, miss)
+	}
+	if coalesced > miss || rejected > miss {
+		t.Errorf("coalesced %d and rejected %d must not exceed cache_misses %d", coalesced, rejected, miss)
+	}
+	// 8 E1 + E2 + E3 are misses; the repeats are hits.
+	if reqs != followers+3+hits || hit != hits || coalesced != followers || rejected != 1 {
+		t.Errorf("requests/hits/coalesced/rejected = %d/%d/%d/%d, want %d/%d/%d/1",
+			reqs, hit, coalesced, rejected, followers+3+hits, hits, followers)
+	}
+}
+
 // TestMetricsDeterministic asserts consecutive idle scrapes are
 // byte-identical: scrapes must not perturb the metrics they report.
 func TestMetricsDeterministic(t *testing.T) {

@@ -15,32 +15,12 @@ const defaultCacheEntries = 4096
 // repeated runs, and different tunables: a repeated tune of the same point
 // performs zero fresh evaluations.
 //
-// Cache is a thin wrapper over the generalized internal/cache (sharded,
-// LRU-bounded); unlike the original unbounded map it evicts
-// least-recently-used evaluations past its capacity. Keep the capacity
-// comfortably above a search's working set — Run.Eval re-reads a batch's
-// results from the cache when committing them.
-type Cache struct {
-	c *cache.Cache[Cost]
-}
+// Cache is the generalized internal/cache (sharded, LRU-bounded) over
+// Cost; unlike the original unbounded map it evicts least-recently-used
+// evaluations past its capacity. Keep the capacity comfortably above a
+// search's working set — Run.Eval re-reads a batch's results from the
+// cache when committing them.
+type Cache = cache.Cache[Cost]
 
 // NewCache returns an evaluation cache with the default bound.
-func NewCache() *Cache { return NewCacheSized(defaultCacheEntries) }
-
-// NewCacheSized returns an evaluation cache bounded to capacity entries
-// (<= 0 selects the default bound).
-func NewCacheSized(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = defaultCacheEntries
-	}
-	return &Cache{c: cache.New[Cost](capacity, 0)}
-}
-
-// Get returns the memoized cost for key, if present.
-func (c *Cache) Get(key string) (Cost, bool) { return c.c.Get(key) }
-
-// Put memoizes the cost for key.
-func (c *Cache) Put(key string, v Cost) { c.c.Put(key, v) }
-
-// Len returns the number of memoized evaluations.
-func (c *Cache) Len() int { return c.c.Len() }
+func NewCache() *Cache { return cache.New[Cost](defaultCacheEntries, 0) }

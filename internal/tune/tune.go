@@ -84,7 +84,7 @@ type Options struct {
 	// than the status quo.
 	Seeds []Point
 	// Obs receives the run's tuning metrics (tune.evaluations,
-	// tune.cache_hits); nil selects the process-wide default registry.
+	// tune.cache_hits); nil records nothing.
 	Obs *obs.Registry
 }
 
@@ -120,17 +120,6 @@ func (r *Run) Space() *Space { return r.space }
 
 // Rand returns the run's seeded deterministic random stream.
 func (r *Run) Rand() *workload.Rand { return r.rng }
-
-// Remaining returns the remaining evaluation budget, or -1 when unlimited.
-func (r *Run) Remaining() int {
-	if r.opts.Budget <= 0 {
-		return -1
-	}
-	if n := r.opts.Budget - r.evals; n > 0 {
-		return n
-	}
-	return 0
-}
 
 func (r *Run) key(p Point) string { return r.opts.CacheKey + "|" + p.Key() }
 
@@ -302,12 +291,8 @@ func Minimize(space *Space, obj Objective, opts Options) (Result, error) {
 			best = e
 		}
 	}
-	reg := opts.Obs
-	if reg == nil {
-		reg = obs.Default()
-	}
-	reg.Counter("tune.evaluations").Add(int64(run.evals))
-	reg.Counter("tune.cache_hits").Add(int64(run.hits))
+	opts.Obs.Counter("tune.evaluations").Add(int64(run.evals))
+	opts.Obs.Counter("tune.cache_hits").Add(int64(run.hits))
 	return Result{
 		Space:       space,
 		Strategy:    strategy.Name(),

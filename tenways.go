@@ -130,15 +130,12 @@ func RenderFormats() []string { return report.Formats() }
 
 // Metrics is a registry of counters, gauges, and histograms — the
 // dependency-free observability layer every subsystem records into. Thread
-// one through Config.Obs to attribute a run's metrics, or leave it nil for
-// the process-wide default.
+// one through Config.Obs to attribute a run's metrics, or leave it nil to
+// record nothing.
 type Metrics = obs.Registry
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// DefaultMetrics returns the process-wide default registry.
-func DefaultMetrics() *Metrics { return obs.Default() }
 
 // MetricsSnapshot is a registry's state at one instant: plain maps, safe
 // to marshal, compare, and merge.
@@ -271,7 +268,7 @@ type StencilResult = core.StencilResult
 // machine with either the wasteful stack (redundant transfers, no overlap,
 // global barriers) or the remedied stack. See core.StencilCampaign.
 func StencilCampaign(m *Machine, ranks, gridN, steps int, wasteful bool) (StencilResult, error) {
-	return core.StencilCampaign(m, ranks, gridN, steps, wasteful)
+	return core.StencilCampaign(nil, m, ranks, gridN, steps, wasteful)
 }
 
 // World is the simulated PGAS runtime: write your own rank programs
@@ -307,7 +304,7 @@ type SortResult = core.SortResult
 // simulated network, global order verified) with either the wasteful or
 // the remedied communication stack. See core.SortCampaign.
 func SortCampaign(m *Machine, ranks, keysPerRank int, wasteful bool) (SortResult, error) {
-	return core.SortCampaign(m, ranks, keysPerRank, wasteful)
+	return core.SortCampaign(nil, m, ranks, keysPerRank, wasteful)
 }
 
 // BFSResult is the outcome of a distributed BFS campaign.
@@ -317,7 +314,7 @@ type BFSResult = core.BFSResult
 // generator's output with either stack; distances are verified against the
 // sequential reference. See core.BFSCampaign.
 func BFSCampaign(m *Machine, ranks int, g *Graph, wasteful bool) (BFSResult, error) {
-	return core.BFSCampaign(m, ranks, g, wasteful)
+	return core.BFSCampaign(nil, m, ranks, g, wasteful)
 }
 
 // Graph is an adjacency-list graph (see the RMAT generator).
