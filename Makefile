@@ -1,6 +1,7 @@
 # Build and verification tiers. Tier-1 is the gate every change must pass
 # (see ROADMAP.md); race adds vet and the race detector over the measured
-# plane's real goroutines (sched.Pool, Lab.RunAll, the serve daemon).
+# plane's real goroutines (sched.Pool, which Lab.RunAll and the tuner run
+# on, and the serve daemon).
 
 GO ?= go
 
@@ -33,14 +34,16 @@ fix:
 fix-clean: fix
 	git diff --exit-code
 
-# Tier-2 verify: static analysis + race detector. The last line reruns
-# pdes, obs and serve at GOMAXPROCS 1, 2 and 4: the engine's default-worker
-# tests exercise the window loop with 0, 1 and 3 helper goroutines, and the
-# obs instruments and the daemon's request accounting see 1, 2 and 4 Ps.
+# Tier-2 verify: static analysis + race detector. The last two lines rerun
+# at GOMAXPROCS 1, 2 and 4: the engine's default-worker tests exercise the
+# window loop with 0, 1 and 3 helper goroutines, the obs instruments and the
+# daemon's request accounting see 1, 2 and 4 Ps, and so does the one
+# sched.Pool that Lab.RunAll and the tuner's batch evaluation share.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/serve
+	$(GO) test -race -short -cpu 1,2,4 -run 'RunAll|ParallelEval' ./internal/core ./internal/tune
 
 # Native fuzzing: run every Fuzz* target of the module for FUZZTIME each
 # (go test fuzzes one target per invocation). Seed corpora live under each

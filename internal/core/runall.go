@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"tenways/internal/obs"
 	"tenways/internal/report"
+	"tenways/internal/sched"
 )
 
 // RunOptions parameterises a parallel suite run.
@@ -42,8 +42,9 @@ type RunResult struct {
 	Metrics obs.Snapshot
 }
 
-// RunAll executes the selected experiments on a bounded worker pool and
-// returns their results in IDs order regardless of completion order.
+// RunAll executes the selected experiments on a sched.Pool, which deals
+// them out in IDs order, and returns their results in IDs order regardless
+// of completion order.
 //
 // Each experiment gets a fresh obs.Registry threaded through Config.Obs,
 // so its metrics snapshot is attributable even while other experiments run
@@ -65,41 +66,31 @@ func (l *Lab) RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]RunRes
 		}
 		exps[i] = e
 	}
-	workers := resolveWorkers(opts.Workers, len(exps))
+	pool := sched.NewPool(resolveWorkers(opts.Workers, len(exps)), nil)
 
 	results := make([]RunResult, len(exps))
 	done := make([]chan struct{}, len(exps))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
+	// Worker 0 of a two-wide split is the calling goroutine (see
+	// sched.Pool): it delivers results in IDs order as they land, while
+	// worker 1 deals the experiments out on the pool in IDs order.
+	sched.NewPool(2, nil).ForEachStatic(2, func(half int) {
+		if half == 1 {
+			pool.ForEachChunked(len(exps), 1, func(i int) {
 				results[i] = runOne(ctx, exps[i], cfg)
 				close(done[i])
-			}
-		}()
-	}
-	go func() {
+			})
+			return
+		}
 		for i := range exps {
-			//lint:ignore chanbatch work queue by design: workers grab one experiment index at a time, batching would serialise pickup
-			idxCh <- i
+			<-done[i]
+			if opts.OnResult != nil {
+				opts.OnResult(results[i])
+			}
 		}
-		close(idxCh)
-	}()
-
-	// Deliver results in IDs order as they land; this also awaits them all.
-	for i := range exps {
-		<-done[i]
-		if opts.OnResult != nil {
-			opts.OnResult(results[i])
-		}
-	}
-	wg.Wait()
+	})
 
 	//lint:ignore prealloc failures are the rare case; preallocating for the usual empty list would waste
 	var failed []string

@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // renderAll renders every non-Measured result keyed by ID — the byte-level
@@ -158,6 +162,184 @@ func TestRunAllCancelledContext(t *testing.T) {
 			t.Fatalf("%s ran under a cancelled context", r.ID)
 		}
 	}
+}
+
+// stubLab is a private lab of n experiments E0, E1, … whose Run calls
+// run with the experiment's index.
+func stubLab(n int, run func(i int) error) *Lab {
+	l := &Lab{byID: make(map[string]Experiment)}
+	for i := 0; i < n; i++ {
+		l.register(Experiment{ID: fmt.Sprintf("E%d", i), Title: "stub", Run: func(context.Context, Config) (Output, error) {
+			return Output{}, run(i)
+		}})
+	}
+	return l
+}
+
+// TestRunAllCancelMidRun cancels the context from inside the second of four
+// experiments: at width 1 the two after it must not run and must carry
+// context.Canceled.
+func TestRunAllCancelMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran [4]bool
+	l := stubLab(4, func(i int) error {
+		ran[i] = true
+		if i == 1 {
+			cancel()
+		}
+		return nil
+	})
+	results, err := l.RunAll(ctx, Config{Quick: true}, RunOptions{Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "E2, E3") {
+		t.Fatalf("aggregate error = %v, want one naming E2, E3", err)
+	}
+	for i, r := range results {
+		if i < 2 {
+			if r.Err != nil || !ran[i] {
+				t.Errorf("%s: ran %v, err %v; want it run without error", r.ID, ran[i], r.Err)
+			}
+			continue
+		}
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", r.ID, r.Err)
+		}
+		if ran[i] {
+			t.Errorf("%s ran after the context was cancelled", r.ID)
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestRunAllOnResultStreamsOnCaller pins OnResult's contract at width 3: E2
+// finishes first and E0 only after it, yet results arrive in IDs order, each
+// on the goroutine that called RunAll, and streamed: E1 finishes only once
+// E0 has been delivered.
+func TestRunAllOnResultStreamsOnCaller(t *testing.T) {
+	finished := make(chan struct{})
+	delivered := make(chan struct{})
+	wait := func(ch chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("timed out waiting for " + what)
+		}
+	}
+	l := stubLab(3, func(i int) error {
+		switch i {
+		case 0:
+			return wait(finished, "E2 to finish")
+		case 1:
+			return wait(delivered, "E0's delivery")
+		}
+		close(finished)
+		return nil
+	})
+	caller := goid()
+	var seen []string
+	results, err := l.RunAll(context.Background(), Config{Quick: true}, RunOptions{
+		Workers: 3,
+		OnResult: func(r RunResult) {
+			if id := goid(); id != caller {
+				t.Errorf("OnResult(%s) on goroutine %s, RunAll called on %s", r.ID, id, caller)
+			}
+			if r.ID == "E0" {
+				close(delivered)
+			}
+			seen = append(seen, r.ID)
+		},
+	})
+	if err != nil {
+		t.Fatalf("%v (results %+v)", err, results)
+	}
+	if got := strings.Join(seen, ","); got != "E0,E1,E2" {
+		t.Fatalf("OnResult order = %s, want E0,E1,E2", got)
+	}
+}
+
+// TestRunAllLeaksNoGoroutines runs clean, failing and cancelled suites at
+// several widths and checks that no goroutine outlives RunAll.
+func TestRunAllLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	l := stubLab(6, func(i int) error {
+		switch i % 3 {
+		case 1:
+			panic("stub panic")
+		case 2:
+			return errors.New("stub failure")
+		}
+		return nil
+	})
+	for _, workers := range []int{1, 2, 4, 8} {
+		if _, err := l.RunAll(context.Background(), Config{Quick: true}, RunOptions{Workers: workers, OnResult: func(RunResult) {}}); err == nil {
+			t.Fatalf("%d workers: want an aggregate error", workers)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := l.RunAll(ctx, Config{Quick: true}, RunOptions{Workers: workers}); err == nil {
+			t.Fatalf("%d workers: want an error under a cancelled context", workers)
+		}
+	}
+	// A pool worker signals its WaitGroup just before its goroutine exits,
+	// so allow the scheduler a moment to retire it.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	// Only a rise is a leak: a goroutine of an earlier test may retire
+	// during the runs and leave fewer than before.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the runs, %d before", n, before)
+	}
+}
+
+// fuzzIDs are quick experiments of a few milliseconds each, so that one
+// fuzz input stays well under a second.
+var fuzzIDs = []string{"F4", "F6", "F15", "F18", "F21", "F22", "F23", "F24", "F25", "T6", "T8"}
+
+// FuzzRunAllDeterminism is the lab's determinism contract searched by the
+// fuzzer: any subset of fuzzIDs (bit i of mask selects fuzzIDs[i]) at any
+// RunAll width from 1 to 4 and any seed renders byte-identical tables to
+// the 1-worker run.
+func FuzzRunAllDeterminism(f *testing.F) {
+	f.Add(uint16(1<<len(fuzzIDs)-1), uint8(3), uint64(1))
+	l := NewLab()
+	f.Fuzz(func(t *testing.T, mask uint16, width uint8, seed uint64) {
+		ids := make([]string, 0, len(fuzzIDs))
+		for i, id := range fuzzIDs {
+			if mask&(1<<i) != 0 {
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			t.Skip("empty subset")
+		}
+		cfg := Config{Quick: true, Seed: seed}
+		render := func(workers int) string {
+			results, err := l.RunAll(context.Background(), cfg, RunOptions{Workers: workers, IDs: ids})
+			if err != nil {
+				t.Fatalf("%d workers: %v", workers, err)
+			}
+			var sb strings.Builder
+			for _, r := range results {
+				fmt.Fprintf(&sb, "== %s\n", r.ID)
+				if err := r.Output.Render(&sb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return sb.String()
+		}
+		workers := 1 + int(width%4)
+		if got, want := render(workers), render(1); got != want {
+			t.Fatalf("%v at seed %d: %d workers render differently from 1:\n%s\nwant:\n%s", ids, seed, workers, got, want)
+		}
+	})
 }
 
 func TestLabReportRoundTrip(t *testing.T) {

@@ -2,15 +2,15 @@ package kernels
 
 import (
 	"sort"
-	"sync"
 
 	"tenways/internal/sched"
 	"tenways/internal/workload"
 )
 
 // SampleSort sorts xs in place using parallel sample sort: sample splitters,
-// partition into p buckets, sort buckets concurrently, concatenate. It is
-// the bulk-synchronous sorting workload of the integrated experiments.
+// partition into one bucket per worker of p, sort the buckets on p,
+// concatenate. It is the bulk-synchronous sorting workload of the
+// integrated experiments.
 func SampleSort(p *sched.Pool, xs []float64, seed uint64) {
 	nw := p.Workers()
 	if nw == 1 || len(xs) < 4*nw {
@@ -40,16 +40,10 @@ func SampleSort(p *sched.Pool, xs []float64, seed uint64) {
 	for i, b := range buckets {
 		offsets[i+1] = offsets[i] + len(b)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sort.Float64s(buckets[i])
-			copy(xs[offsets[i]:offsets[i+1]], buckets[i])
-		}(i)
-	}
-	wg.Wait()
+	p.ForEachChunked(nw, 1, func(i int) {
+		sort.Float64s(buckets[i])
+		copy(xs[offsets[i]:offsets[i+1]], buckets[i])
+	})
 }
 
 // SortFlopsApprox returns an operation-count proxy for sorting n keys:

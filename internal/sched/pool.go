@@ -1,3 +1,9 @@
+// Package sched is the measured-plane parallel runtime: a fixed worker
+// pool, loop schedulers (static, chunked, guided, work stealing), and
+// barrier primitives — the machinery needed to demonstrate load imbalance
+// (W4), serialisation (W5), and spin-versus-block waiting (W10) on real
+// goroutines with trace attribution. The lab runner and the tuner deal
+// their work out on the same pool.
 package sched
 
 import (
@@ -12,6 +18,9 @@ import (
 // Pool executes parallel loops over [0, n) with a fixed number of workers
 // under a choice of scheduling policies. An optional trace.Recorder
 // attributes each worker's time to compute versus waiting versus stealing.
+// Worker 0 is the calling goroutine, so a loop on a pool of width w starts
+// w−1 goroutines and a one-worker pool starts none; every loop returns
+// once all its iterations have run.
 type Pool struct {
 	workers int
 	rec     *trace.Recorder
@@ -50,25 +59,33 @@ func (p *Pool) addSince(worker int, cat trace.Category, start time.Time) {
 	}
 }
 
+// spmd runs work(w) once per worker w, worker 0 on the calling goroutine,
+// and returns when every worker has finished.
+func (p *Pool) spmd(work func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(p.workers - 1)
+	for w := 1; w < p.workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+}
+
 // ForEachStatic runs body(i) for i in [0, n) under a static block
 // partition: worker w gets one contiguous block. This is the wasteful
 // choice under skewed per-iteration costs (W4).
 func (p *Pool) ForEachStatic(n int, body func(i int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		lo := w * n / p.workers
-		hi := (w + 1) * n / p.workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-			p.addSince(w, trace.Compute, t0)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	p.spmd(func(w int) {
+		t0 := time.Now()
+		lo, hi := w*n/p.workers, (w+1)*n/p.workers
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+		p.addSince(w, trace.Compute, t0)
+	})
 	p.chargeImbalanceIdle()
 }
 
@@ -103,30 +120,21 @@ func (p *Pool) ForEachChunked(n, chunk int, body func(i int)) {
 	}
 	grabs := p.obs.Counter("sched.grabs")
 	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if lo >= n {
-					break
-				}
-				grabs.Inc()
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
+	p.spmd(func(w int) {
+		t0 := time.Now()
+		for {
+			lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+			if lo >= n {
+				break
 			}
-			p.addSince(w, trace.Compute, t0)
-		}(w)
-	}
-	wg.Wait()
+			grabs.Inc()
+			hi := min(lo+chunk, n)
+			for i := lo; i < hi; i++ {
+				body(i)
+			}
+		}
+		p.addSince(w, trace.Compute, t0)
+	})
 	p.chargeImbalanceIdle()
 }
 
@@ -138,39 +146,25 @@ func (p *Pool) ForEachGuided(n, minChunk int, body func(i int)) {
 	}
 	grabs := p.obs.Counter("sched.grabs")
 	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			for {
-				cur := atomic.LoadInt64(&next)
-				if int(cur) >= n {
-					break
-				}
-				remaining := n - int(cur)
-				chunk := remaining / (2 * p.workers)
-				if chunk < minChunk {
-					chunk = minChunk
-				}
-				if !atomic.CompareAndSwapInt64(&next, cur, cur+int64(chunk)) {
-					continue
-				}
-				grabs.Inc()
-				lo := int(cur)
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
+	p.spmd(func(w int) {
+		t0 := time.Now()
+		for {
+			cur := atomic.LoadInt64(&next)
+			if int(cur) >= n {
+				break
 			}
-			p.addSince(w, trace.Compute, t0)
-		}(w)
-	}
-	wg.Wait()
+			chunk := max((n-int(cur))/(2*p.workers), minChunk)
+			if !atomic.CompareAndSwapInt64(&next, cur, cur+int64(chunk)) {
+				continue
+			}
+			grabs.Inc()
+			lo, hi := int(cur), min(int(cur)+chunk, n)
+			for i := lo; i < hi; i++ {
+				body(i)
+			}
+		}
+		p.addSince(w, trace.Compute, t0)
+	})
 	p.chargeImbalanceIdle()
 }
 
@@ -225,90 +219,39 @@ func (p *Pool) ForEachStealing(n, grain int, body func(i int)) {
 	for w := 0; w < p.workers; w++ {
 		ranges[w] = &rangeTask{lo: w * n / p.workers, hi: (w + 1) * n / p.workers}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			my := ranges[w]
-			for {
-				lo, hi := my.grab(grain)
-				if lo != hi {
-					grabs.Inc()
-				} else {
-					// Steal: scan victims round-robin from w+1.
-					tSteal := time.Now()
-					stolen := false
-					for off := 1; off < p.workers; off++ {
-						v := ranges[(w+off)%p.workers]
-						if slo, shi := v.stealHalf(); slo != shi {
-							my.mu.Lock()
-							my.lo, my.hi = slo, shi
-							my.mu.Unlock()
-							steals.Inc()
-							stolen = true
-							break
-						}
+	p.spmd(func(w int) {
+		my := ranges[w]
+		for {
+			lo, hi := my.grab(grain)
+			if lo != hi {
+				grabs.Inc()
+			} else {
+				// Steal: scan victims round-robin from w+1.
+				tSteal := time.Now()
+				stolen := false
+				for off := 1; off < p.workers; off++ {
+					v := ranges[(w+off)%p.workers]
+					if slo, shi := v.stealHalf(); slo != shi {
+						my.mu.Lock()
+						my.lo, my.hi = slo, shi
+						my.mu.Unlock()
+						steals.Inc()
+						stolen = true
+						break
 					}
-					p.addSince(w, trace.Steal, tSteal)
-					if !stolen {
-						return
-					}
-					continue
 				}
-				t0 := time.Now()
-				for i := lo; i < hi; i++ {
-					body(i)
+				p.addSince(w, trace.Steal, tSteal)
+				if !stolen {
+					return
 				}
-				p.addSince(w, trace.Compute, t0)
+				continue
 			}
-		}(w)
-	}
-	wg.Wait()
-	p.chargeImbalanceIdle()
-}
-
-// RunTasks executes arbitrary tasks under deque-based work stealing: tasks
-// are dealt round-robin onto per-worker deques; owners pop LIFO, thieves
-// steal FIFO.
-func (p *Pool) RunTasks(tasks []func()) {
-	grabs := p.obs.Counter("sched.grabs")
-	steals := p.obs.Counter("sched.steals")
-	deques := make([]*Deque, p.workers)
-	for w := range deques {
-		deques[w] = &Deque{}
-	}
-	for i, t := range tasks {
-		deques[i%p.workers].PushBottom(t)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				task, ok := deques[w].PopBottom()
-				if ok {
-					grabs.Inc()
-				} else {
-					tSteal := time.Now()
-					for off := 1; off < p.workers; off++ {
-						if task, ok = deques[(w+off)%p.workers].Steal(); ok {
-							steals.Inc()
-							break
-						}
-					}
-					p.addSince(w, trace.Steal, tSteal)
-					if !ok {
-						return
-					}
-				}
-				t0 := time.Now()
-				task()
-				p.addSince(w, trace.Compute, t0)
+			t0 := time.Now()
+			for i := lo; i < hi; i++ {
+				body(i)
 			}
-		}(w)
-	}
-	wg.Wait()
+			p.addSince(w, trace.Compute, t0)
+		}
+	})
 	p.chargeImbalanceIdle()
 }

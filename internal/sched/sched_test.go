@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,20 +58,36 @@ func TestForEachStealingCoverage(t *testing.T) {
 	}
 }
 
-func TestRunTasksCoverage(t *testing.T) {
-	p := NewPool(4, nil)
-	var counts [50]int64
-	tasks := make([]func(), 50)
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { atomic.AddInt64(&counts[i], 1) }
-	}
-	p.RunTasks(tasks)
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("task %d ran %d times", i, c)
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestWorkerZeroIsCaller pins what Lab.RunAll's streaming relies on: worker
+// 0 of a loop runs on the calling goroutine, the others each on their own,
+// and a one-worker pool starts no goroutine at all.
+func TestWorkerZeroIsCaller(t *testing.T) {
+	caller := goid()
+	for _, workers := range []int{1, 2, 4} {
+		ran := make([]string, workers)
+		NewPool(workers, nil).ForEachStatic(workers, func(i int) { ran[i] = goid() })
+		seen := map[string]bool{}
+		for w, id := range ran {
+			if (id == caller) != (w == 0) {
+				t.Fatalf("%d workers: worker %d ran on goroutine %s, caller is %s", workers, w, id, caller)
+			}
+			seen[id] = true
+		}
+		if len(seen) != workers {
+			t.Fatalf("%d workers ran on %d goroutines", workers, len(seen))
 		}
 	}
+	NewPool(1, nil).ForEachChunked(8, 1, func(i int) {
+		if id := goid(); id != caller {
+			t.Errorf("one-worker pool ran item %d on goroutine %s, caller is %s", i, id, caller)
+		}
+	})
 }
 
 func TestPoolMinimumOneWorker(t *testing.T) {
@@ -147,119 +164,6 @@ func TestStealingBalancesSkewedWork(t *testing.T) {
 var sinkF atomic.Uint64
 
 func sinkFloat(x float64) { sinkF.Store(math.Float64bits(x)) }
-
-func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
-	d := &Deque{}
-	order := []int{}
-	for i := 0; i < 3; i++ {
-		i := i
-		d.PushBottom(func() { order = append(order, i) })
-	}
-	if d.Len() != 3 {
-		t.Fatalf("len = %d", d.Len())
-	}
-	// Thief takes the oldest.
-	task, ok := d.Steal()
-	if !ok {
-		t.Fatal("steal failed")
-	}
-	task()
-	// Owner takes the newest.
-	task, ok = d.PopBottom()
-	if !ok {
-		t.Fatal("pop failed")
-	}
-	task()
-	if order[0] != 0 || order[1] != 2 {
-		t.Fatalf("order = %v, want [0 2]", order)
-	}
-}
-
-func TestDequeEmpty(t *testing.T) {
-	d := &Deque{}
-	if _, ok := d.PopBottom(); ok {
-		t.Fatal("pop on empty")
-	}
-	if _, ok := d.Steal(); ok {
-		t.Fatal("steal on empty")
-	}
-}
-
-func TestDequeConcurrentConservation(t *testing.T) {
-	// Owner pushes N tasks while thieves steal; every task must run
-	// exactly once.
-	const n = 2000
-	d := &Deque{}
-	var ran int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for th := 0; th < 3; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if task, ok := d.Steal(); ok {
-					task()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		d.PushBottom(func() { atomic.AddInt64(&ran, 1) })
-		if i%3 == 0 {
-			if task, ok := d.PopBottom(); ok {
-				task()
-			}
-		}
-	}
-	// Drain.
-	for {
-		task, ok := d.PopBottom()
-		if !ok {
-			break
-		}
-		task()
-	}
-	close(stop)
-	wg.Wait()
-	// Thieves may hold no un-run tasks: Steal returns the task to the
-	// thief which runs it synchronously, so after drain all n ran.
-	if got := atomic.LoadInt64(&ran); got != n {
-		t.Fatalf("ran %d of %d", got, n)
-	}
-}
-
-func TestDequePropertySequential(t *testing.T) {
-	// Property: any sequence of push/pop/steal conserves tasks.
-	f := func(ops []uint8) bool {
-		d := &Deque{}
-		pushed, popped := 0, 0
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				d.PushBottom(func() {})
-				pushed++
-			case 1:
-				if _, ok := d.PopBottom(); ok {
-					popped++
-				}
-			case 2:
-				if _, ok := d.Steal(); ok {
-					popped++
-				}
-			}
-		}
-		return d.Len() == pushed-popped
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBarrierSynchronises(t *testing.T) {
 	const parties = 4

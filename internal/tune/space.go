@@ -10,7 +10,7 @@
 // GoldenSection for unimodal single-axis objectives, random-restart
 // HillClimb for multi-dimensional spaces), a memoizing evaluation Cache
 // keyed on (machine, workload, point), deterministic parallel candidate
-// evaluation on a bounded worker pool, and a budget/early-stop policy.
+// evaluation on a sched.Pool, and a budget/early-stop policy.
 // Minimize runs a strategy and returns a Result with the chosen point, the
 // full evaluation trace, and the modeled time/energy at the optimum.
 // registry.go registers tunables for the existing remedies.

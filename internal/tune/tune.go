@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"tenways/internal/obs"
+	"tenways/internal/sched"
 	"tenways/internal/workload"
 )
 
@@ -20,8 +20,8 @@ type Cost struct {
 
 // Objective evaluates one candidate point. Implementations must be
 // deterministic (same point, same cost) and safe to call from multiple
-// goroutines: the runner evaluates candidates in parallel on a bounded
-// worker pool.
+// goroutines: the runner evaluates a batch's fresh candidates in parallel
+// on a sched.Pool of up to four workers.
 type Objective func(p Point) (Cost, error)
 
 // Eval is one entry of a tuning run's trace.
@@ -59,7 +59,8 @@ func (r Result) BestSoFar() []float64 {
 // Describe renders the chosen point.
 func (r Result) Describe() string { return r.Space.Describe(r.Best.Point) }
 
-// Options parameterises a tuning run.
+// Options parameterises a tuning run. A batch's fresh points run on at most
+// evalWorkers workers; no result depends on that width.
 type Options struct {
 	// Strategy picks the search; nil selects automatically: GoldenSection
 	// for a single numeric axis, Grid for small spaces, HillClimb
@@ -69,8 +70,6 @@ type Options struct {
 	// budget runs out the strategy stops early and the best point seen so
 	// far is returned with Exhausted set.
 	Budget int
-	// Workers bounds the parallel evaluation pool; <= 0 selects 4.
-	Workers int
 	// Seed drives randomized strategies (hill-climb restarts).
 	Seed uint64
 	// Cache, when non-nil, memoizes evaluations across runs. A run always
@@ -101,19 +100,20 @@ type Strategy interface {
 }
 
 // Run is the strategy's view of an in-progress tuning: it evaluates
-// candidates through the memo cache on the bounded worker pool and records
-// the trace.
+// candidates through the memo cache on a sched.Pool and records the trace.
 type Run struct {
-	space    *Space
-	obj      Objective
-	opts     Options
-	cache    *Cache
-	rng      *workload.Rand
-	trace    []Eval
-	evals    int
-	hits     int
-	workerCh chan struct{}
+	space *Space
+	obj   Objective
+	opts  Options
+	cache *Cache
+	rng   *workload.Rand
+	trace []Eval
+	evals int
+	hits  int
 }
+
+// evalWorkers bounds the pool a batch's fresh evaluations run on.
+const evalWorkers = 4
 
 // Space returns the space under search.
 func (r *Run) Space() *Space { return r.space }
@@ -124,10 +124,11 @@ func (r *Run) Rand() *workload.Rand { return r.rng }
 func (r *Run) key(p Point) string { return r.opts.CacheKey + "|" + p.Key() }
 
 // Eval evaluates the given candidates and returns their costs in request
-// order. Cached points cost nothing; fresh points run in parallel on the
-// bounded pool, deduplicated within the batch. If the budget cannot cover
-// the fresh points, the batch is trimmed to fit, its results are recorded,
-// and ErrBudget is returned alongside the evaluated prefix's costs.
+// order. Cached points cost nothing; fresh points, deduplicated within the
+// batch, run in parallel on a sched.Pool of up to evalWorkers. If the
+// budget cannot cover the fresh points, the batch is trimmed to fit, its
+// results are recorded, and ErrBudget is returned alongside the evaluated
+// prefix's costs.
 func (r *Run) Eval(points []Point) ([]Cost, error) {
 	for _, p := range points {
 		if err := r.space.Check(p); err != nil {
@@ -144,7 +145,7 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 	leaders := map[string]bool{} // cache keys already fresh in this batch
 	budgetHit := false
 	n := len(points)
-	fresh := 0
+	fresh := make([]int, 0, len(points)) // indices that call the objective
 	for i, p := range points {
 		k := r.key(p)
 		if c, ok := r.cache.Get(k); ok {
@@ -156,7 +157,7 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 			slots[i] = slot{cached: true}
 			continue
 		}
-		if r.opts.Budget > 0 && r.evals+fresh+1 > r.opts.Budget {
+		if r.opts.Budget > 0 && r.evals+len(fresh)+1 > r.opts.Budget {
 			// Trim the batch: everything from here on is unevaluated.
 			budgetHit = true
 			n = i
@@ -164,24 +165,13 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 		}
 		leaders[k] = true
 		slots[i].fresh = true
-		fresh++
+		fresh = append(fresh, i)
 	}
 	// Run the fresh evaluations on the bounded pool.
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if !slots[i].fresh {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.workerCh <- struct{}{}
-			defer func() { <-r.workerCh }()
-			c, err := r.obj(points[i])
-			slots[i].cost, slots[i].err = c, err
-		}(i)
-	}
-	wg.Wait()
+	sched.NewPool(min(evalWorkers, len(fresh)), nil).ForEachChunked(len(fresh), 1, func(j int) {
+		i := fresh[j]
+		slots[i].cost, slots[i].err = r.obj(points[i])
+	})
 	// Commit results in request order: fill duplicate followers, publish
 	// to the cache, record the trace deterministically.
 	costs := make([]Cost, 0, n)
@@ -251,21 +241,16 @@ func Minimize(space *Space, obj Objective, opts Options) (Result, error) {
 	if cache == nil {
 		cache = NewCache()
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 2009
 	}
 	run := &Run{
-		space:    space,
-		obj:      obj,
-		opts:     opts,
-		cache:    cache,
-		rng:      workload.NewRand(seed),
-		workerCh: make(chan struct{}, workers),
+		space: space,
+		obj:   obj,
+		opts:  opts,
+		cache: cache,
+		rng:   workload.NewRand(seed),
 	}
 	exhausted := false
 	if len(opts.Seeds) > 0 {

@@ -207,29 +207,38 @@ type stubStrategy struct{ f func(r *Run) error }
 func (s stubStrategy) Name() string        { return "stub" }
 func (s stubStrategy) Search(r *Run) error { return s.f(r) }
 
+// TestParallelEvalDeterministic checks that a batch evaluated on the pool
+// records the same trace as the same points evaluated one at a time: Grid
+// hands Eval all 64 points at once, the stub calls Eval1 on each in turn.
 func TestParallelEvalDeterministic(t *testing.T) {
 	s := NewSpace(IntRange("k", 0, 63, 1))
 	obj := func(p Point) (Cost, error) {
 		return Cost{Seconds: math.Sin(float64(p[0]))}, nil
 	}
-	run := func(workers int) Result {
-		res, err := Minimize(s, obj, Options{Strategy: Grid{}, Workers: workers})
+	oneByOne := stubStrategy{func(r *Run) error {
+		for _, p := range r.Space().Points() {
+			if _, err := r.Eval1(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+	run := func(st Strategy) Result {
+		res, err := Minimize(s, obj, Options{Strategy: st})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(1), run(8)
-	if !reflect.DeepEqual(a.Best.Point, b.Best.Point) {
-		t.Fatalf("workers=1 best %v != workers=8 best %v", a.Best.Point, b.Best.Point)
+	a, b := run(Grid{}), run(oneByOne)
+	if a.Evaluations != 64 || b.Evaluations != 64 {
+		t.Fatalf("evaluations = %d and %d, want 64 each", a.Evaluations, b.Evaluations)
 	}
-	if len(a.Trace) != len(b.Trace) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a.Trace), len(b.Trace))
+	if !reflect.DeepEqual(a.Best, b.Best) {
+		t.Fatalf("batched best %+v != one-at-a-time best %+v", a.Best, b.Best)
 	}
-	for i := range a.Trace {
-		if !reflect.DeepEqual(a.Trace[i].Point, b.Trace[i].Point) || a.Trace[i].Cost != b.Trace[i].Cost {
-			t.Fatalf("trace[%d] differs: %+v vs %+v", i, a.Trace[i], b.Trace[i])
-		}
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
+		t.Fatalf("batched trace differs from the one-at-a-time trace:\n%+v\n%+v", a.Trace, b.Trace)
 	}
 }
 

@@ -183,7 +183,10 @@ func NewSpike(rank int, at, duration float64) Injector {
 }
 
 // Pool is the measured-plane parallel runtime: a fixed-width worker pool
-// with static, chunked, guided, and work-stealing loop schedulers.
+// with static, chunked, guided, and work-stealing loop schedulers. Worker 0
+// is the calling goroutine, and every loop returns once all its iterations
+// have run. The lab's own runner (Lab.RunAll) and the tuner use the same
+// pool.
 type Pool = sched.Pool
 
 // NewPool creates a pool of the given width, attributing time to rec
