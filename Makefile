@@ -36,13 +36,14 @@ fix-clean: fix
 
 # Tier-2 verify: static analysis + race detector. The last two lines rerun
 # at GOMAXPROCS 1, 2 and 4: the engine's default-worker tests exercise the
-# window loop with 0, 1 and 3 helper goroutines, the obs instruments and the
-# daemon's request accounting see 1, 2 and 4 Ps, and so does the one
-# sched.Pool that Lab.RunAll and the tuner's batch evaluation share.
+# window loop with 0, 1 and 3 helper goroutines, the obs instruments, the
+# daemon's request accounting and the replay of T12's simulated decisions
+# against the daemon see 1, 2 and 4 Ps, and so does the one sched.Pool
+# that Lab.RunAll and the tuner's batch evaluation share.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/serve
+	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/serve ./internal/serve/sim
 	$(GO) test -race -short -cpu 1,2,4 -run 'RunAll|ParallelEval' ./internal/core ./internal/tune
 
 # Native fuzzing: run every Fuzz* target of the module for FUZZTIME each

@@ -48,8 +48,9 @@ func runT12(ctx context.Context, cfg Config) (Output, error) {
 	}
 
 	// Policy ladder: each row switches one more of the daemon's remedies
-	// on. "naive" queues deep with no reuse; the last row is wastelabd's
-	// actual configuration.
+	// on. "naive" queues deep with no reuse; the last row runs every
+	// remedy wastelabd runs, with the queue bounded at 8 waiters where
+	// wastelabd's -queue defaults to 64.
 	rows := []struct {
 		label string
 		mut   func(c sim.Config) sim.Config

@@ -9,8 +9,9 @@ import (
 
 // SampleSort sorts xs in place using parallel sample sort: sample splitters,
 // partition into one bucket per worker of p, sort the buckets on p,
-// concatenate. It is the bulk-synchronous sorting workload of the
-// integrated experiments.
+// concatenate. It is the measured-plane sort kernel that
+// BenchmarkMeasuredSampleSort times on host goroutines; experiment F18
+// runs its own sample sort on the pgas runtime.
 func SampleSort(p *sched.Pool, xs []float64, seed uint64) {
 	nw := p.Workers()
 	if nw == 1 || len(xs) < 4*nw {

@@ -7,13 +7,17 @@ package sched
 // the granularity trade-off the measured scheduler exhibits: tiny chunks
 // serialise on the counter, huge chunks re-create static imbalance. The
 // F4-chunk tunable searches this function for the machine's sweet spot.
-func PredictChunked(costs []float64, p, chunk int, grabSec float64) float64 {
+// With chunk 1 and no grab cost it is plain list scheduling, the dynamic
+// schedule of the W4 demonstrator. busy is each worker's work time, grabs
+// excluded.
+func PredictChunked(costs []float64, p, chunk int, grabSec float64) (makespan float64, busy []float64) {
 	if p < 1 {
 		p = 1
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
+	busy = make([]float64, p)
 	free := make([]float64, p) // next-free time per worker
 	counterFree := 0.0         // the shared counter is a serial resource
 	for lo := 0; lo < len(costs); lo += chunk {
@@ -37,12 +41,12 @@ func PredictChunked(costs []float64, p, chunk int, grabSec float64) float64 {
 			work += c
 		}
 		free[w] = start + grabSec + work
+		busy[w] += work
 	}
-	makespan := 0.0
 	for _, f := range free {
 		if f > makespan {
 			makespan = f
 		}
 	}
-	return makespan
+	return makespan, busy
 }

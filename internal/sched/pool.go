@@ -52,10 +52,10 @@ func (p *Pool) add(worker int, cat trace.Category, d time.Duration) {
 	}
 }
 
-// addSince charges [start, now) with span retention when enabled.
+// addSince charges [start, now).
 func (p *Pool) addSince(worker int, cat trace.Category, start time.Time) {
 	if p.rec != nil {
-		p.rec.AddInterval(worker, cat, start, time.Now())
+		p.rec.Add(worker, cat, time.Since(start))
 	}
 }
 

@@ -61,12 +61,5 @@ func (f *flight) do(ctx context.Context, key string, fn func() (any, error)) (va
 	return c.val, false, c.err
 }
 
-// inflight returns the number of distinct keys currently being computed.
-func (f *flight) inflight() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
-}
-
 // waiters returns the number of followers currently parked behind leaders.
 func (f *flight) waiters() int64 { return f.waiting.Load() }

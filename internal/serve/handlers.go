@@ -425,13 +425,15 @@ func (e *tuneResponse) setWall(d time.Duration) { e.WallMS = float64(d) / float6
 // shared is the request path /v1/run, /v1/runall and /v1/tune share:
 // result cache, then singleflight coalescing, then the bounded admission
 // queue, then miss, timed into serve.run_seconds, whose entry is cached.
+// A follower whose leader failed on the leader's own deadline or
+// cancellation tries again, still as one miss, while its own ctx lives.
 func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry, error)) (ent any, cached, coalesced bool, err error) {
 	if v, ok := s.cache.Get(key); ok {
 		s.hits.Inc()
 		return v, true, false, nil
 	}
 	s.misses.Inc()
-	ent, coalesced, err = s.flight.do(ctx, key, func() (any, error) {
+	lead := func() (any, error) {
 		release, waited, err := s.adm.acquire(ctx)
 		s.queueWait.Observe(waited.Seconds())
 		if err != nil {
@@ -448,7 +450,17 @@ func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry
 		e.setWall(wall)
 		s.cache.Put(key, e)
 		return e, nil
-	})
+	}
+	for {
+		ent, coalesced, err = s.flight.do(ctx, key, lead)
+		if !coalesced || ctx.Err() != nil ||
+			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			break
+		}
+		if v, ok := s.cache.Get(key); ok {
+			return v, true, false, nil
+		}
+	}
 	if coalesced {
 		s.coalesced.Inc()
 	}

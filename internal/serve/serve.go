@@ -12,9 +12,9 @@
 //   - a hand-rolled singleflight so N concurrent identical requests
 //     coalesce into one lab evaluation (redundant *concurrent* work);
 //   - a bounded admission queue feeding the underlying Lab: Parallel slots
-//     run, QueueDepth callers wait, and everyone past that is rejected
-//     early with 429 + Retry-After rather than queued without bound —
-//     load shedding applied to ourselves;
+//     run, QueueDepth callers wait in FIFO order, and everyone past that
+//     is rejected early with 429 + Retry-After rather than queued without
+//     bound — load shedding applied to ourselves;
 //   - per-request timeouts threaded through context;
 //   - obs counters and histograms resolved once at startup (requests, hit
 //     and miss counts, coalesce count, queue wait, run time), so the hot
@@ -22,7 +22,9 @@
 //
 // The same policies are modeled deterministically in virtual time by
 // internal/serve/sim, which experiment T12 uses to render the daemon's
-// own waste modes with the suite's T-tables.
+// own waste modes with the suite's T-tables. The admission decision is
+// sim.Admit, one function for both, and sim's replay test drives a Server
+// through a simulated run to check that the two decide alike.
 package serve
 
 import (

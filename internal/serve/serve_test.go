@@ -270,6 +270,84 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestFollowerOutlivesLeaderDeadline checks that a coalesced follower does
+// not inherit its leader's deadline: the leader times out in the queue,
+// and the follower, whose own deadline is far off, tries again and is
+// served once the slot frees.
+func TestFollowerOutlivesLeaderDeadline(t *testing.T) {
+	lab := &stubLab{gate: make(chan struct{})}
+	srv, ts := newTestServer(t, lab, Options{Parallel: 1})
+
+	fetch := func(url string) <-chan int {
+		code := make(chan int, 1)
+		go func() {
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Error(err)
+				code <- 0
+				return
+			}
+			resp.Body.Close()
+			code <- resp.StatusCode
+		}()
+		return code
+	}
+	// E1 holds the one slot; the E2 leader queues behind it with a short
+	// deadline, and a second E2 request follows the leader.
+	e1 := fetch(ts.URL + "/v1/run?id=E1")
+	waitFor(t, "E1 running", func() bool { return srv.adm.running() == 1 })
+	leader := fetch(ts.URL + "/v1/run?id=E2&timeout=200ms")
+	waitFor(t, "E2 leader queued", func() bool { return srv.adm.queued() == 1 })
+	follower := fetch(ts.URL + "/v1/run?id=E2")
+	waitFor(t, "E2 follower parked", func() bool { return srv.flight.waiters() == 1 })
+
+	if code := <-leader; code != http.StatusGatewayTimeout {
+		t.Fatalf("leader = %d, want 504", code)
+	}
+	close(lab.gate)
+	if code := <-follower; code != http.StatusOK {
+		t.Fatalf("follower = %d, want 200 after its leader's deadline", code)
+	}
+	if code := <-e1; code != http.StatusOK {
+		t.Fatalf("E1 = %d, want 200", code)
+	}
+
+	_, _, body := get(t, ts.URL+"/metrics")
+	c := func(name string) float64 { return counterValue(t, body, name) }
+	if c("serve.timeouts") != 1 || c("serve.cache_misses") != 3 || c("serve.requests") != 3 {
+		t.Fatalf("timeouts/misses/requests = %v/%v/%v, want 1/3/3",
+			c("serve.timeouts"), c("serve.cache_misses"), c("serve.requests"))
+	}
+}
+
+// TestAdmissionCancelPassesSlotOn races a queued caller's cancellation
+// against the release that hands it the slot. Whichever wins, the slot
+// must not leak: a waiter that gives up after being granted passes it on.
+func TestAdmissionCancelPassesSlotOn(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		a := newAdmission(1, 1)
+		release, _, err := a.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if r, _, err := a.acquire(ctx); err == nil {
+				r()
+			}
+		}()
+		waitFor(t, "one waiter", func() bool { return a.queued() == 1 })
+		cancel()
+		release()
+		<-done
+		if a.running() != 0 || a.queued() != 0 {
+			t.Fatalf("round %d: %d running, %d queued after all callers left", i, a.running(), a.queued())
+		}
+	}
+}
+
 // TestAdmissionOverflow fills every run slot and every queue position with
 // distinct requests, then asserts the next one is shed with 429 and a
 // Retry-After hint.

@@ -8,9 +8,12 @@
 // The policies are the daemon's own: the cache is the very
 // internal/cache implementation the server mounts (single-threaded use is
 // deterministic), and the admission rule — run up to Workers, queue up to
-// QueueDepth, reject the rest — mirrors serve.admission decision for
-// decision. What differs is the clock: the simulated daemon runs as one
-// rank of the pdes engine, the repository's one DES kernel, in seeded
+// QueueDepth, reject the rest — is Admit, which serve.admission calls too.
+// A replay test checks that a real serve.Server decides every request of
+// a simulated run alike. That holds while neither cache evicts: this
+// cache is one LRU list, the daemon's one per shard, and the two can evict
+// different keys. What differs is the clock: the simulated daemon runs as
+// one rank of the pdes engine, the repository's one DES kernel, in seeded
 // virtual time, so a fixed seed reproduces the run byte for byte
 // regardless of host scheduling — the property experiment T12's tables
 // need and a wall-clock benchmark cannot give.
@@ -55,6 +58,29 @@ type Config struct {
 	Coalesce bool
 	// Catalog is the request population; draws are weighted by popularity.
 	Catalog []Job
+}
+
+// Verdict is the admission decision for an evaluation that is neither
+// cached nor coalesced: Run now, Queue in FIFO order, or Reject (429).
+type Verdict int
+
+// The verdicts.
+const (
+	Run Verdict = iota
+	Queue
+	Reject
+)
+
+// Admit is the admission rule that serve.admission and the simulator both
+// call, given the busy workers, the queued evaluations, and their bounds.
+func Admit(running, waiting, workers, depth int) Verdict {
+	if running < workers {
+		return Run
+	}
+	if waiting < depth {
+		return Queue
+	}
+	return Reject
 }
 
 // The client model's fixed parameters, in virtual seconds.
@@ -148,12 +174,19 @@ type sim struct {
 	totW    float64
 	stats   Stats
 	stopped bool // request budget exhausted; clients retire as they finish
+	// note is told every request-path decision in order: an arrival's
+	// "hit", "coalesced", "run", "queue" or "reject", and an evaluation's
+	// "done", then "start" for the queued one it hands its worker to.
+	// Only the replay test listens.
+	note func(key, what string)
 }
 
 // Simulate runs the configured closed loop to completion and returns its
 // statistics. Two calls with equal Config produce identical Stats. The
 // error is the engine's: a handler panic, recovered by pdes.Run.
-func Simulate(cfg Config) (Stats, error) {
+func Simulate(cfg Config) (Stats, error) { return simulateWith(cfg, func(_, _ string) {}) }
+
+func simulateWith(cfg Config, note func(key, what string)) (Stats, error) {
 	if cfg.Clients <= 0 || cfg.Requests <= 0 || cfg.Workers <= 0 || len(cfg.Catalog) == 0 {
 		return Stats{}, nil
 	}
@@ -165,6 +198,7 @@ func Simulate(cfg Config) (Stats, error) {
 		// A client leads at most one flight at a time: it waits for the
 		// answer before it issues again.
 		running: make([]*flightState, cfg.Clients),
+		note:    note,
 	}
 	if cfg.CacheSize > 0 {
 		// The daemon's own cache implementation, driven in virtual time.
@@ -249,6 +283,7 @@ func (s *sim) issue(client int) {
 	// Result cache fast path.
 	if s.cache != nil {
 		if _, ok := s.cache.Get(job.Key); ok {
+			s.note(job.Key, "hit")
 			s.stats.CacheHits++
 			s.stats.Served++
 			s.clientDone(client)
@@ -258,6 +293,7 @@ func (s *sim) issue(client int) {
 	// Coalesce onto an identical in-flight evaluation.
 	if s.cfg.Coalesce {
 		if fl, ok := s.inUse[job.Key]; ok {
+			s.note(job.Key, "coalesced")
 			fl.waiters = append(fl.waiters, client)
 			s.stats.Coalesced++
 			return
@@ -267,14 +303,16 @@ func (s *sim) issue(client int) {
 	if s.cfg.Coalesce {
 		s.inUse[job.Key] = fl
 	}
-	// Admission: run, queue, or reject.
-	switch {
-	case s.busy < s.cfg.Workers:
+	switch Admit(s.busy, len(s.queue), s.cfg.Workers, s.cfg.QueueDepth) {
+	case Run:
+		s.note(job.Key, "run")
 		s.start(fl)
-	case len(s.queue) < s.cfg.QueueDepth:
+	case Queue:
+		s.note(job.Key, "queue")
 		fl.enqueued = s.sc.Now()
 		s.queue = append(s.queue, fl)
-	default:
+	case Reject:
+		s.note(job.Key, "reject")
 		if s.cfg.Coalesce {
 			delete(s.inUse, job.Key)
 		}
@@ -297,6 +335,7 @@ func (s *sim) start(fl *flightState) {
 // complete finishes an evaluation: publish to the cache, answer the leader
 // and every coalesced waiter, then hand the freed worker to the queue.
 func (s *sim) complete(fl *flightState) {
+	s.note(fl.job.Key, "done")
 	s.busy--
 	if s.cfg.Coalesce {
 		delete(s.inUse, fl.job.Key)
@@ -313,6 +352,7 @@ func (s *sim) complete(fl *flightState) {
 		next := s.queue[0]
 		s.queue = s.queue[1:]
 		s.stats.WaitSum += s.sc.Now() - next.enqueued
+		s.note(next.job.Key, "start")
 		s.start(next)
 	}
 }

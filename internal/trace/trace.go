@@ -70,7 +70,6 @@ type workerClock struct {
 type Recorder struct {
 	workers []workerClock
 	started time.Time
-	spanState
 }
 
 // NewRecorder creates a recorder for n workers and starts its wall clock.
@@ -84,13 +83,6 @@ func (r *Recorder) Workers() int { return len(r.workers) }
 // Add charges d to the worker's category.
 func (r *Recorder) Add(worker int, cat Category, d time.Duration) {
 	atomic.AddInt64(&r.workers[worker].ns[cat], int64(d))
-}
-
-// Timed runs fn and charges its duration to the worker's category.
-func (r *Recorder) Timed(worker int, cat Category, fn func()) {
-	t0 := time.Now()
-	fn()
-	r.Add(worker, cat, time.Since(t0))
 }
 
 // Breakdown snapshots the recorder.

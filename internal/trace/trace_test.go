@@ -68,15 +68,6 @@ func TestImbalanceCountsSerialAsBusy(t *testing.T) {
 	}
 }
 
-func TestTimedCharges(t *testing.T) {
-	r := NewRecorder(1)
-	r.Timed(0, Compute, func() { time.Sleep(5 * time.Millisecond) })
-	b := r.Breakdown()
-	if b.Of(Compute) < 4*time.Millisecond {
-		t.Fatalf("timed recorded only %v", b.Of(Compute))
-	}
-}
-
 func TestConcurrentWorkers(t *testing.T) {
 	const n = 8
 	r := NewRecorder(n)

@@ -288,7 +288,7 @@ func f4Chunk(quick bool) Tunable {
 		objective: func(m *machine.Spec) Objective {
 			grab := chunkGrabSec(m)
 			return func(pt Point) (Cost, error) {
-				mk := sched.PredictChunked(costs, workers, space.Int(pt, "chunk"), grab)
+				mk, _ := sched.PredictChunked(costs, workers, space.Int(pt, "chunk"), grab)
 				return Cost{Seconds: mk}, nil
 			}
 		},

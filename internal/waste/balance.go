@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tenways/internal/machine"
+	"tenways/internal/sched"
 	"tenways/internal/workload"
 )
 
@@ -21,30 +22,6 @@ func StaticMakespan(costs []float64, p int) (makespan float64, busy []float64) {
 		}
 		if busy[w] > makespan {
 			makespan = busy[w]
-		}
-	}
-	return makespan, busy
-}
-
-// DynamicMakespan list-schedules the tasks in order onto the earliest-free
-// worker — the behaviour of a central task queue or work stealing — and
-// returns the makespan and per-worker busy times.
-func DynamicMakespan(costs []float64, p int) (makespan float64, busy []float64) {
-	busy = make([]float64, p)
-	free := make([]float64, p) // next-free time per worker
-	for _, c := range costs {
-		w := 0
-		for i := 1; i < p; i++ {
-			if free[i] < free[w] {
-				w = i
-			}
-		}
-		free[w] += c
-		busy[w] += c
-	}
-	for _, f := range free {
-		if f > makespan {
-			makespan = f
 		}
 	}
 	return makespan, busy
@@ -71,7 +48,9 @@ func Imbalance(spec *machine.Spec, p int, skew float64) (Outcome, error) {
 	costs := workload.NewTaskDist(2009).ZipfSorted(nTasks, skew, meanSec)
 
 	mkS, busyS := StaticMakespan(costs, p)
-	mkD, busyD := DynamicMakespan(costs, p)
+	// Dynamic: list scheduling onto the earliest-free worker, the
+	// behaviour of a central task queue or work stealing.
+	mkD, busyD := sched.PredictChunked(costs, p, 1, 0)
 	ideal := 0.0
 	for _, c := range costs {
 		ideal += c
