@@ -1,7 +1,7 @@
 # Build and verification tiers. Tier-1 is the gate every change must pass
 # (see ROADMAP.md); race adds vet and the race detector over the measured
 # plane's real goroutines (sched.Pool, which Lab.RunAll and the tuner run
-# on, and the serve daemon).
+# on, its trace.Recorder, and the serve daemon).
 
 GO ?= go
 
@@ -39,11 +39,13 @@ fix-clean: fix
 # window loop with 0, 1 and 3 helper goroutines, the obs instruments, the
 # daemon's request accounting and the replay of T12's simulated decisions
 # against the daemon see 1, 2 and 4 Ps, and so does the one sched.Pool
-# that Lab.RunAll and the tuner's batch evaluation share.
+# that Lab.RunAll and the tuner's batch evaluation share: its own tests,
+# which drive every loop through its one instrument, the trace.Recorder,
+# and the RunAll and ParallelEval tests of core and tune.
 race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/serve ./internal/serve/sim
+	$(GO) test -race -cpu 1,2,4 ./internal/pdes ./internal/obs ./internal/sched ./internal/serve ./internal/serve/sim
 	$(GO) test -race -short -cpu 1,2,4 -run 'RunAll|ParallelEval' ./internal/core ./internal/tune
 
 # Native fuzzing: run every Fuzz* target of the module for FUZZTIME each

@@ -227,22 +227,14 @@ func runTune(id string, spec *tenways.Machine, quick bool) error {
 		tunables = []tenways.Tunable{tn}
 	}
 	for _, tn := range tunables {
-		res, err := tn.Tune(spec, tenways.TuneOptions{})
+		res, def, saving, err := tn.TuneVsDefault(spec, tenways.TuneOptions{})
 		if err != nil {
 			return fmt.Errorf("%s: %v", tn.ID, err)
-		}
-		def, err := tn.Objective(spec)(tn.Default)
-		if err != nil {
-			return fmt.Errorf("%s: %v", tn.ID, err)
-		}
-		saving := 0.0
-		if def.Seconds > 0 {
-			saving = 100 * (1 - res.Best.Cost.Seconds/def.Seconds)
 		}
 		fmt.Printf("== %s: %s [machine %s]\n", tn.ID, tn.Title, spec.Name)
 		fmt.Printf("   default %-14s %.4g s\n", tn.DefaultLabel(), def.Seconds)
 		fmt.Printf("   tuned   %-14s %.4g s  (%s, %d evaluations, %.1f%% saved)\n\n",
-			res.Describe(), res.Best.Cost.Seconds, res.Strategy, res.Evaluations, saving)
+			res.Describe(), res.Best.Cost.Seconds, res.Strategy, res.Evaluations, 100*saving)
 	}
 	return nil
 }

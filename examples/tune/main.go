@@ -31,11 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, m := range []*tenways.Machine{tenways.Laptop2009(), tenways.Exascale()} {
-		res, err := chunk.Tune(m, tenways.TuneOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		def, err := chunk.Objective(m)(chunk.Default)
+		res, def, _, err := chunk.TuneVsDefault(m, tenways.TuneOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

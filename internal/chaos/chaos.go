@@ -193,9 +193,6 @@ func (s *Scenario) Add(in Injector) *Scenario {
 	return s
 }
 
-// Injectors returns the registered injectors.
-func (s *Scenario) Injectors() []Injector { return s.injectors }
-
 // ComputeDelay implements pgas.Perturber by summing the injectors' delays.
 func (s *Scenario) ComputeDelay(rank int, now, d float64) float64 {
 	total := 0.0

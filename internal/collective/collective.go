@@ -307,15 +307,11 @@ func (c *Comm) allreduceRecursiveDoubling(m int, x []float64, op Op) ([]float64,
 	return acc, nil
 }
 
-// AllreduceRing runs the bandwidth-optimal ring allreduce: a reduce-scatter
-// of n−1 chunk steps followed by an allgather of n−1 chunk steps, sending
-// only 2·m·(n−1)/n elements per rank in total. Works for any rank count.
-func (c *Comm) AllreduceRing(x []float64, op Op) []float64 {
-	return c.allreduceRing(len(x), x, op)
-}
-
-// allreduceRing is AllreduceRing's schedule on m-word vectors; x is nil for
-// a size-only run, as in allreduceFlat.
+// allreduceRing runs the bandwidth-optimal ring allreduce on m-word
+// vectors: a reduce-scatter of n−1 chunk steps followed by an allgather of
+// n−1 chunk steps, sending only 2·m·(n−1)/n elements per rank in total.
+// Works for any rank count. x is nil for a size-only run, as in
+// allreduceFlat.
 func (c *Comm) allreduceRing(m int, x []float64, op Op) []float64 {
 	c.ops.Inc()
 	r := c.r
@@ -380,18 +376,11 @@ func combine(acc []float64, lo int, in []float64, op Op) {
 // canonical order — the enumerated axis the T3 tunable searches.
 func AllreduceAlgorithms() []string { return []string{"flat", "rdouble", "ring"} }
 
-// AllreduceByName dispatches an allreduce by algorithm name ("flat",
-// "rdouble", "ring"), so algorithm selection can be a tuned parameter
-// rather than a call-site constant.
-func (c *Comm) AllreduceByName(alg string, x []float64, op Op) ([]float64, error) {
-	return c.allreduce(alg, len(x), x, op)
-}
-
 // AllreduceSize runs the named algorithm's allreduce schedule on words-long
 // vectors that carry no values: the same messages, bytes, compute charges,
-// counters and errors as AllreduceByName on a words-long vector, without
-// copying or combining a payload. Experiments that only time an allreduce
-// use it.
+// counters and errors as the schedule on a words-long vector of values,
+// without copying or combining a payload. Experiments that only time an
+// allreduce use it.
 func (c *Comm) AllreduceSize(alg string, words int) error {
 	if words < 0 {
 		return fmt.Errorf("collective: allreduce of %d words", words)
@@ -400,8 +389,10 @@ func (c *Comm) AllreduceSize(alg string, words int) error {
 	return err
 }
 
-// allreduce dispatches alg's schedule on m-word vectors; x is nil for a
-// size-only run.
+// allreduce dispatches an allreduce by algorithm name ("flat", "rdouble",
+// "ring"), so algorithm selection can be a tuned parameter rather than a
+// call-site constant. It runs alg's schedule on m-word vectors; x is nil
+// for a size-only run.
 func (c *Comm) allreduce(alg string, m int, x []float64, op Op) ([]float64, error) {
 	switch alg {
 	case "flat":

@@ -188,7 +188,7 @@ func TestAllreduceVariantsCorrect(t *testing.T) {
 
 		ring := make([][]float64, n)
 		runWorld(t, n, func(c *Comm) {
-			ring[c.Rank().ID()] = c.AllreduceRing(rankVector(c.Rank().ID(), m), Sum)
+			ring[c.Rank().ID()] = c.allreduceRing(m, rankVector(c.Rank().ID(), m), Sum)
 		})
 		check("ring", ring)
 	}
@@ -200,7 +200,7 @@ func TestAllreduceRingOddRanks(t *testing.T) {
 		want := allreduceRef(n, m)
 		got := make([][]float64, n)
 		runWorld(t, n, func(c *Comm) {
-			got[c.Rank().ID()] = c.AllreduceRing(rankVector(c.Rank().ID(), m), Sum)
+			got[c.Rank().ID()] = c.allreduceRing(m, rankVector(c.Rank().ID(), m), Sum)
 		})
 		for rank := range got {
 			for i := range want {
@@ -267,7 +267,7 @@ func TestAllreduceScalingShapes(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	ringBig := runWorld(t, n, func(c *Comm) { c.AllreduceRing(big, Sum) })
+	ringBig := runWorld(t, n, func(c *Comm) { c.allreduceRing(len(big), big, Sum) })
 	if ringBig >= rdBig {
 		t.Errorf("ring (%g) should beat recursive doubling (%g) for large vectors", ringBig, rdBig)
 	}
@@ -281,8 +281,8 @@ func TestRepeatedCollectivesIndependent(t *testing.T) {
 	got2 := make([][]float64, n)
 	runWorld(t, n, func(c *Comm) {
 		id := c.Rank().ID()
-		got1[id] = c.AllreduceRing(rankVector(id, m), Sum)
-		got2[id] = c.AllreduceRing(rankVector(id, m), Sum)
+		got1[id] = c.allreduceRing(m, rankVector(id, m), Sum)
+		got2[id] = c.allreduceRing(m, rankVector(id, m), Sum)
 	})
 	for rank := 0; rank < n; rank++ {
 		for i := range want {
@@ -380,7 +380,7 @@ func TestCollectivesSingleRank(t *testing.T) {
 		if got, err := c.AllreduceRecursiveDoubling([]float64{7}, Sum); err != nil || got[0] != 7 {
 			t.Errorf("allreduce rd: %v %v", got, err)
 		}
-		if got := c.AllreduceRing([]float64{7}, Sum); got[0] != 7 {
+		if got := c.allreduceRing(1, []float64{7}, Sum); got[0] != 7 {
 			t.Errorf("allreduce ring: %v", got)
 		}
 		if got := c.AlltoallPersonalized([][]float64{{7}}, 0); got[0][0] != 7 {
@@ -471,13 +471,12 @@ func TestSplitPhaseBarrierOverlapsLeafCompute(t *testing.T) {
 }
 
 // allreduceOutcome is everything a timed allreduce reports: the modeled
-// time, the world's message ledgers, energy, wait attribution, the
+// time, the world's message stats, energy, wait attribution, the
 // collective counters and the dispatch error.
 type allreduceOutcome struct {
 	makespan float64
 	finish   []float64
 	stats    pgas.Stats
-	sent     []int64
 	joules   float64
 	bd       trace.Breakdown
 	ops      int64
@@ -485,7 +484,7 @@ type allreduceOutcome struct {
 	err      string
 }
 
-// runAllreduce runs one allreduce of alg on p ranks: AllreduceByName on a
+// runAllreduce runs one allreduce of alg on p ranks: the dispatch on a
 // words-long zero vector, or AllreduceSize when sizeOnly is set.
 func runAllreduce(t *testing.T, alg string, p, words int, sizeOnly bool) allreduceOutcome {
 	t.Helper()
@@ -499,7 +498,7 @@ func runAllreduce(t *testing.T, alg string, p, words int, sizeOnly bool) allredu
 		if sizeOnly {
 			errs[r.ID()] = c.AllreduceSize(alg, words)
 		} else {
-			_, errs[r.ID()] = c.AllreduceByName(alg, make([]float64, words), Sum)
+			_, errs[r.ID()] = c.allreduce(alg, words, make([]float64, words), Sum)
 		}
 		finish[r.ID()] = r.Now()
 	})
@@ -510,7 +509,6 @@ func runAllreduce(t *testing.T, alg string, p, words int, sizeOnly bool) allredu
 		makespan: makespan,
 		finish:   finish,
 		stats:    w.Stats(),
-		sent:     w.RankBytesSent(),
 		joules:   w.Meter().Total(),
 		bd:       w.Breakdown(makespan),
 		ops:      reg.Counter("collective.ops").Value(),
@@ -535,7 +533,7 @@ func TestAllreduceSizeMatchesAllreduce(t *testing.T) {
 				data := runAllreduce(t, alg, p, words, false)
 				size := runAllreduce(t, alg, p, words, true)
 				if !reflect.DeepEqual(data, size) {
-					t.Fatalf("%s P=%d words=%d: AllreduceSize differs from AllreduceByName:\n data %+v\n size %+v",
+					t.Fatalf("%s P=%d words=%d: AllreduceSize differs from the data-carrying run:\n data %+v\n size %+v",
 						alg, p, words, data, size)
 				}
 				if wantErr := alg == "rdouble" && p == 3; (data.err != "") != wantErr {
@@ -546,10 +544,10 @@ func TestAllreduceSizeMatchesAllreduce(t *testing.T) {
 	}
 }
 
-// TestAllreduceSizeErrors: bad arguments fail like AllreduceByName's.
+// TestAllreduceSizeErrors: bad arguments fail like the data-carrying dispatch's.
 func TestAllreduceSizeErrors(t *testing.T) {
 	runWorld(t, 2, func(c *Comm) {
-		_, want := c.AllreduceByName("tree", []float64{1}, Sum)
+		_, want := c.allreduce("tree", 1, []float64{1}, Sum)
 		if got := c.AllreduceSize("tree", 1); got == nil || want == nil || got.Error() != want.Error() {
 			t.Errorf("unknown algorithm: got %v, want %v", got, want)
 		}

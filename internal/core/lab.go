@@ -25,8 +25,8 @@ type Config struct {
 	Seed uint64
 	// Obs receives the run's subsystem metrics (pdes engine events,
 	// collective bytes, tuner evaluations, ...); nil records nothing.
-	// RunAll gives every experiment its own so per-experiment snapshots
-	// stay attributable under parallel execution.
+	// RunOne gives every run its own, so per-experiment snapshots stay
+	// attributable under parallel execution.
 	Obs *obs.Registry
 }
 

@@ -36,9 +36,9 @@ type RunResult struct {
 	Output   Output
 	Err      error
 	Wall     time.Duration
-	// Metrics is the experiment's own registry snapshot: every run records
-	// at least the lab.* instruments, plus whatever subsystems it touched
-	// (pdes.*, pgas.*, collective.*, chaos.*, tune.*, ...).
+	// Metrics is the snapshot of the run's own registry: whatever the
+	// subsystems it touched recorded (pdes.*, pgas.*, collective.*,
+	// chaos.*, tune.*, ...). A run that touched none has an empty one.
 	Metrics obs.Snapshot
 }
 
@@ -46,10 +46,10 @@ type RunResult struct {
 // them out in IDs order, and returns their results in IDs order regardless
 // of completion order.
 //
-// Each experiment gets a fresh obs.Registry threaded through Config.Obs,
-// so its metrics snapshot is attributable even while other experiments run
-// concurrently. Failures are soft: a panicking or failing experiment is
-// recorded in its RunResult and the rest of the suite still runs; the
+// Each experiment runs through RunOne, so its metrics snapshot is
+// attributable even while other experiments run concurrently. Failures
+// are soft: a panicking or failing experiment is recorded in its
+// RunResult and the rest of the suite still runs; the
 // returned error is an aggregate naming the failed IDs (nil when all
 // succeeded). Cancelling ctx stops new experiments from starting and marks
 // unstarted ones with the context error.
@@ -79,7 +79,7 @@ func (l *Lab) RunAll(ctx context.Context, cfg Config, opts RunOptions) ([]RunRes
 	sched.NewPool(2, nil).ForEachStatic(2, func(half int) {
 		if half == 1 {
 			pool.ForEachChunked(len(exps), 1, func(i int) {
-				results[i] = runOne(ctx, exps[i], cfg)
+				results[i] = RunOne(ctx, exps[i], cfg)
 				close(done[i])
 			})
 			return
@@ -112,10 +112,12 @@ func resolveWorkers(requested, n int) int {
 	return min(max(requested, 1), n)
 }
 
-// runOne executes a single experiment with its own metrics registry,
-// converting panics into errors so one broken experiment cannot take down
-// a parallel suite run.
-func runOne(ctx context.Context, e Experiment, cfg Config) RunResult {
+// RunOne runs, times and meters one experiment: the one runner behind
+// RunAll and the daemon's /v1/run. It threads a fresh obs.Registry through
+// cfg.Obs and snapshots it into Metrics, times the run into Wall, does not
+// start the experiment once ctx is done, and turns a panic into Err, so
+// one broken experiment cannot take down a suite run or a daemon.
+func RunOne(ctx context.Context, e Experiment, cfg Config) RunResult {
 	res := RunResult{ID: e.ID, Title: e.Title, Measured: e.Measured}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -126,10 +128,6 @@ func runOne(ctx context.Context, e Experiment, cfg Config) RunResult {
 		res.Output, res.Err = runRecovered(ctx, e, cfg)
 	}
 	res.Wall = time.Since(start)
-	reg.Counter("lab.runs").Inc()
-	if res.Err != nil {
-		reg.Counter("lab.failures").Inc()
-	}
 	res.Metrics = reg.Snapshot()
 	return res
 }

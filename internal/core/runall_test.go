@@ -63,17 +63,11 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// Results must come back in registration order regardless of the
-	// completion order, and every run must carry metrics.
+	// completion order.
 	ids := l.IDs()
 	for i, r := range parallel {
 		if r.ID != ids[i] {
 			t.Fatalf("results[%d] = %s, want %s", i, r.ID, ids[i])
-		}
-		if r.Metrics.Empty() {
-			t.Errorf("%s: empty metrics snapshot", r.ID)
-		}
-		if r.Metrics.Counter("lab.runs") != 1 {
-			t.Errorf("%s: lab.runs = %d, want 1", r.ID, r.Metrics.Counter("lab.runs"))
 		}
 	}
 }
@@ -144,9 +138,6 @@ func TestRunAllFailSoft(t *testing.T) {
 	}
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "kaboom") {
 		t.Fatalf("panic not captured: %v", results[1].Err)
-	}
-	if results[1].Metrics.Counter("lab.failures") != 1 {
-		t.Fatal("failure not counted in the experiment's metrics")
 	}
 }
 
@@ -367,9 +358,6 @@ func TestLabReportRoundTrip(t *testing.T) {
 		}
 		if rec.WallMS <= 0 {
 			t.Fatalf("%s: wall_ms = %g", rec.ID, rec.WallMS)
-		}
-		if rec.Metrics.Counter("lab.runs") != 1 {
-			t.Fatalf("%s: metrics lost in round trip", rec.ID)
 		}
 	}
 	if rt := back.Results[0].Table; rt == nil || len(rt.Rows) == 0 {

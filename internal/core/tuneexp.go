@@ -31,21 +31,13 @@ func runT9(ctx context.Context, cfg Config) (Output, error) {
 			return Output{}, err
 		}
 		for _, m := range machines {
-			def, err := tn.Objective(m)(tn.Default)
-			if err != nil {
-				return Output{}, err
-			}
-			tuned, err := tn.Tune(m, tune.Options{Cache: cache, Obs: cfg.Obs})
+			tuned, def, saving, err := tn.TuneVsDefault(m, tune.Options{Cache: cache, Obs: cfg.Obs})
 			if err != nil {
 				return Output{}, err
 			}
 			oracle, err := tn.Tune(m, tune.Options{Strategy: tune.Grid{}, Cache: cache, Obs: cfg.Obs})
 			if err != nil {
 				return Output{}, err
-			}
-			saving := 0.0
-			if def.Seconds > 0 {
-				saving = 1 - tuned.Best.Cost.Seconds/def.Seconds
 			}
 			tbl.AddRow(tn.ID, m.Name,
 				tn.DefaultLabel(), tn.Space.Describe(tuned.Best.Point),

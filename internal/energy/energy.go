@@ -46,26 +46,9 @@ func (m *Meter) Add(component string, joules float64) {
 	m.mu.Unlock()
 }
 
-// AddMeter merges all of other's accumulated energy into m.
-func (m *Meter) AddMeter(other *Meter) {
-	ob := other.Breakdown()
-	m.mu.Lock()
-	for _, c := range ob.Components {
-		m.j[c.Name] += c.Joules
-	}
-	m.mu.Unlock()
-}
-
 // Total returns the sum over all components, added in Breakdown's order so
 // that equal meters give bit-identical totals.
 func (m *Meter) Total() float64 { return m.Breakdown().TotalJoules }
-
-// Reset clears all accumulated energy.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.j = make(map[string]float64)
-	m.mu.Unlock()
-}
 
 // Breakdown returns an immutable snapshot sorted by descending joules
 // (ties broken by name for determinism).

@@ -85,28 +85,6 @@ func TestFraction(t *testing.T) {
 	}
 }
 
-func TestAddMeter(t *testing.T) {
-	a := NewMeter()
-	a.Add(Flops, 1)
-	b := NewMeter()
-	b.Add(Flops, 2)
-	b.Add(Network, 5)
-	a.AddMeter(b)
-	bd := a.Breakdown()
-	if bd.Joules(Flops) != 3 || bd.Joules(Network) != 5 {
-		t.Fatalf("merged = %v", bd)
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := NewMeter()
-	m.Add(Idle, 9)
-	m.Reset()
-	if m.Total() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 func TestMeterConcurrent(t *testing.T) {
 	m := NewMeter()
 	var wg sync.WaitGroup

@@ -297,18 +297,6 @@ func (res *Result) Unsuppressed() []Finding {
 	return out
 }
 
-// Fixable returns the unsuppressed findings carrying a suggested fix —
-// the work list of wastevet -fix.
-func (res *Result) Fixable() []Finding {
-	out := make([]Finding, 0, len(res.Findings))
-	for _, f := range res.Findings {
-		if !f.Suppressed && f.Fix != nil {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Counts returns per-rule totals: all findings and the suppressed subset.
 func (res *Result) Counts() (total, suppressed map[string]int) {
 	total = make(map[string]int)

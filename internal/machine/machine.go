@@ -109,9 +109,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// TotalCores returns Nodes × CoresPerNode.
-func (s *Spec) TotalCores() int { return s.Nodes * s.CoresPerNode }
-
 // CycleSec returns the duration of one core cycle in seconds.
 func (s *Spec) CycleSec() float64 { return 1 / s.ClockHz }
 
@@ -122,9 +119,6 @@ func (s *Spec) PeakFlopsPerCore() float64 { return s.ClockHz * s.FlopsPerCoreCyc
 func (s *Spec) PeakFlopsPerNode() float64 {
 	return s.PeakFlopsPerCore() * float64(s.CoresPerNode)
 }
-
-// PeakFlops returns the machine-wide peak flop rate in flop/s.
-func (s *Spec) PeakFlops() float64 { return s.PeakFlopsPerNode() * float64(s.Nodes) }
 
 // MachineBalance returns the node's DRAM bytes/flop balance — the central
 // ratio of the roofline model. Low balance means algorithms need high
@@ -146,13 +140,6 @@ func (s *Spec) FlopTimeSec(n float64) float64 {
 
 // FlopEnergyJ returns the dynamic energy of n flops.
 func (s *Spec) FlopEnergyJ(n float64) float64 { return n * s.PJPerFlop * 1e-12 }
-
-// DRAMTimeSec returns the time to stream `bytes` from DRAM: one latency plus
-// the bandwidth term. Callers modelling many independent accesses should call
-// this per access or use the cache simulator instead.
-func (s *Spec) DRAMTimeSec(bytes float64) float64 {
-	return s.DRAM.LatencyCycles*s.CycleSec() + bytes/s.DRAM.BytesPerSec
-}
 
 // DRAMEnergyJ returns the energy of moving `bytes` from DRAM.
 func (s *Spec) DRAMEnergyJ(bytes float64) float64 { return bytes * s.DRAM.PJPerByte * 1e-12 }
@@ -180,14 +167,6 @@ func (s *Spec) IdleEnergyJ(d float64) float64 { return d * s.Power.IdleWatts }
 
 // BusyEnergyJ returns the energy a core burns while busy for d seconds.
 func (s *Spec) BusyEnergyJ(d float64) float64 { return d * s.Power.BusyWatts }
-
-// WithNodes returns a copy of the spec scaled to n nodes.
-func (s *Spec) WithNodes(n int) *Spec {
-	c := *s
-	c.Levels = append([]LevelSpec(nil), s.Levels...)
-	c.Nodes = n
-	return &c
-}
 
 // WithProportionalPower returns a copy whose idle power is the given
 // fraction of busy power — the energy-proportionality ablation knob.

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -47,9 +48,6 @@ func TestDerivedRates(t *testing.T) {
 	if got, want := s.PeakFlopsPerNode(), 20e9; got != want {
 		t.Errorf("PeakFlopsPerNode = %g, want %g", got, want)
 	}
-	if got, want := s.TotalCores(), 2; got != want {
-		t.Errorf("TotalCores = %d, want %d", got, want)
-	}
 	if got := s.MachineBalance(); math.Abs(got-8.5e9/20e9) > 1e-12 {
 		t.Errorf("MachineBalance = %g", got)
 	}
@@ -87,30 +85,6 @@ func TestCostFunctions(t *testing.T) {
 	}
 }
 
-func TestDRAMTimeHasLatencyAndBandwidthTerms(t *testing.T) {
-	s := Laptop2009()
-	small := s.DRAMTimeSec(64)
-	if small <= s.DRAM.LatencyCycles*s.CycleSec()*0.99 {
-		t.Errorf("small access faster than latency: %g", small)
-	}
-	big := s.DRAMTimeSec(1e9)
-	if math.Abs(big-1e9/s.DRAM.BytesPerSec) > 0.01*big {
-		t.Errorf("large streaming not bandwidth dominated: %g", big)
-	}
-}
-
-func TestWithNodesDeepCopies(t *testing.T) {
-	a := Petascale2009()
-	b := a.WithNodes(16)
-	if b.Nodes != 16 || a.Nodes == 16 {
-		t.Fatalf("WithNodes: a=%d b=%d", a.Nodes, b.Nodes)
-	}
-	b.Levels[0].LineBytes = 128
-	if a.Levels[0].LineBytes == 128 {
-		t.Fatal("WithNodes shares Levels slice")
-	}
-}
-
 func TestWithProportionalPower(t *testing.T) {
 	a := Petascale2009()
 	b := a.WithProportionalPower(0.1)
@@ -135,6 +109,26 @@ func TestPresetLookup(t *testing.T) {
 			t.Fatalf("duplicate preset name %q", s.Name)
 		}
 		seen[s.Name] = true
+	}
+}
+
+// TestPresetBuildsFreshSpec: Preset(name) is the spec Presets() lists under
+// that name, built anew on every call, so a caller may modify it.
+func TestPresetBuildsFreshSpec(t *testing.T) {
+	for _, want := range Presets() {
+		got := Preset(want.Name)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Preset(%q) = %+v, want %+v", want.Name, got, want)
+		}
+		if got == want || got == Preset(want.Name) {
+			t.Errorf("Preset(%q) returned a shared pointer", want.Name)
+		}
+		if &got.Levels[0] == &want.Levels[0] {
+			t.Errorf("Preset(%q) shares its Levels", want.Name)
+		}
+	}
+	if s := Preset("nope"); s != nil {
+		t.Errorf("Preset(%q) = %+v, want nil", "nope", s)
 	}
 }
 

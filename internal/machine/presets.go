@@ -32,7 +32,7 @@ func Laptop2009() *Spec {
 
 // Petascale2009 models one rack-scale slice of a 2009 petascale system
 // (Cray XT5 class): 8-core 2.3 GHz nodes, ~25 GB/s local DRAM, a ~6 µs / 2
-// GB/s torus interconnect. Default 1024 nodes; use WithNodes to rescale.
+// GB/s torus interconnect, 1024 nodes.
 func Petascale2009() *Spec {
 	return &Spec{
 		Name:              "petascale2009",
@@ -86,16 +86,33 @@ func EnergyProportional() *Spec {
 	return s
 }
 
-// Presets returns all built-in machines, in a stable presentation order.
-func Presets() []*Spec {
-	return []*Spec{Laptop2009(), Petascale2009(), EnergyProportional(), Exascale()}
+// presets names the built-in machines and their constructors, in a stable
+// presentation order. Each name is the Spec.Name its constructor sets.
+var presets = []struct {
+	name  string
+	build func() *Spec
+}{
+	{"laptop2009", Laptop2009},
+	{"petascale2009", Petascale2009},
+	{"petascale2009-proportional", EnergyProportional},
+	{"exascale", Exascale},
 }
 
-// Preset returns the named preset, or nil if unknown.
+// Presets returns all built-in machines, in a stable presentation order.
+func Presets() []*Spec {
+	out := make([]*Spec, 0, len(presets))
+	for _, p := range presets {
+		out = append(out, p.build())
+	}
+	return out
+}
+
+// Preset returns a fresh copy of the named preset, or nil if unknown. It
+// builds only the preset it returns.
 func Preset(name string) *Spec {
-	for _, s := range Presets() {
-		if s.Name == name {
-			return s
+	for _, p := range presets {
+		if p.name == name {
+			return p.build()
 		}
 	}
 	return nil

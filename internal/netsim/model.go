@@ -83,13 +83,3 @@ func (m *Model) Makespan(ts []Transfer) float64 {
 	}
 	return latBound
 }
-
-// TotalLinkBytes returns the sum over links of bytes carried — the "wire
-// traffic" volume metric used in communication-avoidance figures.
-func (m *Model) TotalLinkBytes(ts []Transfer) float64 {
-	total := 0.0
-	for _, t := range ts {
-		total += t.Bytes * float64(len(m.Topo.Path(t.Src, t.Dst)))
-	}
-	return total
-}

@@ -171,14 +171,6 @@ func TestMakespanAtLeastSingleTransfer(t *testing.T) {
 	}
 }
 
-func TestTotalLinkBytes(t *testing.T) {
-	m := NewModel(testSpec(), NewRing(8))
-	ts := []Transfer{{Src: 0, Dst: 2, Bytes: 100}} // 2 hops
-	if got := m.TotalLinkBytes(ts); got != 200 {
-		t.Errorf("link bytes = %g, want 200", got)
-	}
-}
-
 // Property: for every topology, every path's links are valid and a message
 // between distinct nodes takes at least alpha.
 func TestTopologyPathProperty(t *testing.T) {

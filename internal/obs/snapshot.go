@@ -105,11 +105,6 @@ func snapshotHist(h *Histogram) HistSnapshot {
 	return hs
 }
 
-// Empty reports whether the snapshot carries no activity at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
-}
-
 // Merge returns the associative combination of two snapshots: counters and
 // gauges add, histograms add bucketwise. Neither input is mutated.
 func (s Snapshot) Merge(o Snapshot) Snapshot {

@@ -172,46 +172,3 @@ func TestNilPerturberIdentical(t *testing.T) {
 		t.Fatalf("nil perturber changed the run: %g vs %g", a, b)
 	}
 }
-
-func TestRankBytesAndCommImbalance(t *testing.T) {
-	w := NewWorld(4, spec(), nil, nil)
-	w.Alloc("x", 64)
-	_, err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			// Rank 0 sends everything: maximal imbalance.
-			for d := 1; d < 4; d++ {
-				r.Put(d, "x", 0, make([]float64, 64))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := w.RankBytesSent()
-	if sent[0] != 3*64*8 || sent[1] != 0 {
-		t.Fatalf("rank bytes = %v", sent)
-	}
-	// max/mean - 1 = (1536)/(384) - 1 = 3
-	if got := w.CommImbalance(); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("comm imbalance = %g", got)
-	}
-
-	balanced := NewWorld(4, spec(), nil, nil)
-	balanced.Alloc("x", 8)
-	_, err = balanced.Run(func(r *Rank) {
-		r.Put((r.ID()+1)%4, "x", 0, make([]float64, 8))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := balanced.CommImbalance(); math.Abs(got) > 1e-9 {
-		t.Fatalf("balanced imbalance = %g", got)
-	}
-	empty := NewWorld(2, spec(), nil, nil)
-	if _, err := empty.Run(func(r *Rank) {}); err != nil {
-		t.Fatal(err)
-	}
-	if empty.CommImbalance() != 0 {
-		t.Fatal("no-traffic imbalance should be 0")
-	}
-}

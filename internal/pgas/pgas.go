@@ -90,7 +90,6 @@ type World struct {
 	txFree   []float64 // per-rank send-side NIC free time (bandwidth gap)
 	rxFree   []float64 // per-rank receive-side NIC free time
 	attr     []attrLedger
-	rankSent []int64 // bytes sent per rank
 	stats    Stats
 	perturb  Perturber
 	obs      *obs.Registry
@@ -128,7 +127,6 @@ func NewWorld(n int, spec *machine.Spec, cost CostModel, meter *energy.Meter) *W
 		txFree:   make([]float64, n),
 		rxFree:   make([]float64, n),
 		attr:     make([]attrLedger, n),
-		rankSent: make([]int64, n),
 	}
 	for i := range w.flags {
 		w.flags[i] = make(map[string]*flagVar)
@@ -171,35 +169,6 @@ func (w *World) Obs() *obs.Registry { return w.obs }
 // cost-model wrappers (link faults) that need the clock of the world they
 // wrap.
 func (w *World) Now() float64 { return w.k.now }
-
-// RankBytesSent returns a copy of the per-rank sent-byte ledger, the input
-// to communication-imbalance analysis: a rank sending far more than the
-// mean is a decomposition smell even when compute is balanced.
-func (w *World) RankBytesSent() []int64 {
-	out := make([]int64, w.N)
-	for i := range out {
-		out[i] = atomic.LoadInt64(&w.rankSent[i])
-	}
-	return out
-}
-
-// CommImbalance returns max/mean − 1 over per-rank sent bytes (0 when no
-// traffic or perfectly balanced).
-func (w *World) CommImbalance() float64 {
-	var max, sum int64
-	for i := 0; i < w.N; i++ {
-		b := atomic.LoadInt64(&w.rankSent[i])
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(w.N)
-	return float64(max)/mean - 1
-}
 
 // Stats returns a snapshot of communication statistics.
 func (w *World) Stats() Stats {
@@ -358,11 +327,10 @@ func (w *World) arrivalFrom(src, dst int, issue, bytes float64) float64 {
 }
 
 // chargeMsg counts one message of the given bytes from src to dst: world
-// stats, src's share of the per-rank ledger, and the network energy.
+// stats and the network energy.
 func (w *World) chargeMsg(src, dst int, bytes float64) {
 	atomic.AddInt64(&w.stats.Messages, 1)
 	atomic.AddInt64(&w.stats.BytesSent, int64(bytes))
-	atomic.AddInt64(&w.rankSent[src], int64(bytes))
 	w.meter.Add(energy.Network, w.cost.MsgEnergy(src, dst, bytes))
 }
 
@@ -531,11 +499,6 @@ func (r *Rank) WaitSignal(flag string, count int64) {
 	r.chargeWait(r.Now() - t0)
 }
 
-// SignalCount returns the local flag's current count without blocking.
-func (r *Rank) SignalCount(flag string) int64 {
-	return r.w.flag(r.ID(), flag).count
-}
-
 // Send delivers a copy of vals into dst's named mailbox after one message
 // time (two-sided messaging in the MPI style, on the same cost model as the
 // one-sided operations). The sender continues after its software overhead.
@@ -626,10 +589,3 @@ func (h *Handle) Wait() {
 
 // Done reports whether the operation has already completed.
 func (h *Handle) Done() bool { return h.r.Now() >= h.done }
-
-// WaitAll waits for every handle.
-func WaitAll(hs ...*Handle) {
-	for _, h := range hs {
-		h.Wait()
-	}
-}

@@ -127,7 +127,7 @@ func TestSignalCounts(t *testing.T) {
 	_, err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.WaitSignal("go", 2)
-			if r.SignalCount("go") < 2 {
+			if r.w.flag(r.ID(), "go").count < 2 {
 				t.Error("count below waited threshold")
 			}
 		} else {
@@ -456,9 +456,10 @@ func TestHandleDoneAndWaitAll(t *testing.T) {
 		if h1.Done() {
 			t.Error("handle done immediately after issue")
 		}
-		WaitAll(h1, h2)
+		h1.Wait()
+		h2.Wait()
 		if !h1.Done() || !h2.Done() {
-			t.Error("handles not done after WaitAll")
+			t.Error("handles not done after waiting for both")
 		}
 	})
 	if err != nil {
@@ -491,45 +492,6 @@ func TestSimpleCostLocal(t *testing.T) {
 	}
 	if c.MsgEnergy(2, 2, 100) != 0 {
 		t.Fatal("local message should cost no network energy")
-	}
-}
-
-// TestRankLedgerMatchesStats: every byte Stats counts is charged to some
-// rank's ledger, the serving rank's Get response included.
-func TestRankLedgerMatchesStats(t *testing.T) {
-	w := NewWorld(4, spec(), nil, nil)
-	w.Alloc("x", 64)
-	_, err := w.Run(func(r *Rank) {
-		next := (r.ID() + 1) % 4
-		switch r.ID() {
-		case 0:
-			r.Put(next, "x", 0, make([]float64, 8))
-			r.Get(3, "x", 0, 64)
-		case 1:
-			r.PutSignal(next, "x", 8, make([]float64, 16), "f")
-			r.Send(next, "box", make([]float64, 5))
-		case 2:
-			r.Transfer(next, 32, "f")
-			r.WaitSignal("f", 1)
-			r.Recv("box")
-		case 3:
-			r.Signal(0, "s")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := w.RankBytesSent()
-	var sum int64
-	for _, b := range sent {
-		sum += b
-	}
-	if st := w.Stats(); sum != st.BytesSent {
-		t.Fatalf("sum(RankBytesSent()) = %d %v, Stats().BytesSent = %d", sum, sent, st.BytesSent)
-	}
-	// Rank 3 signals (8 B) and serves the 64-word Get (512 B).
-	if sent[3] != 8+512 {
-		t.Fatalf("rank 3 sent %d bytes, want %d", sent[3], 8+512)
 	}
 }
 
@@ -579,12 +541,11 @@ func TestIssueChecksBounds(t *testing.T) {
 }
 
 // worldOutcome is what a run reports that a payload-free op must leave
-// unchanged: its times, message ledgers, energy and wait attribution.
+// unchanged: its times, message stats, energy and wait attribution.
 type worldOutcome struct {
 	makespan float64
 	finish   []float64
 	stats    Stats
-	sent     []int64
 	joules   float64
 	bd       trace.Breakdown
 }
@@ -619,7 +580,9 @@ func TestTransferMatchesPutSignal(t *testing.T) {
 					}
 				}
 				r.Compute(1e5*float64(id+1), 0)
-				WaitAll(hs...)
+				for _, h := range hs {
+					h.Wait()
+				}
 				r.WaitSignal("halo", int64(2*(s+1)))
 			}
 			finish[id] = r.Now()
@@ -627,7 +590,7 @@ func TestTransferMatchesPutSignal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worldOutcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
+		return worldOutcome{makespan, finish, w.Stats(), w.Meter().Total(), w.Breakdown(makespan)}
 	}
 	put, tr := run(false), run(true)
 	if !reflect.DeepEqual(put, tr) {
@@ -673,7 +636,7 @@ func TestSendSizeMatchesSend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return worldOutcome{makespan, finish, w.Stats(), w.RankBytesSent(), w.Meter().Total(), w.Breakdown(makespan)}
+		return worldOutcome{makespan, finish, w.Stats(), w.Meter().Total(), w.Breakdown(makespan)}
 	}
 	send, size := run(false), run(true)
 	if !reflect.DeepEqual(send, size) {

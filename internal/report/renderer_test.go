@@ -55,17 +55,6 @@ func TestRenderersMatchLegacyWriters(t *testing.T) {
 	}
 	a.Reset()
 	b.Reset()
-	if err := tbl.WriteMarkdown(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Markdown{}).Table(&b, tbl); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("Markdown mismatch")
-	}
-	a.Reset()
-	b.Reset()
 	if err := fig.WriteCSV(&a); err != nil {
 		t.Fatal(err)
 	}

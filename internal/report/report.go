@@ -47,10 +47,6 @@ func (t *Table) NumCols() int {
 // renderer).
 func (t *Table) WriteASCII(w io.Writer) error { return ASCII{}.Table(w, t) }
 
-// WriteMarkdown renders the table as a GitHub-flavoured markdown table
-// (the Markdown renderer).
-func (t *Table) WriteMarkdown(w io.Writer) error { return Markdown{}.Table(w, t) }
-
 // String renders the ASCII form.
 func (t *Table) String() string {
 	var b strings.Builder

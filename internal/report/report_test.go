@@ -44,7 +44,7 @@ func TestTableMarkdown(t *testing.T) {
 	tb := NewTable("T9", "md", "h1", "h2")
 	tb.AddRow("a", "b")
 	var b strings.Builder
-	if err := tb.WriteMarkdown(&b); err != nil {
+	if err := (Markdown{}).Table(&b, tb); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -3,7 +3,8 @@
 // barrier primitives — the machinery needed to demonstrate load imbalance
 // (W4), serialisation (W5), and spin-versus-block waiting (W10) on real
 // goroutines with trace attribution. The lab runner and the tuner deal
-// their work out on the same pool.
+// their work out on the same pool. A pool's one instrument is an optional
+// trace.Recorder; it keeps no metrics registry.
 package sched
 
 import (
@@ -11,20 +12,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tenways/internal/obs"
 	"tenways/internal/trace"
 )
 
 // Pool executes parallel loops over [0, n) with a fixed number of workers
-// under a choice of scheduling policies. An optional trace.Recorder
-// attributes each worker's time to compute versus waiting versus stealing.
+// under a choice of scheduling policies. An optional trace.Recorder, its
+// only instrument, attributes each worker's time to compute versus waiting
+// versus stealing; without one a loop records nothing.
 // Worker 0 is the calling goroutine, so a loop on a pool of width w starts
 // w−1 goroutines and a one-worker pool starts none; every loop returns
 // once all its iterations have run.
 type Pool struct {
 	workers int
 	rec     *trace.Recorder
-	obs     *obs.Registry
 }
 
 // NewPool creates a pool of the given width (minimum 1). rec may be nil.
@@ -35,22 +35,8 @@ func NewPool(workers int, rec *trace.Recorder) *Pool {
 	return &Pool{workers: workers, rec: rec}
 }
 
-// SetObs redirects the pool's scheduling metrics (sched.grabs,
-// sched.steals, sched.idle_seconds) to the given registry. Pools start
-// with the silent nil registry.
-func (p *Pool) SetObs(reg *obs.Registry) *Pool {
-	p.obs = reg
-	return p
-}
-
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
-
-func (p *Pool) add(worker int, cat trace.Category, d time.Duration) {
-	if p.rec != nil {
-		p.rec.Add(worker, cat, d)
-	}
-}
 
 // addSince charges [start, now).
 func (p *Pool) addSince(worker int, cat trace.Category, start time.Time) {
@@ -103,11 +89,9 @@ func (p *Pool) chargeImbalanceIdle() {
 			max = busy
 		}
 	}
-	idle := p.obs.Gauge("sched.idle_seconds")
 	for w, wt := range b.PerWorker {
 		if gap := max - wt.Busy() - wt.ByCategory[trace.Idle]; gap > 0 {
 			p.rec.Add(w, trace.Idle, gap)
-			idle.Add(gap.Seconds())
 		}
 	}
 }
@@ -118,7 +102,6 @@ func (p *Pool) ForEachChunked(n, chunk int, body func(i int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	grabs := p.obs.Counter("sched.grabs")
 	var next int64
 	p.spmd(func(w int) {
 		t0 := time.Now()
@@ -127,7 +110,6 @@ func (p *Pool) ForEachChunked(n, chunk int, body func(i int)) {
 			if lo >= n {
 				break
 			}
-			grabs.Inc()
 			hi := min(lo+chunk, n)
 			for i := lo; i < hi; i++ {
 				body(i)
@@ -144,7 +126,6 @@ func (p *Pool) ForEachGuided(n, minChunk int, body func(i int)) {
 	if minChunk < 1 {
 		minChunk = 1
 	}
-	grabs := p.obs.Counter("sched.grabs")
 	var next int64
 	p.spmd(func(w int) {
 		t0 := time.Now()
@@ -157,7 +138,6 @@ func (p *Pool) ForEachGuided(n, minChunk int, body func(i int)) {
 			if !atomic.CompareAndSwapInt64(&next, cur, cur+int64(chunk)) {
 				continue
 			}
-			grabs.Inc()
 			lo, hi := int(cur), min(int(cur)+chunk, n)
 			for i := lo; i < hi; i++ {
 				body(i)
@@ -213,8 +193,6 @@ func (p *Pool) ForEachStealing(n, grain int, body func(i int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	grabs := p.obs.Counter("sched.grabs")
-	steals := p.obs.Counter("sched.steals")
 	ranges := make([]*rangeTask, p.workers)
 	for w := 0; w < p.workers; w++ {
 		ranges[w] = &rangeTask{lo: w * n / p.workers, hi: (w + 1) * n / p.workers}
@@ -223,9 +201,7 @@ func (p *Pool) ForEachStealing(n, grain int, body func(i int)) {
 		my := ranges[w]
 		for {
 			lo, hi := my.grab(grain)
-			if lo != hi {
-				grabs.Inc()
-			} else {
+			if lo == hi {
 				// Steal: scan victims round-robin from w+1.
 				tSteal := time.Now()
 				stolen := false
@@ -235,7 +211,6 @@ func (p *Pool) ForEachStealing(n, grain int, body func(i int)) {
 						my.mu.Lock()
 						my.lo, my.hi = slo, shi
 						my.mu.Unlock()
-						steals.Inc()
 						stolen = true
 						break
 					}

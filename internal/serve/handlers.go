@@ -263,7 +263,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
 	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed}
-	ent, cached, coalesced, err := s.runShared(ctx, key, e.ID, cfg)
+	ent, cached, coalesced, err := s.runShared(ctx, key, e, cfg)
 	if err != nil {
 		s.writeRunErr(w, err)
 		return
@@ -381,7 +381,7 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
-		ent, cached, coalesced, err := s.runShared(ctx, key, e.ID, cfg)
+		ent, cached, coalesced, err := s.runShared(ctx, key, e, cfg)
 		if err != nil {
 			rec.Error = err.Error()
 			resp.Failed++
@@ -415,19 +415,13 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// timedEntry is a cached result that records the wall time of the run that
-// produced it.
-type timedEntry interface{ setWall(time.Duration) }
-
-func (e *runEntry) setWall(d time.Duration)     { e.WallMS = float64(d) / float64(time.Millisecond) }
-func (e *tuneResponse) setWall(d time.Duration) { e.WallMS = float64(d) / float64(time.Millisecond) }
-
 // shared is the request path /v1/run, /v1/runall and /v1/tune share:
 // result cache, then singleflight coalescing, then the bounded admission
-// queue, then miss, timed into serve.run_seconds, whose entry is cached.
+// queue, then miss, whose entry is cached. miss returns the wall time of
+// the work it timed, which goes into serve.run_seconds.
 // A follower whose leader failed on the leader's own deadline or
 // cancellation tries again, still as one miss, while its own ctx lives.
-func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry, error)) (ent any, cached, coalesced bool, err error) {
+func (s *Server) shared(ctx context.Context, key string, miss func() (any, time.Duration, error)) (ent any, cached, coalesced bool, err error) {
 	if v, ok := s.cache.Get(key); ok {
 		s.hits.Inc()
 		return v, true, false, nil
@@ -440,14 +434,11 @@ func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry
 			return nil, err
 		}
 		defer release()
-		t0 := time.Now()
-		e, err := miss()
-		wall := time.Since(t0)
+		e, wall, err := miss()
 		s.runSec.Observe(wall.Seconds())
 		if err != nil {
 			return nil, err
 		}
-		e.setWall(wall)
 		s.cache.Put(key, e)
 		return e, nil
 	}
@@ -467,24 +458,26 @@ func (s *Server) shared(ctx context.Context, key string, miss func() (timedEntry
 	return ent, false, coalesced, err
 }
 
-// runShared runs one experiment through the shared request path.
-func (s *Server) runShared(ctx context.Context, key, id string, cfg core.Config) (*runEntry, bool, bool, error) {
-	v, cached, coalesced, err := s.shared(ctx, key, func() (timedEntry, error) {
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
-		out, err := s.lab.RunContext(ctx, id, cfg)
-		if err != nil {
-			return nil, err
+// runShared runs one experiment through the shared request path; the miss
+// is core.RunOne, which times and meters the run.
+func (s *Server) runShared(ctx context.Context, key string, e core.Experiment, cfg core.Config) (*runEntry, bool, bool, error) {
+	v, cached, coalesced, err := s.shared(ctx, key, func() (any, time.Duration, error) {
+		res := core.RunOne(ctx, e, cfg)
+		if res.Err != nil {
+			return nil, res.Wall, res.Err
 		}
-		e := &runEntry{Output: out, Metrics: reg.Snapshot()}
-		e.Hash = hashEntry(e)
-		return e, nil
+		ent := &runEntry{Output: res.Output, Metrics: res.Metrics, WallMS: millis(res.Wall)}
+		ent.Hash = hashEntry(ent)
+		return ent, res.Wall, nil
 	})
 	if err != nil {
 		return nil, false, coalesced, err
 	}
 	return v.(*runEntry), cached, coalesced, nil
 }
+
+// millis renders a duration in the bodies' wall_ms unit.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // writeRunErr maps request-path errors to status codes: queue overflow to
 // 429 + Retry-After, deadline to 504, client cancellation to 499-ish 503.
@@ -693,7 +686,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
 	key := "tune|" + p.spec.Name + "|" + tn.ID + "|" + strconv.FormatBool(p.quick)
-	v, cached, _, err := s.shared(ctx, key, func() (timedEntry, error) { return s.runTune(tn, p) })
+	v, cached, _, err := s.shared(ctx, key, func() (any, time.Duration, error) { return s.runTune(tn, p) })
 	if err != nil {
 		s.writeRunErr(w, err)
 		return
@@ -704,20 +697,14 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runTune runs one tunable search and its default's cost: the miss body of
-// /v1/tune's shared request path.
-func (s *Server) runTune(tn tune.Tunable, p reqParams) (timedEntry, error) {
-	res, err := tn.Tune(p.spec, tune.Options{Cache: s.tuneCache, Obs: s.reg})
+// runTune runs one tunable search against its default and times it: the
+// miss body of /v1/tune's shared request path.
+func (s *Server) runTune(tn tune.Tunable, p reqParams) (*tuneResponse, time.Duration, error) {
+	start := time.Now()
+	res, def, saving, err := tn.TuneVsDefault(p.spec, tune.Options{Cache: s.tuneCache, Obs: s.reg})
+	wall := time.Since(start)
 	if err != nil {
-		return nil, err
-	}
-	def, err := tn.Objective(p.spec)(tn.Default)
-	if err != nil {
-		return nil, err
-	}
-	saving := 0.0
-	if def.Seconds > 0 {
-		saving = 100 * (1 - res.Best.Cost.Seconds/def.Seconds)
+		return nil, wall, err
 	}
 	return &tuneResponse{
 		ID:          tn.ID,
@@ -731,6 +718,7 @@ func (s *Server) runTune(tn tune.Tunable, p reqParams) (timedEntry, error) {
 		TunedCost:   res.Best.Cost.Seconds,
 		Evaluations: res.Evaluations,
 		CacheHits:   res.CacheHits,
-		SavingPct:   saving,
-	}, nil
+		SavingPct:   100 * saving,
+		WallMS:      millis(wall),
+	}, wall, nil
 }

@@ -4,14 +4,16 @@
 // abstract's "interactions with users or other systems" made first-class.
 //
 // The request path composes the repo's own remedies instead of the naive
-// stack it warns about:
+// stack it warns about, in front of the lab runner's own per-experiment
+// path (core.RunOne), which times and meters each run once and turns a
+// panicking experiment into a 500:
 //
 //   - a sharded, LRU-bounded result cache
 //     (internal/cache) keyed machine+experiment+params+seed, so repeated
 //     identical requests are W2 (redundant work) that never happens twice;
 //   - a hand-rolled singleflight so N concurrent identical requests
 //     coalesce into one lab evaluation (redundant *concurrent* work);
-//   - a bounded admission queue feeding the underlying Lab: Parallel slots
+//   - a bounded admission queue feeding core.RunOne: Parallel slots
 //     run, QueueDepth callers wait in FIFO order, and everyone past that
 //     is rejected early with 429 + Retry-After rather than queued without
 //     bound — load shedding applied to ourselves;
@@ -28,25 +30,23 @@
 package serve
 
 import (
-	"context"
 	"time"
 
 	"tenways/internal/cache"
 	"tenways/internal/core"
-	"tenways/internal/machine"
 	"tenways/internal/obs"
 	"tenways/internal/tune"
 )
 
-// Lab is the slice of core.Lab the daemon serves; *core.Lab implements it,
-// and tests substitute counting stubs.
+// Lab is the experiment catalog the daemon serves; *core.Lab implements
+// it, and tests substitute stubs. The daemon runs what Get resolves through
+// core.RunOne, the lab runner's own per-experiment path, so a run is timed
+// and metered once and a panicking experiment answers 500.
 type Lab interface {
 	// Experiments lists the registered experiments in registration order.
 	Experiments() []core.Experiment
 	// Get resolves an experiment id (case-insensitively).
 	Get(id string) (core.Experiment, error)
-	// RunContext executes one experiment under ctx.
-	RunContext(ctx context.Context, id string, cfg core.Config) (core.Output, error)
 }
 
 // Options parameterises a Server. The zero value selects the defaults.
@@ -145,6 +145,3 @@ func New(lab Lab, opts Options) *Server {
 
 // Metrics returns the daemon's registry (the one /metrics renders).
 func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// defaultMachine resolves the server's default machine spec.
-func (s *Server) defaultMachine() *machine.Spec { return machine.Preset(s.opts.Machine) }

@@ -24,17 +24,20 @@ import (
 // evaluations actually happened.
 type stubLab struct {
 	runs atomic.Int64
-	// gate, when non-nil, blocks RunContext until closed (or ctx expires).
+	// gate, when non-nil, blocks every run until closed (or ctx expires).
 	gate chan struct{}
-	// fail, when non-nil, is returned by every RunContext call.
+	// fail, when non-nil, is returned by every run.
 	fail error
+	// panicky, when set, makes every run panic.
+	panicky bool
 }
 
 func (l *stubLab) Experiments() []core.Experiment {
 	out := make([]core.Experiment, 0, 8)
 	for i := 1; i <= 8; i++ {
 		id := "E" + strconv.Itoa(i)
-		out = append(out, core.Experiment{ID: id, Title: "stub " + id})
+		out = append(out, core.Experiment{ID: id, Title: "stub " + id,
+			Run: func(ctx context.Context, cfg core.Config) (core.Output, error) { return l.run(ctx, id, cfg) }})
 	}
 	return out
 }
@@ -48,8 +51,12 @@ func (l *stubLab) Get(id string) (core.Experiment, error) {
 	return core.Experiment{}, errors.New("unknown experiment " + id)
 }
 
-func (l *stubLab) RunContext(ctx context.Context, id string, cfg core.Config) (core.Output, error) {
+// run is every stub experiment's Run.
+func (l *stubLab) run(ctx context.Context, id string, cfg core.Config) (core.Output, error) {
 	l.runs.Add(1)
+	if l.panicky {
+		panic("stub " + id + " exploded")
+	}
 	if l.fail != nil {
 		return core.Output{}, l.fail
 	}
@@ -215,6 +222,44 @@ func TestRunEndpointLabError(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("boom")) {
 		t.Fatalf("error body does not mention cause: %s", body)
+	}
+}
+
+// TestRunPanicIsContained: a panicking experiment answers 500 naming the
+// panic, well inside the request's timeout, and leaves no flight behind
+// for the next request of its key to wait on.
+func TestRunPanicIsContained(t *testing.T) {
+	lab := &stubLab{panicky: true}
+	srv, ts := newTestServer(t, lab, Options{})
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		resp, err := http.Get(ts.URL + "/v1/run?id=E1&timeout=1s")
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d: read: %v", i, err)
+		}
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Errorf("request %d took %v against a 1s timeout", i, took)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("stub E1 exploded")) {
+			t.Fatalf("request %d = %d %s, want 500 naming the panic", i, resp.StatusCode, body)
+		}
+	}
+	if n := lab.runs.Load(); n != 2 {
+		t.Errorf("lab ran %d times, want 2", n)
+	}
+	_, _, body := get(t, ts.URL+"/metrics")
+	c := func(name string) float64 { return counterValue(t, body, name) }
+	if c("serve.errors") != 2 || c("serve.coalesced") != 0 || c("serve.coalesce_waiting") != 0 {
+		t.Fatalf("errors/coalesced/coalesce_waiting = %v/%v/%v, want 2/0/0",
+			c("serve.errors"), c("serve.coalesced"), c("serve.coalesce_waiting"))
+	}
+	if n := srv.flight.waiters(); n != 0 {
+		t.Fatalf("%d followers still parked", n)
 	}
 }
 

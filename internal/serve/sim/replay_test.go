@@ -27,7 +27,7 @@ type gateLab struct {
 }
 
 func (l *gateLab) Experiments() []core.Experiment {
-	return []core.Experiment{{ID: "E1", Title: "replay stub"}}
+	return []core.Experiment{{ID: "E1", Title: "replay stub", Run: l.run}}
 }
 
 func (l *gateLab) Get(id string) (core.Experiment, error) {
@@ -37,7 +37,8 @@ func (l *gateLab) Get(id string) (core.Experiment, error) {
 	return l.Experiments()[0], nil
 }
 
-func (l *gateLab) RunContext(ctx context.Context, _ string, cfg core.Config) (core.Output, error) {
+// run is E1's Run.
+func (l *gateLab) run(ctx context.Context, cfg core.Config) (core.Output, error) {
 	key := strconv.FormatUint(cfg.Seed, 10)
 	gate := make(chan struct{})
 	l.mu.Lock()

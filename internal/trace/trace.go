@@ -77,9 +77,6 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{workers: make([]workerClock, n), started: time.Now()}
 }
 
-// Workers returns the worker count.
-func (r *Recorder) Workers() int { return len(r.workers) }
-
 // Add charges d to the worker's category.
 func (r *Recorder) Add(worker int, cat Category, d time.Duration) {
 	atomic.AddInt64(&r.workers[worker].ns[cat], int64(d))

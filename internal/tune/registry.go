@@ -73,6 +73,23 @@ func (t Tunable) Tune(m *machine.Spec, opts Options) (Result, error) {
 	return Minimize(t.Space, t.objective(m), opts)
 }
 
+// TuneVsDefault prices the hand-picked default on the machine and runs
+// Tune with opts. It returns the search result, the default's cost, and
+// the fraction of that cost the tuned point saves, 1 − tuned/default (0
+// when the default costs nothing).
+func (t Tunable) TuneVsDefault(m *machine.Spec, opts Options) (res Result, def Cost, saving float64, err error) {
+	if def, err = t.objective(m)(t.Default); err != nil {
+		return Result{}, Cost{}, 0, err
+	}
+	if res, err = t.Tune(m, opts); err != nil {
+		return Result{}, Cost{}, 0, err
+	}
+	if def.Seconds > 0 {
+		saving = 1 - res.Best.Cost.Seconds/def.Seconds
+	}
+	return res, def, saving, nil
+}
+
 // Tunables returns the registered remedy parameters. quick shrinks the
 // modeled problems (and with them the spaces) for tests and -short runs;
 // quick and full tunables model different workloads under the same IDs, so

@@ -3,7 +3,6 @@ package tune
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"tenways/internal/obs"
 	"tenways/internal/sched"
@@ -287,19 +286,4 @@ func Minimize(space *Space, obj Objective, opts Options) (Result, error) {
 		CacheHits:   run.hits,
 		Exhausted:   exhausted,
 	}, nil
-}
-
-// sortPointsStable orders points lexicographically; used by strategies
-// that collect candidate sets from maps to keep evaluation order
-// deterministic.
-func sortPointsStable(ps []Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		a, b := ps[i], ps[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }

@@ -151,6 +151,34 @@ func TestTunedNeverLosesToDefault(t *testing.T) {
 	}
 }
 
+// TestTuneVsDefault: the comparison prices the default with the
+// tunable's objective, runs the same search as Tune, and reports the
+// saving against the default.
+func TestTuneVsDefault(t *testing.T) {
+	m := machine.Petascale2009()
+	for _, tn := range Tunables(true) {
+		res, def, saving, err := tn.TuneVsDefault(m, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tn.ID, err)
+		}
+		want, err := tn.Tune(m, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tn.ID, err)
+		}
+		wantDef, err := tn.Objective(m)(tn.Default)
+		if err != nil {
+			t.Fatalf("%s default: %v", tn.ID, err)
+		}
+		if res.Describe() != want.Describe() || res.Best.Cost != want.Best.Cost || def != wantDef {
+			t.Errorf("%s: got %s at %v, default %v; want %s at %v, default %v",
+				tn.ID, res.Describe(), res.Best.Cost, def, want.Describe(), want.Best.Cost, wantDef)
+		}
+		if def.Seconds > 0 && saving != 1-res.Best.Cost.Seconds/def.Seconds {
+			t.Errorf("%s: saving %g, want 1 - %g/%g", tn.ID, saving, res.Best.Cost.Seconds, def.Seconds)
+		}
+	}
+}
+
 func TestCacheMakesRepeatTuningFree(t *testing.T) {
 	// Acceptance criterion: repeated tune of the same (machine, tunable)
 	// through a shared cache costs zero extra evaluations.

@@ -13,15 +13,6 @@ type TaskDist struct {
 // NewTaskDist creates a distribution source with the given seed.
 func NewTaskDist(seed uint64) *TaskDist { return &TaskDist{rng: NewRand(seed)} }
 
-// Uniform returns n task costs all equal to mean.
-func (d *TaskDist) Uniform(n int, mean float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = mean
-	}
-	return out
-}
-
 // Zipf returns n task costs following a Zipf-like power law with exponent
 // s >= 0 (s = 0 is uniform), scaled so the mean equals mean. Costs are
 // assigned in random order so static blocks still see skew.

@@ -95,11 +95,6 @@ func TestZipfMeanAndSkew(t *testing.T) {
 	if slices.Max(costs) < 50 {
 		t.Fatalf("zipf s=1.2 should be heavily skewed, max = %g", slices.Max(costs))
 	}
-	for _, c := range d.Uniform(1000, 10) {
-		if c != 10 {
-			t.Fatalf("uniform cost = %g", c)
-		}
-	}
 }
 
 func TestZipfSkewIncreasesWithS(t *testing.T) {
