@@ -18,10 +18,11 @@ test: build
 
 # Formatting gate, then waste-mode static analysis (internal/lint via
 # cmd/wastevet): determinism guards plus the W1/W5/W7/W8/W9/W10 source-level
-# mirrors. Fails on any file gofmt would change or any unsuppressed finding;
+# mirrors. Fails on any tracked Go file gofmt would change (build output such
+# as .bench_build/ is not walked) or any unsuppressed finding;
 # LINT_JSON=<path> additionally writes the machine-readable findings report.
 lint:
-	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/wastevet $(if $(LINT_JSON),-json $(LINT_JSON)) ./...
 

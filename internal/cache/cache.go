@@ -101,6 +101,20 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return e.val, true
 }
 
+// Peek returns the cached value for key, if present, without counting a
+// lookup in Stats or refreshing the entry's LRU position: a re-check by a
+// caller whose Get of the key has already been counted.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	s := c.shardOf(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[key]; ok {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put stores the value for key, evicting the shard's least recently used
 // entry if the shard is full.
 func (c *Cache[V]) Put(key string, v V) {

@@ -67,6 +67,13 @@ func TestStats(t *testing.T) {
 	c.Get("a")
 	c.Get("a")
 	c.Get("nope")
+	// Peek finds what Get finds but counts no lookup.
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := c.Peek("nope"); ok {
+		t.Fatal("Peek(nope) found an entry")
+	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Fatalf("Stats = %+v, want 2 hits / 1 miss", st)

@@ -139,19 +139,17 @@ func (l *Lab) Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q (known: %v)", id, known)
 }
 
-// Run executes the experiment with the given ID under a background
-// context. Use RunContext to bound or cancel the run.
+// Run runs the experiment with the given ID through RunOne under a
+// background context, so a panicking experiment returns an error. The run
+// records into its own registry in place of cfg.Obs; RunAll returns that
+// snapshot.
 func (l *Lab) Run(id string, cfg Config) (Output, error) {
-	return l.RunContext(context.Background(), id, cfg)
-}
-
-// RunContext executes the experiment with the given ID under ctx.
-func (l *Lab) RunContext(ctx context.Context, id string, cfg Config) (Output, error) {
 	e, err := l.Get(id)
 	if err != nil {
 		return Output{}, err
 	}
-	return e.Run(ctx, cfg)
+	res := RunOne(context.Background(), e, cfg)
+	return res.Output, res.Err
 }
 
 func allExperiments() []Experiment {

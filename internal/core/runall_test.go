@@ -141,6 +141,23 @@ func TestRunAllFailSoft(t *testing.T) {
 	}
 }
 
+// TestLabRunContainsPanic: Lab.Run, the one-experiment entry point of the
+// public tenways lab, turns a panicking experiment into an error like
+// RunAll does, rather than crashing its caller.
+func TestLabRunContainsPanic(t *testing.T) {
+	l := &Lab{byID: make(map[string]Experiment)}
+	l.register(Experiment{ID: "BOOM", Title: "panics", Run: func(context.Context, Config) (Output, error) {
+		panic("kaboom")
+	}})
+	out, err := l.Run("boom", Config{Quick: true})
+	if err == nil || !strings.Contains(err.Error(), "BOOM panicked: kaboom") {
+		t.Fatalf("Run of a panicking experiment: err = %v, want the panic as an error", err)
+	}
+	if out.Table != nil || out.Figure != nil {
+		t.Fatalf("Run of a panicking experiment returned output %+v", out)
+	}
+}
+
 func TestRunAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

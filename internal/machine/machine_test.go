@@ -113,10 +113,14 @@ func TestPresetLookup(t *testing.T) {
 }
 
 // TestPresetBuildsFreshSpec: Preset(name) is the spec Presets() lists under
-// that name, built anew on every call, so a caller may modify it.
+// that name, built anew on every call, so a caller may modify it; IsPreset
+// knows exactly the names Preset builds.
 func TestPresetBuildsFreshSpec(t *testing.T) {
 	for _, want := range Presets() {
 		got := Preset(want.Name)
+		if !IsPreset(want.Name) {
+			t.Errorf("IsPreset(%q) = false", want.Name)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Preset(%q) = %+v, want %+v", want.Name, got, want)
 		}
@@ -127,8 +131,10 @@ func TestPresetBuildsFreshSpec(t *testing.T) {
 			t.Errorf("Preset(%q) shares its Levels", want.Name)
 		}
 	}
-	if s := Preset("nope"); s != nil {
-		t.Errorf("Preset(%q) = %+v, want nil", "nope", s)
+	for _, name := range []string{"nope", "", "Laptop2009"} {
+		if s := Preset(name); s != nil || IsPreset(name) {
+			t.Errorf("Preset(%q) = %+v, IsPreset = %v; want nil, false", name, s, IsPreset(name))
+		}
 	}
 }
 

@@ -107,6 +107,16 @@ func Presets() []*Spec {
 	return out
 }
 
+// IsPreset reports whether name is a built-in machine, building none.
+func IsPreset(name string) bool {
+	for _, p := range presets {
+		if p.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Preset returns a fresh copy of the named preset, or nil if unknown. It
 // builds only the preset it returns.
 func Preset(name string) *Spec {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,26 +114,35 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// runEntry is the cached unit of work for /v1/run: the experiment output
-// plus the run's own metrics snapshot and wall time.
+// runEntry is the cached unit of work for /v1/run and /v1/runall: the
+// experiment output, the run's wall time, and the /v1/run JSON body of a
+// hit, rendered once when the run completes. The run's metrics snapshot is
+// kept only inside body and Hash.
 type runEntry struct {
-	Output  core.Output
-	Metrics obs.Snapshot
-	WallMS  float64
-	// Hash fingerprints Output+Metrics once at creation; handleRun derives
-	// the ETag from it, so revalidation never re-serialises the entry.
+	// Output is what the text formats and /v1/runall render from.
+	Output core.Output
+	WallMS float64
+	// Hash fingerprints Output and the metrics once at creation; handleRun
+	// derives the ETag from it, so revalidation never re-serialises the
+	// entry.
 	Hash string
+	// body is a hit's whole JSON body ("cached": true), at exact capacity.
+	// body[tail:] is its part from "wall_ms" on, which a miss leader or a
+	// coalesced follower writes after a head of its own.
+	body []byte
+	tail int
 }
 
-// hashEntry fingerprints the stable content of a run entry. WallMS and the
-// transport fields (Cached, Coalesced) are deliberately excluded: serving
-// the same cached entity again must yield the same validator even though
-// those bookkeeping fields differ per response.
-func hashEntry(e *runEntry) string {
+// hashEntry fingerprints the stable content of a run: its output and
+// metrics snapshot. The wall time and the per-response fields (cached,
+// coalesced) are deliberately excluded: serving the same cached entity
+// again, or a rerun of its key after eviction, must yield the same
+// validator.
+func hashEntry(out core.Output, m obs.Snapshot) string {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
-	enc.Encode(e.Output)
-	enc.Encode(e.Metrics)
+	enc.Encode(out)
+	enc.Encode(m)
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
@@ -160,41 +170,78 @@ func ifNoneMatchHas(header, etag string) bool {
 	return false
 }
 
-// runResponse is the /v1/run JSON body.
-type runResponse struct {
-	ID        string         `json:"id"`
-	Title     string         `json:"title"`
-	Machine   string         `json:"machine"`
-	Seed      uint64         `json:"seed,omitempty"`
-	Quick     bool           `json:"quick,omitempty"`
-	Cached    bool           `json:"cached"`
-	Coalesced bool           `json:"coalesced,omitempty"`
-	WallMS    float64        `json:"wall_ms"`
-	Table     *report.Table  `json:"table,omitempty"`
-	Figure    *report.Figure `json:"figure,omitempty"`
-	Metrics   obs.Snapshot   `json:"metrics"`
+// runHead is the part of a /v1/run JSON body that depends on the
+// response, not only on the cached entry: the fields before "wall_ms".
+type runHead struct {
+	ID        string `json:"id"`
+	Title     string `json:"title"`
+	Machine   string `json:"machine"`
+	Seed      uint64 `json:"seed,omitempty"`
+	Quick     bool   `json:"quick,omitempty"`
+	Cached    bool   `json:"cached"`
+	Coalesced bool   `json:"coalesced,omitempty"`
 }
 
-// reqParams are the run-shaped query parameters shared by /v1/run and
-// /v1/tune.
+// runTail is the rest of a /v1/run JSON body, from "wall_ms" on: the part
+// every response for one cached entry shares.
+type runTail struct {
+	WallMS float64        `json:"wall_ms"`
+	Table  *report.Table  `json:"table,omitempty"`
+	Figure *report.Figure `json:"figure,omitempty"`
+	// Metrics is the run's own registry snapshot, from core.RunOne.
+	Metrics obs.Snapshot `json:"metrics"`
+}
+
+// renderHead renders the first lines of a /v1/run JSON body: the opening
+// brace and h's fields, indented and escaped as json.MarshalIndent renders
+// them inside the whole body, ending in the comma before "wall_ms".
+func renderHead(h runHead) ([]byte, error) {
+	b, err := json.MarshalIndent(h, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	// b ends in "\n}"; in the whole body the tail's fields follow.
+	return append(b[:len(b)-2], ",\n"...), nil
+}
+
+// newRunEntry builds the cache entry of one completed run of e under p,
+// rendering its JSON hit body once.
+func newRunEntry(e core.Experiment, p reqParams, res core.RunResult) (*runEntry, error) {
+	head, err := renderHead(runHead{ID: e.ID, Title: e.Title, Machine: p.machine, Seed: p.seed, Quick: p.quick, Cached: true})
+	if err != nil {
+		return nil, err
+	}
+	wall := millis(res.Wall)
+	tail, err := json.MarshalIndent(runTail{WallMS: wall, Table: res.Output.Table, Figure: res.Output.Figure, Metrics: res.Metrics}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	// tail is "{\n", the fields from "wall_ms" on, and "}"; the body keeps
+	// the fields and the brace and ends in a newline.
+	body := make([]byte, 0, len(head)+len(tail)-1)
+	body = append(append(append(body, head...), tail[2:]...), '\n')
+	return &runEntry{Output: res.Output, WallMS: wall, Hash: hashEntry(res.Output, res.Metrics), body: body, tail: len(head)}, nil
+}
+
+// reqParams are the run-shaped query parameters shared by /v1/run,
+// /v1/runall and /v1/tune. machine is a preset name, checked but not built:
+// a cache hit needs no machine.Spec.
 type reqParams struct {
-	spec    *machine.Spec
+	machine string
 	seed    uint64
 	quick   bool
 	timeout time.Duration
 }
 
-// params parses machine/seed/quick/timeout, writing the 400 itself on
-// malformed input.
-func (s *Server) params(w http.ResponseWriter, r *http.Request) (reqParams, bool) {
-	q := r.URL.Query()
-	p := reqParams{timeout: s.opts.DefaultTimeout}
-	name := q.Get("machine")
-	if name == "" {
-		name = s.opts.Machine
+// params parses machine/seed/quick/timeout from the request's query,
+// writing the 400 itself on malformed input.
+func (s *Server) params(w http.ResponseWriter, q url.Values) (reqParams, bool) {
+	p := reqParams{machine: q.Get("machine"), timeout: s.opts.DefaultTimeout}
+	if p.machine == "" {
+		p.machine = s.opts.Machine
 	}
-	if p.spec = machine.Preset(name); p.spec == nil {
-		s.writeErr(w, http.StatusBadRequest, "unknown machine "+strconv.Quote(name))
+	if !machine.IsPreset(p.machine) {
+		s.writeErr(w, http.StatusBadRequest, "unknown machine "+strconv.Quote(p.machine))
 		return p, false
 	}
 	if v := q.Get("seed"); v != "" {
@@ -227,16 +274,20 @@ func (s *Server) params(w http.ResponseWriter, r *http.Request) (reqParams, bool
 	return p, true
 }
 
-// runKey builds the result-cache / coalescing key for a run request. The
-// format parameter is deliberately absent: rendering is cheap, so one
-// cached result serves every format.
+// runKey builds the result-cache / coalescing key for a run request. m is
+// the requested preset name, which is its Spec's Name. The format
+// parameter is deliberately absent: one cached entry serves every format,
+// JSON from its stored body and the text formats rendered from its Output.
 func runKey(m string, id string, seed uint64, quick bool) string {
 	return "run|" + m + "|" + id + "|" + strconv.FormatUint(seed, 10) + "|" + strconv.FormatBool(quick)
 }
 
+// handleRun answers a hit from the cached entry alone: it arms no deadline,
+// builds no machine.Spec, and writes the stored JSON body as it is.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	id := r.URL.Query().Get("id")
+	q := r.URL.Query()
+	id := q.Get("id")
 	if id == "" {
 		s.writeErr(w, http.StatusBadRequest, "missing id parameter")
 		return
@@ -246,11 +297,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err.Error())
 		return
 	}
-	p, ok := s.params(w, r)
+	p, ok := s.params(w, q)
 	if !ok {
 		return
 	}
-	format := r.URL.Query().Get("format")
+	format := q.Get("format")
 	var renderer report.Renderer
 	if format != "" && format != "json" {
 		if renderer, err = report.RendererByName(format); err != nil {
@@ -259,15 +310,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
-	defer cancel()
-	key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
-	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed}
-	ent, cached, coalesced, err := s.runShared(ctx, key, e, cfg)
-	if err != nil {
-		s.writeRunErr(w, err)
-		return
+	key := runKey(p.machine, e.ID, p.seed, p.quick)
+	v, cached := s.lookup(key)
+	var coalesced bool
+	if !cached {
+		ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
+		defer cancel()
+		if v, cached, coalesced, err = s.fill(ctx, key, runMiss(ctx, e, p)); err != nil {
+			s.writeRunErr(w, err)
+			return
+		}
 	}
+	ent := v.(*runEntry)
 	w.Header().Set("X-Cache", cacheHeader(cached))
 	etag := etagFor(ent, format)
 	w.Header().Set("ETag", etag)
@@ -276,19 +330,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	resp := runResponse{
-		ID:        e.ID,
-		Title:     e.Title,
-		Machine:   p.spec.Name,
-		Seed:      p.seed,
-		Quick:     p.quick,
-		Cached:    cached,
-		Coalesced: coalesced,
-		WallMS:    ent.WallMS,
-		Table:     ent.Output.Table,
-		Figure:    ent.Output.Figure,
-		Metrics:   ent.Metrics,
-	}
 	if renderer != nil {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if err := ent.Output.RenderWith(w, renderer); err != nil {
@@ -296,7 +337,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	if cached {
+		w.Write(ent.body)
+		return
+	}
+	// A head of strings, bools and a uint64 always encodes.
+	head, _ := renderHead(runHead{ID: e.ID, Title: e.Title, Machine: p.machine, Seed: p.seed, Quick: p.quick, Coalesced: coalesced})
+	w.Write(head)
+	w.Write(ent.body[ent.tail:])
 }
 
 func cacheHeader(hit bool) string {
@@ -336,12 +385,13 @@ type runAllResponse struct {
 // as such.
 func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	p, ok := s.params(w, r)
+	q := r.URL.Query()
+	p, ok := s.params(w, q)
 	if !ok {
 		return
 	}
 	var exps []core.Experiment
-	if v := r.URL.Query().Get("ids"); v != "" {
+	if v := q.Get("ids"); v != "" {
 		for _, id := range strings.Split(v, ",") {
 			e, err := s.lab.Get(strings.TrimSpace(id))
 			if err != nil {
@@ -353,7 +403,7 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	} else {
 		exps = s.lab.Experiments()
 	}
-	format := r.URL.Query().Get("format")
+	format := q.Get("format")
 	var renderer report.Renderer
 	if format != "" && format != "json" {
 		var err error
@@ -365,9 +415,8 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
-	resp := runAllResponse{Machine: p.spec.Name, Seed: p.seed, Quick: p.quick,
+	resp := runAllResponse{Machine: p.machine, Seed: p.seed, Quick: p.quick,
 		Results: make([]runAllRecord, 0, len(exps))}
-	cfg := core.Config{Machine: p.spec, Quick: p.quick, Seed: p.seed}
 	for i, e := range exps {
 		rec := runAllRecord{ID: e.ID, Title: e.Title}
 		if err := ctx.Err(); err != nil {
@@ -380,12 +429,13 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 			}
 			break
 		}
-		key := runKey(p.spec.Name, e.ID, p.seed, p.quick)
-		ent, cached, coalesced, err := s.runShared(ctx, key, e, cfg)
+		key := runKey(p.machine, e.ID, p.seed, p.quick)
+		v, cached, coalesced, err := s.shared(ctx, key, runMiss(ctx, e, p))
 		if err != nil {
 			rec.Error = err.Error()
 			resp.Failed++
 		} else {
+			ent := v.(*runEntry)
 			rec.Cached = cached
 			rec.Coalesced = coalesced
 			rec.WallMS = ent.WallMS
@@ -415,19 +465,31 @@ func (s *Server) handleRunAll(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// shared is the request path /v1/run, /v1/runall and /v1/tune share:
-// result cache, then singleflight coalescing, then the bounded admission
-// queue, then miss, whose entry is cached. miss returns the wall time of
-// the work it timed, which goes into serve.run_seconds.
+// lookup is the first step of the request path /v1/run, /v1/runall and
+// /v1/tune share: the result cache, whose hits count in serve.cache_hits.
+func (s *Server) lookup(key string) (any, bool) {
+	v, ok := s.cache.Get(key)
+	if ok {
+		s.hits.Inc()
+	}
+	return v, ok
+}
+
+// fill is the rest of the shared request path, after a cache miss:
+// singleflight coalescing, then the bounded admission queue, then miss,
+// whose entry is cached. miss returns the wall time of the work it timed,
+// which goes into serve.run_seconds.
 // A follower whose leader failed on the leader's own deadline or
 // cancellation tries again, still as one miss, while its own ctx lives.
-func (s *Server) shared(ctx context.Context, key string, miss func() (any, time.Duration, error)) (ent any, cached, coalesced bool, err error) {
-	if v, ok := s.cache.Get(key); ok {
-		s.hits.Inc()
-		return v, true, false, nil
-	}
+func (s *Server) fill(ctx context.Context, key string, miss func() (any, time.Duration, error)) (ent any, cached, coalesced bool, err error) {
 	s.misses.Inc()
 	lead := func() (any, error) {
+		// A leader that finished between this caller's lookup and its
+		// flight.do has cached the key already: serve that entry rather
+		// than run the key a second time.
+		if v, ok := s.cache.Peek(key); ok {
+			return v, nil
+		}
 		release, waited, err := s.adm.acquire(ctx)
 		s.queueWait.Observe(waited.Seconds())
 		if err != nil {
@@ -458,22 +520,28 @@ func (s *Server) shared(ctx context.Context, key string, miss func() (any, time.
 	return ent, false, coalesced, err
 }
 
-// runShared runs one experiment through the shared request path; the miss
-// is core.RunOne, which times and meters the run.
-func (s *Server) runShared(ctx context.Context, key string, e core.Experiment, cfg core.Config) (*runEntry, bool, bool, error) {
-	v, cached, coalesced, err := s.shared(ctx, key, func() (any, time.Duration, error) {
-		res := core.RunOne(ctx, e, cfg)
+// shared is the whole request path under one ctx, as /v1/runall and
+// /v1/tune take it. /v1/run calls lookup and fill itself, so that a hit
+// arms no deadline.
+func (s *Server) shared(ctx context.Context, key string, miss func() (any, time.Duration, error)) (ent any, cached, coalesced bool, err error) {
+	if v, ok := s.lookup(key); ok {
+		return v, true, false, nil
+	}
+	return s.fill(ctx, key, miss)
+}
+
+// runMiss is the miss of one experiment's run under p: core.RunOne, which
+// times and meters the run on the machine.Spec it builds here, and the
+// entry with its JSON body.
+func runMiss(ctx context.Context, e core.Experiment, p reqParams) func() (any, time.Duration, error) {
+	return func() (any, time.Duration, error) {
+		res := core.RunOne(ctx, e, core.Config{Machine: machine.Preset(p.machine), Quick: p.quick, Seed: p.seed})
 		if res.Err != nil {
 			return nil, res.Wall, res.Err
 		}
-		ent := &runEntry{Output: res.Output, Metrics: res.Metrics, WallMS: millis(res.Wall)}
-		ent.Hash = hashEntry(ent)
-		return ent, res.Wall, nil
-	})
-	if err != nil {
-		return nil, false, coalesced, err
+		ent, err := newRunEntry(e, p, res)
+		return ent, res.Wall, err
 	}
-	return v.(*runEntry), cached, coalesced, nil
 }
 
 // millis renders a duration in the bodies' wall_ms unit.
@@ -669,12 +737,13 @@ type tuneResponse struct {
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	s.reqs.Inc()
-	id := r.URL.Query().Get("id")
+	q := r.URL.Query()
+	id := q.Get("id")
 	if id == "" {
 		s.writeErr(w, http.StatusBadRequest, "missing id parameter")
 		return
 	}
-	p, ok := s.params(w, r)
+	p, ok := s.params(w, q)
 	if !ok {
 		return
 	}
@@ -685,7 +754,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.timeout)
 	defer cancel()
-	key := "tune|" + p.spec.Name + "|" + tn.ID + "|" + strconv.FormatBool(p.quick)
+	key := "tune|" + p.machine + "|" + tn.ID + "|" + strconv.FormatBool(p.quick)
 	v, cached, _, err := s.shared(ctx, key, func() (any, time.Duration, error) { return s.runTune(tn, p) })
 	if err != nil {
 		s.writeRunErr(w, err)
@@ -701,7 +770,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 // miss body of /v1/tune's shared request path.
 func (s *Server) runTune(tn tune.Tunable, p reqParams) (*tuneResponse, time.Duration, error) {
 	start := time.Now()
-	res, def, saving, err := tn.TuneVsDefault(p.spec, tune.Options{Cache: s.tuneCache, Obs: s.reg})
+	res, def, saving, err := tn.TuneVsDefault(machine.Preset(p.machine), tune.Options{Cache: s.tuneCache, Obs: s.reg})
 	wall := time.Since(start)
 	if err != nil {
 		return nil, wall, err
@@ -709,7 +778,7 @@ func (s *Server) runTune(tn tune.Tunable, p reqParams) (*tuneResponse, time.Dura
 	return &tuneResponse{
 		ID:          tn.ID,
 		Title:       tn.Title,
-		Machine:     p.spec.Name,
+		Machine:     p.machine,
 		Quick:       p.quick,
 		Strategy:    res.Strategy,
 		Default:     tn.DefaultLabel(),

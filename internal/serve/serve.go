@@ -11,6 +11,8 @@
 //   - a sharded, LRU-bounded result cache
 //     (internal/cache) keyed machine+experiment+params+seed, so repeated
 //     identical requests are W2 (redundant work) that never happens twice;
+//     an entry keeps its JSON body, rendered once by the run that made it,
+//     so a warm hit writes stored bytes instead of encoding them again;
 //   - a hand-rolled singleflight so N concurrent identical requests
 //     coalesce into one lab evaluation (redundant *concurrent* work);
 //   - a bounded admission queue feeding core.RunOne: Parallel slots

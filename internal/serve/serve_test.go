@@ -21,7 +21,8 @@ import (
 
 // stubLab implements Lab with a controllable gate so tests can hold runs
 // in flight, and an atomic counter so they can assert how many underlying
-// evaluations actually happened.
+// evaluations actually happened. Titles carry characters JSON escapes
+// (<, &, ") and non-ASCII text; every run records one stub.runs count.
 type stubLab struct {
 	runs atomic.Int64
 	// gate, when non-nil, blocks every run until closed (or ctx expires).
@@ -30,16 +31,24 @@ type stubLab struct {
 	fail error
 	// panicky, when set, makes every run panic.
 	panicky bool
+	// rows is the number of rows each table carries after its seed row.
+	rows int
+
+	once sync.Once
+	exps []core.Experiment
 }
 
+// Experiments builds the catalogue once, so Get, which every request
+// calls, allocates nothing, as core.Lab's does not.
 func (l *stubLab) Experiments() []core.Experiment {
-	out := make([]core.Experiment, 0, 8)
-	for i := 1; i <= 8; i++ {
-		id := "E" + strconv.Itoa(i)
-		out = append(out, core.Experiment{ID: id, Title: "stub " + id,
-			Run: func(ctx context.Context, cfg core.Config) (core.Output, error) { return l.run(ctx, id, cfg) }})
-	}
-	return out
+	l.once.Do(func() {
+		for i := 1; i <= 8; i++ {
+			id := "E" + strconv.Itoa(i)
+			l.exps = append(l.exps, core.Experiment{ID: id, Title: "stub " + id + ` <b> & "Grüße" 🚀`,
+				Run: func(ctx context.Context, cfg core.Config) (core.Output, error) { return l.run(ctx, id, cfg) }})
+		}
+	})
+	return l.exps
 }
 
 func (l *stubLab) Get(id string) (core.Experiment, error) {
@@ -67,9 +76,16 @@ func (l *stubLab) run(ctx context.Context, id string, cfg core.Config) (core.Out
 			return core.Output{}, ctx.Err()
 		}
 	}
+	cfg.Obs.Counter("stub.runs").Inc()
 	t := report.NewTable(id, "stub output", "k", "v")
 	t.AddRow("seed", strconv.FormatUint(cfg.Seed, 10))
-	return core.Output{Table: t}, nil
+	for i := 0; i < l.rows; i++ {
+		t.AddRow("row "+strconv.Itoa(i), strconv.Itoa(i*i))
+	}
+	f := report.NewFigure(id, "stub figure", "x", "y")
+	f.Xs = []float64{1, 2}
+	f.AddSeries("s", []float64{0.5, float64(cfg.Seed)})
+	return core.Output{Table: t, Figure: f}, nil
 }
 
 func newTestServer(t *testing.T, lab Lab, opts Options) (*Server, *httptest.Server) {
@@ -721,5 +737,26 @@ func TestRunETagRevalidation(t *testing.T) {
 	_, _, metrics := get(t, ts.URL+"/metrics")
 	if n := counterValue(t, metrics, "serve.not_modified"); n != 4 {
 		t.Fatalf("serve.not_modified = %v, want 4 (one per matching revalidation)", n)
+	}
+}
+
+// TestFillServesEntryCachedSinceLookup: a request whose cache lookup
+// missed while another leader was running the key, and whose flight.do
+// comes after that leader cached its entry and left, serves the entry
+// instead of running the key again; two runs of one key would answer its
+// later requests with a second wall_ms.
+func TestFillServesEntryCachedSinceLookup(t *testing.T) {
+	s := New(&stubLab{}, Options{})
+	want := &runEntry{Hash: "cached"}
+	s.cache.Put("k", want)
+	v, cached, coalesced, err := s.fill(context.Background(), "k", func() (any, time.Duration, error) {
+		t.Fatal("fill ran a key that is already cached")
+		return nil, 0, nil
+	})
+	if err != nil || v != want || cached || coalesced {
+		t.Fatalf("fill = %v, cached %v, coalesced %v, %v; want the cached entry as a miss", v, cached, coalesced, err)
+	}
+	if st := s.cache.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("cache stats %+v: the re-check counted a lookup", st)
 	}
 }
