@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// engine is the per-run state: one ladder, one arena, and one Sched per
-// partition, plus per-partition counters summed at the end so the window
-// loop itself is atomic-free.
+// engine is the per-run state: one ladder (borrowed from the free list for
+// the run), one arena, and one Sched per partition, plus per-partition
+// counters summed at the end so the window loop itself is atomic-free.
 type engine struct {
 	w    Workload
 	n    int // ranks
@@ -123,12 +123,25 @@ func newEngine(w Workload, n, p int, look, width float64) *engine {
 	e.bufs[1] = make([]batch, p*p)
 	for d := 0; d < p; d++ {
 		ps := &e.parts[d]
-		ps.q = newLadder(width)
+		ps.q = getLadder(width)
 		ps.sched = partSched{eng: e, ps: ps, part: d}
 		ps.crossMin = math.Inf(1)
 		ps.lastT = math.Inf(-1)
 	}
 	return e
+}
+
+// release detaches every partition's ladder and parks it on the free list.
+// Detaching first means a Sched kept past the end of its Run panics on its
+// next same-partition At instead of pushing into a ladder that another run
+// may own by then.
+func (e *engine) release() {
+	for d := range e.parts {
+		ps := &e.parts[d]
+		q := ps.q
+		ps.q = nil
+		putLadder(q)
+	}
 }
 
 // seed runs Init for every rank serially, in rank order: emissions land in
@@ -346,6 +359,7 @@ func run(w Workload, cfg Config, width float64) (Result, error) {
 	}
 
 	e := newEngine(w, n, p, cfg.Lookahead, width)
+	defer e.release()
 	if err := e.seed(); err != nil {
 		return Result{}, err
 	}

@@ -26,8 +26,23 @@ package pdes
 // their events at each doubling. When the run is spent, a merged bucket's
 // slab simply becomes the run, and an already-ordered bucket skips its
 // sort, so most events are written once on push and read once on pop.
+//
+// A ladder also outlives its run. Every pgas world and every T12 simulator
+// is a one-rank Run, so building a ~7 KB ladder per partition and regrowing
+// its slabs from minSlab each time would be the engine's own repeated data
+// movement. When a run ends, each ladder is reset — every slab in the run,
+// the overflow and the buckets goes spare, the rung is cleared, the
+// counters zeroed — and parked on a package free list of at most
+// freeLadders ladders, each keeping spare slabs of at most freeSpareEvents
+// events in all (the largest capacity classes are dropped first). The next run's partitions
+// take their ladders from there. Reuse is exact: pop order depends only on
+// a ladder's contents and width, never on which spare slab holds an event,
+// and Event holds no pointers, so a stale event in a spare pins nothing.
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // evLess orders events by the total key (Time, Src, Seq). Seq is unique
 // per source, so no two events compare equal and pop order is a total
@@ -81,6 +96,82 @@ type ladder struct {
 
 func newLadder(width float64) *ladder {
 	return &ladder{width: width, cur: -1}
+}
+
+// The free list's bounds: at most freeLadders parked ladders, each keeping
+// at most freeSpareEvents events of spare slabs (40 KB). Looser bounds cut
+// no more allocation and only raise the resident set.
+const (
+	freeLadders     = 4
+	freeSpareEvents = 1024
+)
+
+// freeList parks reset ladders between runs; concurrent runs share it.
+var freeList struct {
+	mu sync.Mutex
+	qs []*ladder
+}
+
+// getLadder returns an empty ladder of the given width: a parked one when
+// the free list has any, else a new one.
+func getLadder(width float64) *ladder {
+	freeList.mu.Lock()
+	var q *ladder
+	if n := len(freeList.qs); n > 0 {
+		q = freeList.qs[n-1]
+		freeList.qs[n-1] = nil
+		freeList.qs = freeList.qs[:n-1]
+	}
+	freeList.mu.Unlock()
+	if q == nil {
+		return newLadder(width)
+	}
+	q.width = width
+	return q
+}
+
+// putLadder resets q and parks it on the free list, or drops it when the
+// list is full. The caller must hold no other reference to q.
+func putLadder(q *ladder) {
+	q.reset()
+	freeList.mu.Lock()
+	if len(freeList.qs) < freeLadders {
+		freeList.qs = append(freeList.qs, q)
+	}
+	freeList.mu.Unlock()
+}
+
+// reset empties q into the state newLadder(0) builds, bar its spare list:
+// every slab in the run, the overflow and the buckets goes spare, then the
+// spares are trimmed to freeSpareEvents events, smallest class first.
+func (q *ladder) reset() {
+	q.give(q.run)
+	q.give(q.over)
+	for i := range q.buckets {
+		q.give(q.buckets[i])
+		q.buckets[i] = nil
+	}
+	kept := 0
+	for k, sp := range q.spares {
+		n := 0
+		for _, s := range sp {
+			if kept+cap(s) <= freeSpareEvents {
+				kept += cap(s)
+				sp[n] = s
+				n++
+			}
+		}
+		// Clear the whole backing array: a slot past the length may still
+		// hold a slab taken earlier, which would pin a dropped slab.
+		clear(sp[n:cap(sp)])
+		if n == 0 {
+			sp = nil
+		}
+		q.spares[k] = sp[:n]
+	}
+	q.base, q.width, q.cur, q.pending = 0, 0, -1, 0
+	q.run, q.head, q.over = nil, 0, nil
+	q.merges, q.respreads = 0, 0
 }
 
 // idx maps a timestamp to its bucket index: -1 for times at or below the

@@ -109,6 +109,33 @@ func runSequential(w Workload) (virtualTime float64, events uint64) {
 	return s.now, events
 }
 
+// randomPush maps step i, its hash g, and the last popped time to a push.
+// A coarse 16-bit time grid makes exact ties exercise the (Time, Src, Seq)
+// tie-break.
+func randomPush(i int, g uint64, now float64) Event {
+	dt := float64(g%(1<<16)) / float64(1<<16) * 10e-6
+	return Event{Time: now + dt, Src: int32(g % 64), Seq: uint64(i)}
+}
+
+// ladderStreams are the push streams the ladder tests replay; each maps
+// step i, its hash g, and the last popped time to a push.
+var ladderStreams = []struct {
+	name string
+	next func(i int, g uint64, now float64) Event
+}{
+	{"random", randomPush},
+	{"monotone", func(i int, g uint64, now float64) Event {
+		return Event{Time: float64(i) * 1e-9, Src: int32(g % 64), Seq: uint64(i)}
+	}},
+	{"skewed", func(i int, g uint64, now float64) Event {
+		if g%8 == 0 {
+			return randomPush(i, g>>3, now)
+		}
+		hot := (math.Floor(now/5e-6) + 2) * 5e-6
+		return Event{Time: hot, Src: int32(g % 64), Seq: uint64(i)}
+	}},
+}
+
 // TestLadderMatchesHeapOnRandomStream drives the ladder and the reference
 // heap through the same interleaved push/pop stream — pushes never travel backwards past the
 // last pop, the engine's usage pattern — and demands identical pop
@@ -119,30 +146,7 @@ func runSequential(w Workload) (virtualTime float64, events uint64) {
 // pushes pile onto one instant, so its bucket outgrows every spare slab
 // (trade-up, then allocation) while the rest stay small.
 func TestLadderMatchesHeapOnRandomStream(t *testing.T) {
-	// Each stream maps step i, its hash g, and the last popped time to a
-	// push. A coarse 16-bit time grid makes exact ties exercise the
-	// (Time, Src, Seq) tie-break.
-	random := func(i int, g uint64, now float64) Event {
-		dt := float64(g%(1<<16)) / float64(1<<16) * 10e-6
-		return Event{Time: now + dt, Src: int32(g % 64), Seq: uint64(i)}
-	}
-	streams := []struct {
-		name string
-		next func(i int, g uint64, now float64) Event
-	}{
-		{"random", random},
-		{"monotone", func(i int, g uint64, now float64) Event {
-			return Event{Time: float64(i) * 1e-9, Src: int32(g % 64), Seq: uint64(i)}
-		}},
-		{"skewed", func(i int, g uint64, now float64) Event {
-			if g%8 == 0 {
-				return random(i, g>>3, now)
-			}
-			hot := (math.Floor(now/5e-6) + 2) * 5e-6
-			return Event{Time: hot, Src: int32(g % 64), Seq: uint64(i)}
-		}},
-	}
-	for _, s := range streams {
+	for _, s := range ladderStreams {
 		for _, width := range []float64{1e-8, 1e-7, 1e-6, 5e-6, 1e-3} {
 			h := &binHeap{}
 			l := newLadder(width)
@@ -361,8 +365,10 @@ const heapBytesPerRun = 8_759_088
 // partitions): the bytes one run allocates, workload construction included
 // as in the benchmark's B/op, must stay within twice the heap's recorded
 // bytes. A ladder whose slabs stay pinned to their bucket index allocates
-// about 6x.
+// about 6x. The run is cold whatever ran before it: ladders parked by an
+// earlier test would hide the ladder's own allocation.
 func TestLadderMemoryWithinTwiceHeap(t *testing.T) {
+	drainLadders()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w := mustWave(t, 1<<14, 6, 50e-6, 400e-6, []int{1, 4}, []float64{2e-6, 2.5e-6})
