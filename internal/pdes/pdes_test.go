@@ -457,36 +457,3 @@ func TestConfigErrors(t *testing.T) {
 		t.Errorf("defaults should validate: %v", err)
 	}
 }
-
-func TestCostModelShape(t *testing.T) {
-	m := CostModel{
-		Events: 1 << 22, Ranks: 1 << 20, Horizon: 1e-3,
-		EventSec: 100e-9, BarrierSec: 5e-6, PartSec: 2e-6,
-	}
-	const cores = 8
-	const look = 2e-6
-
-	if m.Wall(1, cores, look) <= m.Wall(cores, cores, look) {
-		t.Error("one partition should cost more than one per core")
-	}
-	if m.Wall(8, cores, look/8) <= m.Wall(8, cores, look) {
-		t.Error("a narrower window should cost more")
-	}
-	if !math.IsInf(m.Wall(8, cores, 0), 1) {
-		t.Error("zero lookahead should cost +Inf")
-	}
-
-	// Unimodal over a doubling grid: once the curve turns up it stays up —
-	// required by the golden-section tuner that owns these knobs.
-	prev := math.Inf(1)
-	rising := false
-	for parts := 1; parts <= 1024; parts *= 2 {
-		wall := m.Wall(parts, cores, look)
-		if wall > prev {
-			rising = true
-		} else if rising {
-			t.Fatalf("cost model not unimodal: dips again at parts=%d", parts)
-		}
-		prev = wall
-	}
-}

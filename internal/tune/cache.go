@@ -17,9 +17,8 @@ const defaultCacheEntries = 4096
 //
 // Cache is the generalized internal/cache (sharded, LRU-bounded) over
 // Cost; unlike the original unbounded map it evicts least-recently-used
-// evaluations past its capacity. Keep the capacity comfortably above a
-// search's working set — Run.Eval re-reads a batch's results from the
-// cache when committing them.
+// evaluations past its capacity. Any capacity is correct: an eviction
+// only costs a repeated objective call.
 type Cache = cache.Cache[Cost]
 
 // NewCache returns an evaluation cache with the default bound.

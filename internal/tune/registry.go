@@ -10,7 +10,6 @@ import (
 	"tenways/internal/collective"
 	"tenways/internal/kernels"
 	"tenways/internal/machine"
-	"tenways/internal/pdes"
 	"tenways/internal/pgas"
 	"tenways/internal/sched"
 	"tenways/internal/waste"
@@ -73,17 +72,16 @@ func (t Tunable) Tune(m *machine.Spec, opts Options) (Result, error) {
 	return Minimize(t.Space, t.objective(m), opts)
 }
 
-// TuneVsDefault prices the hand-picked default on the machine and runs
-// Tune with opts. It returns the search result, the default's cost, and
-// the fraction of that cost the tuned point saves, 1 − tuned/default (0
-// when the default costs nothing).
+// TuneVsDefault runs Tune with opts, with the hand-picked default as the
+// first seed, and prices the default by that seed's evaluation. It returns
+// the search result, the default's cost, and the fraction of that cost the
+// tuned point saves, 1 − tuned/default (0 when the default costs nothing).
 func (t Tunable) TuneVsDefault(m *machine.Spec, opts Options) (res Result, def Cost, saving float64, err error) {
-	if def, err = t.objective(m)(t.Default); err != nil {
-		return Result{}, Cost{}, 0, err
-	}
+	opts.Seeds = append([]Point{t.Default}, opts.Seeds...)
 	if res, err = t.Tune(m, opts); err != nil {
 		return Result{}, Cost{}, 0, err
 	}
+	def = res.Trace[0].Cost
 	if def.Seconds > 0 {
 		saving = 1 - res.Best.Cost.Seconds/def.Seconds
 	}
@@ -103,8 +101,6 @@ func Tunables(quick bool) []Tunable {
 		f13Replication(quick),
 		f4Chunk(quick),
 		f25Checkpoint(quick),
-		f28Partitions(quick),
-		f28Lookahead(quick),
 	}
 	for i := range ts {
 		ts[i].Quick = quick
@@ -352,82 +348,4 @@ func f25Checkpoint(quick bool) Tunable {
 			}
 		},
 	}
-}
-
-// f28Model derives the partitioned-engine cost model for the F28 idle-wave
-// campaign: per-event and per-partition costs from the machine's clock, the
-// halo delay (and with it the window count) from its network parameters.
-func f28Model(m *machine.Spec, quick bool) (pdes.CostModel, float64) {
-	ranks, steps := 1<<18, 12
-	if quick {
-		ranks, steps = 1<<14, 8
-	}
-	const compute = 50e-6
-	delta := m.Net.AlphaSec + 2*m.Net.OverheadSec + 128/m.Net.BytesPerSec
-	return pdes.CostModel{
-		Events:     ranks * steps * 3, // one completion + two offset-1 halos per rank-step
-		Ranks:      ranks,
-		Horizon:    float64(steps) * (compute + delta),
-		EventSec:   25 * m.CycleSec(),    // heap pop + handler, per log2(depth) level
-		BarrierSec: 20000 * m.CycleSec(), // per-window worker wakeup and GVT reduction
-		PartSec:    400 * m.CycleSec(),   // per-partition per-window batch scan
-	}, delta
-}
-
-// f28Partitions tunes the pdes engine's partition count (F28): few
-// partitions mean deep heaps and idle cores, many mean per-window scan cost
-// across the P x P batch matrix — the optimum follows the machine's core
-// count and clock, not any hard-coded 8.
-func f28Partitions(quick bool) Tunable {
-	axis := LogRange("parts", 1, 256, 2)
-	space := NewSpace(axis)
-	ranks := f28Ranks(quick)
-	return Tunable{
-		ID:       "F28-parts",
-		ModeID:   "F28",
-		Title:    fmt.Sprintf("pdes partition count (idle wave, %d ranks, modeled)", ranks),
-		Space:    space,
-		Default:  Point{indexOf(axis, 8)}, // the engine's hard-coded default
-		Unimodal: true,
-		objective: func(m *machine.Spec) Objective {
-			model, delta := f28Model(m, quick)
-			return func(p Point) (Cost, error) {
-				return Cost{Seconds: model.Wall(space.Int(p, "parts"), m.CoresPerNode, delta)}, nil
-			}
-		},
-	}
-}
-
-// f28Lookahead tunes the window width as a divisor of the workload's halo
-// delay (the widest legal lookahead): narrower windows only add barriers,
-// so the tuner should drive the divisor back to 1 from the conservative
-// default — the monotone degenerate case of the U-curve, worth covering in
-// T9 because the temptation to over-synchronise is the waste W3 names.
-func f28Lookahead(quick bool) Tunable {
-	axis := Explicit("win-div", 1, 2, 4, 8, 16, 32, 64)
-	space := NewSpace(axis)
-	ranks := f28Ranks(quick)
-	return Tunable{
-		ID:       "F28-look",
-		ModeID:   "F28",
-		Title:    fmt.Sprintf("pdes window width, as delay/divisor (idle wave, %d ranks, modeled)", ranks),
-		Space:    space,
-		Default:  Point{indexOf(axis, 8)},
-		Unimodal: true,
-		objective: func(m *machine.Spec) Objective {
-			model, delta := f28Model(m, quick)
-			return func(p Point) (Cost, error) {
-				look := delta / float64(space.Int(p, "win-div"))
-				return Cost{Seconds: model.Wall(8, m.CoresPerNode, look)}, nil
-			}
-		},
-	}
-}
-
-// f28Ranks returns the F28 model's rank count, for titles.
-func f28Ranks(quick bool) int {
-	if quick {
-		return 1 << 14
-	}
-	return 1 << 18
 }

@@ -135,26 +135,23 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 		}
 	}
 	type slot struct {
-		cost   Cost
-		cached bool
-		fresh  bool // this index performs the objective call
-		err    error
+		cost  Cost
+		fresh bool // this index performs the objective call
+		err   error
 	}
 	slots := make([]slot, len(points))
-	leaders := map[string]bool{} // cache keys already fresh in this batch
+	leaders := map[string]int{} // cache key → index of its fresh call in this batch
 	budgetHit := false
 	n := len(points)
 	fresh := make([]int, 0, len(points)) // indices that call the objective
 	for i, p := range points {
 		k := r.key(p)
 		if c, ok := r.cache.Get(k); ok {
-			slots[i] = slot{cost: c, cached: true}
+			slots[i].cost = c
 			continue
 		}
-		if leaders[k] {
-			// Duplicate within the batch: follow the leader, count as hit.
-			slots[i] = slot{cached: true}
-			continue
+		if _, ok := leaders[k]; ok {
+			continue // duplicate within the batch: follows its leader, counts as a hit
 		}
 		if r.opts.Budget > 0 && r.evals+len(fresh)+1 > r.opts.Budget {
 			// Trim the batch: everything from here on is unevaluated.
@@ -162,7 +159,7 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 			n = i
 			break
 		}
-		leaders[k] = true
+		leaders[k] = i
 		slots[i].fresh = true
 		fresh = append(fresh, i)
 	}
@@ -171,8 +168,8 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 		i := fresh[j]
 		slots[i].cost, slots[i].err = r.obj(points[i])
 	})
-	// Commit results in request order: fill duplicate followers, publish
-	// to the cache, record the trace deterministically.
+	// Commit results in request order: publish to the cache, fill duplicate
+	// followers from their leader's slot, record the trace deterministically.
 	costs := make([]Cost, 0, n)
 	for i := 0; i < n; i++ {
 		s := &slots[i]
@@ -183,9 +180,11 @@ func (r *Run) Eval(points []Point) ([]Cost, error) {
 			}
 			r.cache.Put(k, s.cost)
 			r.evals++
-		} else if s.cached {
-			if c, ok := r.cache.Get(k); ok {
-				s.cost = c
+		} else {
+			if l, ok := leaders[k]; ok {
+				// Not from the cache: a later Put of this batch may
+				// already have evicted the leader's entry.
+				s.cost = slots[l].cost
 			}
 			r.hits++
 		}

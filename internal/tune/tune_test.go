@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tenways/internal/cache"
 	"tenways/internal/machine"
 )
 
@@ -179,6 +180,33 @@ func TestTuneVsDefault(t *testing.T) {
 	}
 }
 
+// TestTuneVsDefaultPricesDefaultOnce: the default's cost comes from the
+// search's own evaluation of the seeded default, so the objective runs
+// exactly Evaluations times — not once more outside the search.
+func TestTuneVsDefaultPricesDefaultOnce(t *testing.T) {
+	axis := IntRange("k", 0, 15, 1)
+	var calls int64
+	tn := Tunable{
+		ID:       "X-k",
+		Space:    NewSpace(axis),
+		Default:  Point{indexOf(axis, 12)},
+		Unimodal: true,
+		objective: func(*machine.Spec) Objective {
+			return quadratic(5, &calls)
+		},
+	}
+	res, def, _, err := tn.TuneVsDefault(machine.Petascale2009(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != int64(res.Evaluations) {
+		t.Fatalf("objective ran %d times, Evaluations = %d", calls, res.Evaluations)
+	}
+	if want := (Cost{Seconds: 1 + 7*7}); def != want {
+		t.Fatalf("default cost %+v, want %+v", def, want)
+	}
+}
+
 func TestCacheMakesRepeatTuningFree(t *testing.T) {
 	// Acceptance criterion: repeated tune of the same (machine, tunable)
 	// through a shared cache costs zero extra evaluations.
@@ -228,6 +256,105 @@ func TestInBatchDedup(t *testing.T) {
 	if res.Evaluations != 2 || res.CacheHits != 2 {
 		t.Fatalf("Evaluations=%d CacheHits=%d, want 2 and 2", res.Evaluations, res.CacheHits)
 	}
+}
+
+// TestInBatchDuplicateSurvivesEviction: a duplicate in a batch takes its
+// leader's cost even when a later Put of the same batch has evicted the
+// leader's cache entry. Reading the follower back from a 2-entry cache
+// gave it Cost{}, and that zero cost won the search.
+func TestInBatchDuplicateSurvivesEviction(t *testing.T) {
+	s := NewSpace(IntRange("k", 0, 9, 1))
+	var evals int64
+	obj := quadratic(4, &evals)
+	res, err := Minimize(s, obj, Options{
+		Cache: cache.New[Cost](2, 1),
+		Strategy: stubStrategy{func(r *Run) error {
+			_, err := r.Eval([]Point{{3}, {4}, {5}, {3}})
+			return err
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range res.Trace {
+		if want, _ := obj(e.Point); e.Cost != want {
+			t.Errorf("trace[%d] %s cost %+v, want %+v", i, s.Describe(e.Point), e.Cost, want)
+		}
+	}
+	if got := s.Describe(res.Best.Point); got != "k=4" || res.Best.Cost.Seconds != 1 {
+		t.Fatalf("best %s at %+v, want k=4 at 1 s", got, res.Best.Cost)
+	}
+	if res.Evaluations != 3 || res.CacheHits != 1 {
+		t.Fatalf("Evaluations=%d CacheHits=%d, want 3 and 1", res.Evaluations, res.CacheHits)
+	}
+}
+
+// FuzzEval drives Run.Eval with batches full of duplicates through a tiny
+// sharded LRU cache (1–8 entries over 1–4 shards) under a budget, over an
+// axis of 1–64 points. Batch bytes pick points; 0xff ends a batch. Every
+// trace entry must carry its point's objective cost, every request must
+// be an evaluation or a hit, Best must be the trace's minimum, and the
+// objective must run exactly Evaluations times. The seeds, among them a
+// leader evicted by its own batch, are in testdata/fuzz/FuzzEval.
+func FuzzEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, axisLen, capacity, shards, budget uint8, batches []byte) {
+		n := 1 + int(axisLen)%64
+		s := NewSpace(IntRange("k", 0, n-1, 1))
+		cost := func(p Point) Cost {
+			return Cost{Seconds: 1 + float64(p[0]*37%n), Joules: float64(p[0])}
+		}
+		var calls atomic.Int64
+		obj := func(p Point) (Cost, error) {
+			calls.Add(1)
+			return cost(p), nil
+		}
+		var plan [][]Point
+		var batch []Point
+		for _, b := range append(batches, 0xff) {
+			if b != 0xff {
+				batch = append(batch, Point{int(b) % n})
+			} else if len(batch) > 0 {
+				plan = append(plan, batch)
+				batch = nil
+			}
+		}
+		if len(plan) == 0 {
+			return
+		}
+		res, err := Minimize(s, obj, Options{
+			Cache:  cache.New[Cost](1+int(capacity)%8, 1+int(shards)%4),
+			Budget: int(budget) % 16,
+			Strategy: stubStrategy{func(r *Run) error {
+				for _, b := range plan {
+					if _, err := r.Eval(b); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+		})
+		if err != nil {
+			t.Fatal(err) // a budget of 1 or more always admits the first point
+		}
+		best := res.Trace[0]
+		for i, e := range res.Trace {
+			if want := cost(e.Point); e.Cost != want {
+				t.Fatalf("trace[%d] %s cost %+v, want %+v", i, s.Describe(e.Point), e.Cost, want)
+			}
+			if e.Cost.Seconds < best.Cost.Seconds {
+				best = e
+			}
+		}
+		if !reflect.DeepEqual(res.Best, best) {
+			t.Fatalf("Best %+v, want the trace minimum %+v", res.Best, best)
+		}
+		if res.Evaluations+res.CacheHits != len(res.Trace) {
+			t.Fatalf("Evaluations %d + CacheHits %d != %d trace entries", res.Evaluations, res.CacheHits, len(res.Trace))
+		}
+		if calls.Load() != int64(res.Evaluations) {
+			t.Fatalf("objective ran %d times, Evaluations = %d", calls.Load(), res.Evaluations)
+		}
+	})
 }
 
 type stubStrategy struct{ f func(r *Run) error }

@@ -228,7 +228,7 @@ func DiagnoseOn(b Breakdown, m *Machine, quick bool) ([]Advice, error) {
 // previously hard-coded default, and a machine-aware model objective.
 type Tunable = tune.Tunable
 
-// TuneOptions configures a tunable search (strategy, budget, workers,
+// TuneOptions configures a tunable search (strategy, budget, seed points,
 // shared cache); the zero value selects the tunable's natural strategy.
 type TuneOptions = tune.Options
 
