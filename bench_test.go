@@ -246,17 +246,39 @@ func BenchmarkMeasuredBFS(b *testing.B) {
 }
 
 // BenchmarkCacheSim measures the cache simulator's own throughput — the
-// substrate cost that bounds F1/F9 sweep sizes.
+// substrate cost that bounds F1/F9/F20 sweep sizes. One op is one access.
+// The streams read 32 MiB, past either machine's L3 (Laptop2009's is
+// 12-way, the default Petascale2009's 48-way), so most fills evict; the
+// false-sharing runs are W9's packed counters (read, then write) on 1 and
+// 4 Petascale2009 cores.
 func BenchmarkCacheSim(b *testing.B) {
-	h, err := mem.NewHierarchy(machine.Laptop2009(), 1)
-	if err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, spec *machine.Spec, cores int, access func(h *mem.Hierarchy, i int)) {
+		h, err := mem.NewHierarchy(spec, cores)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			access(h, i)
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccess/s")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Read(0, uint64(i%(1<<22))*8, 8)
+	stream := func(h *mem.Hierarchy, i int) { h.Read(0, uint64(i%(1<<22))*8, 8) }
+	b.Run("stream/laptop2009", func(b *testing.B) { run(b, machine.Laptop2009(), 1, stream) })
+	b.Run("stream/petascale2009", func(b *testing.B) { run(b, machine.Petascale2009(), 1, stream) })
+	for _, cores := range []int{1, 4} {
+		b.Run("false-sharing/cores="+strconv.Itoa(cores), func(b *testing.B) {
+			run(b, machine.Petascale2009(), cores, func(h *mem.Hierarchy, i int) {
+				c := i / 2 % cores
+				if addr := uint64(c * 8); i%2 == 0 {
+					h.Read(c, addr, 8)
+				} else {
+					h.Write(c, addr, 8)
+				}
+			})
+		})
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Maccess/s")
 }
 
 // BenchmarkPDESIdleWave measures the partitioned engine's event rate on the

@@ -11,6 +11,7 @@ import (
 	"tenways/internal/chaos"
 	"tenways/internal/collective"
 	"tenways/internal/machine"
+	"tenways/internal/mem"
 	"tenways/internal/pgas"
 	"tenways/internal/trace"
 	"tenways/internal/tune"
@@ -142,6 +143,27 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Quick F9 runs its five strides on one 4-core hierarchy, reset between
+// strides: it allocates at least one hierarchy's bytes and less than two.
+func TestF9BuildsOneHierarchy(t *testing.T) {
+	cfg := Config{Quick: true}
+	allocated := func(f func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	spec := cfg.machine()
+	one := allocated(func() error { _, err := mem.NewHierarchy(spec, 4); return err })
+	f9 := allocated(func() error { _, err := runF9(context.Background(), cfg); return err })
+	if f9 < one || f9 >= 2*one {
+		t.Fatalf("quick F9 allocated %d bytes; one 4-core %s hierarchy is %d", f9, spec.Name, one)
 	}
 }
 

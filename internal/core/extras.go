@@ -135,35 +135,35 @@ func runF17(ctx context.Context, cfg Config) (Output, error) {
 	f := report.NewFigure("F17",
 		"scan of a buffer: prefetcher ablation (time and DRAM energy)",
 		"stride-bytes", "seconds / joules")
-	var tOff, tOn, eOff, eOn []float64
 	for _, stride := range strides {
 		f.Xs = append(f.Xs, float64(stride))
-		for _, prefetch := range []bool{false, true} {
-			h, err := mem.NewHierarchy(spec, 1)
-			if err != nil {
-				return Output{}, err
-			}
-			if prefetch {
-				h.EnablePrefetch()
-			}
+	}
+	// One hierarchy per prefetch setting, reset for every stride; index 0
+	// is without the prefetcher, 1 with it.
+	var secs, joules [2][]float64
+	for i, prefetch := range []bool{false, true} {
+		h, err := mem.NewHierarchy(spec, 1)
+		if err != nil {
+			return Output{}, err
+		}
+		if prefetch {
+			h.EnablePrefetch()
+		}
+		for _, stride := range strides {
+			h.Reset()
 			for a := uint64(0); a < n; a += stride {
 				h.Read(0, a, 8)
 			}
 			m := energy.NewMeter()
 			h.ChargeEnergy(m)
-			if prefetch {
-				tOn = append(tOn, h.TimeSec())
-				eOn = append(eOn, m.Total())
-			} else {
-				tOff = append(tOff, h.TimeSec())
-				eOff = append(eOff, m.Total())
-			}
+			secs[i] = append(secs[i], h.TimeSec())
+			joules[i] = append(joules[i], m.Total())
 		}
 	}
-	f.AddSeries("seconds-no-prefetch", tOff)
-	f.AddSeries("seconds-prefetch", tOn)
-	f.AddSeries("joules-no-prefetch", eOff)
-	f.AddSeries("joules-prefetch", eOn)
+	f.AddSeries("seconds-no-prefetch", secs[0])
+	f.AddSeries("seconds-prefetch", secs[1])
+	f.AddSeries("joules-no-prefetch", joules[0])
+	f.AddSeries("joules-prefetch", joules[1])
 	return Output{Figure: f}, nil
 }
 

@@ -227,15 +227,15 @@ func runF9(ctx context.Context, cfg Config) (Output, error) {
 	}
 	f := report.NewFigure("F9", "per-core counters: cost vs stride (4 cores)",
 		"stride-bytes", "seconds / events")
-	var times, invs []float64
-	for _, s := range strides {
+	res, inv, err := waste.FalseSharing(spec, 4, iters, strides)
+	if err != nil {
+		return Output{}, err
+	}
+	times := make([]float64, len(strides))
+	invs := make([]float64, len(strides))
+	for i, s := range strides {
 		f.Xs = append(f.Xs, float64(s))
-		res, inv, err := waste.FalseSharing(spec, 4, iters, s)
-		if err != nil {
-			return Output{}, err
-		}
-		times = append(times, res.Seconds)
-		invs = append(invs, float64(inv))
+		times[i], invs[i] = res[i].Seconds, float64(inv[i])
 	}
 	f.AddSeries("modeled-seconds", times)
 	f.AddSeries("invalidations", invs)

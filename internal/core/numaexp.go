@@ -8,30 +8,40 @@ import (
 	"tenways/internal/report"
 )
 
-// numaStream homes a buffer according to the initialisation pattern, then
-// measures a partitioned parallel stream over 4 cores (2 domains) with the
-// given remote-latency factor. It returns the hierarchy with the compute
-// phase's statistics: its TimeSec is the phase's modeled seconds, and its
-// RemoteLines the DRAM lines the phase fetched from the remote domain
-// under either placement.
-func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, serialInit bool, bytes uint64) (*mem.Hierarchy, error) {
+// numaCores is the core count of F20's stream; its machine has two NUMA
+// domains.
+const numaCores = 4
+
+// numaHierarchy builds the hierarchy F20 streams through: the lab's
+// machine with two NUMA domains at the given remote-latency factor, and
+// NUMA accounting under placement.
+func numaHierarchy(cfg Config, remoteFactor float64, placement mem.Placement) (*mem.Hierarchy, error) {
 	spec := *cfg.machine()
 	spec.NUMA.Domains = 2
 	spec.NUMA.RemoteLatencyFactor = remoteFactor
-	const cores = 4
-	h, err := mem.NewHierarchy(&spec, cores)
+	h, err := mem.NewHierarchy(&spec, numaCores)
 	if err != nil {
 		return nil, err
 	}
 	h.EnableNUMA(placement)
-	part := bytes / cores
+	return h, nil
+}
+
+// numaStream resets h, homes a buffer according to the initialisation
+// pattern, then measures a partitioned parallel stream over its 4 cores
+// (2 domains). It leaves h with the compute phase's statistics: its
+// TimeSec is the phase's modeled seconds, and its RemoteLines the DRAM
+// lines the phase fetched from the remote domain under either placement.
+func numaStream(h *mem.Hierarchy, serialInit bool, bytes uint64) {
+	h.Reset()
+	part := bytes / numaCores
 	// Initialisation touches every page first.
 	if serialInit {
 		for a := uint64(0); a < bytes; a += 64 {
 			h.Write(0, a, 8)
 		}
 	} else {
-		for c := 0; c < cores; c++ {
+		for c := 0; c < numaCores; c++ {
 			base := uint64(c) * part
 			for a := base; a < base+part; a += 64 {
 				h.Write(c, a, 8)
@@ -44,14 +54,13 @@ func numaStream(cfg Config, remoteFactor float64, placement mem.Placement, seria
 	// Compute phase: each core streams its own partition repeatedly. The
 	// buffer exceeds cache, so traffic goes to (possibly remote) DRAM.
 	for rep := 0; rep < 2; rep++ {
-		for c := 0; c < cores; c++ {
+		for c := 0; c < numaCores; c++ {
 			base := uint64(c) * part
 			for a := base; a < base+part; a += 64 {
 				h.Read(c, a, 8)
 			}
 		}
 	}
-	return h, nil
 }
 
 // numaPlacements are F20's placement disciplines, in series order. The
@@ -99,13 +108,15 @@ func runF20(ctx context.Context, cfg Config) (Output, error) {
 		"NUMA placement: modeled stream time vs remote-latency factor (4 cores, 2 domains)",
 		"remote-latency-factor", "seconds")
 	f.Xs = factors
-	var h *mem.Hierarchy
+	// Both traces run on one hierarchy at factor 1. The placement in force
+	// there is immaterial: each trace yields RemoteLines for both.
+	h, err := numaHierarchy(cfg, 1, mem.PlacementFirstTouch)
+	if err != nil {
+		return Output{}, err
+	}
 	for i, p := range numaPlacements {
 		if i == 0 || p.serialInit != numaPlacements[i-1].serialInit {
-			var err error
-			if h, err = numaStream(cfg, 1, p.placement, p.serialInit, bytes); err != nil {
-				return Output{}, err
-			}
+			numaStream(h, p.serialInit, bytes)
 		}
 		f.AddSeries(p.name, numaSweep(cfg.machine(), h.TimeSec(), h.RemoteLines(p.placement), factors))
 	}

@@ -20,16 +20,18 @@ func TestNUMASweepMatchesDirectSimulation(t *testing.T) {
 	const bytes = 8 << 20 // exceeds the default machine's 6 MiB LLC
 	const rf = 4
 	line := int64(cfg.machine().Levels[0].LineBytes)
+	h1, err := numaHierarchy(cfg, 1, mem.PlacementFirstTouch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, serialInit := range []bool{false, true} {
-		h1, err := numaStream(cfg, 1, mem.PlacementFirstTouch, serialInit, bytes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		numaStream(h1, serialInit, bytes)
 		for _, p := range []mem.Placement{mem.PlacementFirstTouch, mem.PlacementInterleave} {
-			direct, err := numaStream(cfg, rf, p, serialInit, bytes)
+			direct, err := numaHierarchy(cfg, rf, p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			numaStream(direct, serialInit, bytes)
 			remote := h1.RemoteLines(p)
 			if got := direct.Stats().RemoteDRAMBytes / line; got != remote {
 				t.Fatalf("serial init %v, placement %d: %d remote lines simulated directly at factor %d, %d derived",

@@ -27,6 +27,10 @@ type LevelSpec struct {
 	Shared        bool    // true if shared by all cores of a node (LLC)
 }
 
+// MaxAssoc is the widest set associativity a level may have: the cache
+// simulator keeps each set's valid ways as a 64-bit mask.
+const MaxAssoc = 64
+
 // DRAMSpec describes node-local main memory.
 type DRAMSpec struct {
 	LatencyCycles float64 // access latency in core cycles
@@ -94,6 +98,9 @@ func (s *Spec) Validate() error {
 	for i, l := range s.Levels {
 		if l.LineBytes <= 0 || l.CapacityBytes <= 0 || l.Assoc <= 0 {
 			return fmt.Errorf("machine: level %d (%s) has non-positive geometry", i, l.Name)
+		}
+		if l.Assoc > MaxAssoc {
+			return fmt.Errorf("machine: level %d (%s) is %d-way; at most %d ways are supported", i, l.Name, l.Assoc, MaxAssoc)
 		}
 		if l.CapacityBytes%int64(l.LineBytes) != 0 {
 			return fmt.Errorf("machine: level %d (%s) capacity not a multiple of line size", i, l.Name)

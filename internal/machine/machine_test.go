@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -27,7 +28,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"zero dram bw", func(s *Spec) { s.DRAM.BytesPerSec = 0 }},
 		{"bad line", func(s *Spec) { s.Levels[0].LineBytes = 0 }},
 		{"capacity not multiple", func(s *Spec) { s.Levels[0].CapacityBytes = 100 }},
-		{"zero sets", func(s *Spec) { s.Levels[0].Assoc = 1 << 20 }},
+		{"zero sets", func(s *Spec) { s.Levels[0].CapacityBytes, s.Levels[0].Assoc = 4*64, 8 }},
+		{"too wide", func(s *Spec) { s.Levels[0].Assoc = MaxAssoc + 1 }},
 		{"multi-node no net", func(s *Spec) { s.Nodes = 2; s.Net.BytesPerSec = 0 }},
 	}
 	for _, c := range cases {
@@ -37,6 +39,23 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
+	}
+}
+
+// A level may be as wide as the cache simulator's per-set valid mask and
+// no wider; Validate says which level and why instead of letting the
+// simulator build sets it cannot track.
+func TestValidateBoundsAssoc(t *testing.T) {
+	s := Laptop2009()
+	l := &s.Levels[len(s.Levels)-1]
+	l.Assoc = MaxAssoc
+	if err := s.Validate(); err != nil {
+		t.Fatalf("%d ways: %v", MaxAssoc, err)
+	}
+	l.Assoc = MaxAssoc + 1
+	err := s.Validate()
+	if err == nil || !strings.Contains(err.Error(), "65-way") || !strings.Contains(err.Error(), l.Name) {
+		t.Fatalf("%d ways: got %v, want an error naming the level and its width", MaxAssoc+1, err)
 	}
 }
 

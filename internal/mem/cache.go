@@ -12,21 +12,32 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tenways/internal/energy"
 	"tenways/internal/machine"
 )
 
 // cache is one set-associative cache, stored set-major in flat slices:
-// way w of set s lives at index s*assoc+w of tags, lastUse and dirty, so a
+// way w of set s lives at index s*assoc+w of tags, dirty and links, so a
 // probe scans one contiguous run of tags.
+//
+// Replacement is exact LRU without stamps. Each set threads its valid ways
+// on a circular recency list through links (mru[s] is the most recently
+// used way, its prev the least) and keeps them as a bitmask in valid. A
+// fill takes the lowest invalid way if the set has one, else the list's
+// tail, so neither a fill nor a hit scans the set's LRU state. The links
+// are uint8 and the mask a uint64: machine.Spec.Validate bounds
+// associativity at machine.MaxAssoc.
 type cache struct {
-	assoc   int
-	nSets   uint64
-	tags    []uint64 // lineAddr+1 of the resident line; 0 marks an invalid way
-	lastUse []uint64 // LRU stamp; 0 exactly for invalid ways
-	dirty   []bool
-	tick    uint64 // LRU clock, monotone per cache; valid stamps start at 1
+	assoc int
+	nSets uint64
+	full  uint64   // valid mask of a full set: the low assoc bits
+	tags  []uint64 // lineAddr+1 of the resident line; 0 marks an invalid way
+	dirty []bool
+	links []link   // per way; meaningful only for valid ways
+	valid []uint64 // per set: bit w set iff way w holds a line
+	mru   []uint8  // per set: the most recently used way, if valid != 0
 
 	// pf marks the ways a prefetch filled that no demand access has used
 	// yet. Only shared levels of a prefetching hierarchy have it (nil
@@ -35,74 +46,133 @@ type cache struct {
 	pf []bool
 }
 
+// link places a valid way on its set's recency list: next is the way used
+// just before it, prev the way used just after (both in-set indices).
+type link struct{ prev, next uint8 }
+
 func newCache(spec machine.LevelSpec) *cache {
 	nSets := uint64(spec.CapacityBytes / int64(spec.LineBytes) / int64(spec.Assoc))
 	n := nSets * uint64(spec.Assoc)
 	return &cache{
-		assoc:   spec.Assoc,
-		nSets:   nSets,
-		tags:    make([]uint64, n),
-		lastUse: make([]uint64, n),
-		dirty:   make([]bool, n),
+		assoc: spec.Assoc,
+		nSets: nSets,
+		full:  ^uint64(0) >> (64 - spec.Assoc),
+		tags:  make([]uint64, n),
+		dirty: make([]bool, n),
+		links: make([]link, n),
+		valid: make([]uint64, nSets),
+		mru:   make([]uint8, nSets),
 	}
 }
 
-// base returns the index of way 0 of lineAddr's set. Power-of-two set
-// counts index by mask, others by modulo.
-func (c *cache) base(lineAddr uint64) int {
+// reset empties the cache in place. Only a set with a valid way can hold a
+// nonzero tag, dirty bit or prefetch mark, so the other sets are skipped;
+// links and mru are never read for an empty set.
+func (c *cache) reset() {
+	for s, v := range c.valid {
+		if v != 0 {
+			b := s * c.assoc
+			clear(c.tags[b : b+c.assoc])
+			clear(c.dirty[b : b+c.assoc])
+			if c.pf != nil {
+				clear(c.pf[b : b+c.assoc])
+			}
+			c.valid[s] = 0
+		}
+	}
+}
+
+// set returns lineAddr's set. Power-of-two set counts index by mask,
+// others by modulo.
+func (c *cache) set(lineAddr uint64) int {
 	if c.nSets&(c.nSets-1) == 0 {
-		return int(lineAddr&(c.nSets-1)) * c.assoc
+		return int(lineAddr & (c.nSets - 1))
 	}
-	return int(lineAddr%c.nSets) * c.assoc
+	return int(lineAddr % c.nSets)
 }
 
-// find returns the index of the way holding lineAddr, or -1, without
-// touching LRU state.
-func (c *cache) find(lineAddr uint64) int {
-	b := c.base(lineAddr)
+// way returns the way of set s holding lineAddr, or -1.
+func (c *cache) way(s int, lineAddr uint64) int {
+	b := s * c.assoc
 	tag := lineAddr + 1
 	for i, t := range c.tags[b : b+c.assoc] {
 		if t == tag {
-			return b + i
+			return i
 		}
 	}
 	return -1
 }
 
-// lookup probes for the line; on hit it refreshes LRU and returns the
-// way's index.
+// find returns the index of the way holding lineAddr, or -1, without
+// touching LRU state.
+func (c *cache) find(lineAddr uint64) int {
+	s := c.set(lineAddr)
+	if w := c.way(s, lineAddr); w >= 0 {
+		return s*c.assoc + w
+	}
+	return -1
+}
+
+// lookup probes for the line; on hit it makes the way the set's most
+// recently used and returns its index.
 func (c *cache) lookup(lineAddr uint64) (int, bool) {
-	w := c.find(lineAddr)
+	s := c.set(lineAddr)
+	w := c.way(s, lineAddr)
 	if w < 0 {
 		return -1, false
 	}
-	c.tick++
-	c.lastUse[w] = c.tick
-	return w, true
+	c.touch(s, w)
+	return s*c.assoc + w, true
+}
+
+// touch moves valid way w of set s to the head of its recency list.
+func (c *cache) touch(s, w int) {
+	m := int(c.mru[s])
+	if w == m {
+		return
+	}
+	l := c.links[s*c.assoc : (s+1)*c.assoc]
+	// The tail becomes the head by rotating the circular list; any other
+	// way is unlinked and relinked between tail and head.
+	if lru := int(l[m].prev); w != lru {
+		p, n := l[w].prev, l[w].next
+		l[p].next, l[n].prev = n, p
+		l[w] = link{prev: uint8(lru), next: uint8(m)}
+		l[lru].next, l[m].prev = uint8(w), uint8(w)
+	}
+	c.mru[s] = uint8(w)
 }
 
 // fill inserts a line the caller knows is absent, evicting LRU if needed.
 // It returns the evicted line's address and whether the victim was dirty
 // (needing writeback); evictedValid is false when an empty way was used.
-// The victim is the first way with the smallest stamp: an invalid way if
-// there is one (stamp 0), else the least recently used.
+// The victim is the lowest-numbered invalid way if there is one, else the
+// least recently used.
 func (c *cache) fill(lineAddr uint64, dirty bool) (evicted uint64, evictedDirty, evictedValid bool) {
-	b := c.base(lineAddr)
-	lu := c.lastUse[b : b+c.assoc]
-	v, oldest := 0, lu[0]
-	for i := 1; i < len(lu) && oldest != 0; i++ {
-		if lu[i] < oldest {
-			v, oldest = i, lu[i]
+	s := c.set(lineAddr)
+	b := s * c.assoc
+	l := c.links[b : b+c.assoc]
+	var w int
+	if free := ^c.valid[s] & c.full; free != 0 {
+		w = bits.TrailingZeros64(free)
+		if c.valid[s] == 0 {
+			l[w] = link{prev: uint8(w), next: uint8(w)}
+		} else {
+			m := c.mru[s]
+			lru := l[m].prev
+			l[w] = link{prev: lru, next: m}
+			l[lru].next, l[m].prev = uint8(w), uint8(w)
 		}
+		c.valid[s] |= 1 << uint(w)
+	} else {
+		// Evict the tail; rotating the list makes it the head.
+		w = int(l[c.mru[s]].prev)
+		evicted, evictedDirty, evictedValid = c.tags[b+w]-1, c.dirty[b+w], true
 	}
-	v += b
-	if t := c.tags[v]; t != 0 {
-		evicted, evictedDirty, evictedValid = t-1, c.dirty[v], true
-	}
-	c.tick++
-	c.tags[v], c.lastUse[v], c.dirty[v] = lineAddr+1, c.tick, dirty
+	c.mru[s] = uint8(w)
+	c.tags[b+w], c.dirty[b+w] = lineAddr+1, dirty
 	if c.pf != nil {
-		c.pf[v] = false
+		c.pf[b+w] = false
 	}
 	return evicted, evictedDirty, evictedValid
 }
@@ -110,12 +180,22 @@ func (c *cache) fill(lineAddr uint64, dirty bool) (evicted uint64, evictedDirty,
 // invalidate removes the line if present; it returns whether it was present
 // and whether it was dirty.
 func (c *cache) invalidate(lineAddr uint64) (present, dirty bool) {
-	w := c.find(lineAddr)
+	s := c.set(lineAddr)
+	w := c.way(s, lineAddr)
 	if w < 0 {
 		return false, false
 	}
-	dirty = c.dirty[w]
-	c.tags[w], c.lastUse[w], c.dirty[w] = 0, 0, false
+	b := s * c.assoc
+	dirty = c.dirty[b+w]
+	c.tags[b+w], c.dirty[b+w] = 0, false
+	if c.valid[s] &^= 1 << uint(w); c.valid[s] != 0 {
+		l := c.links[b : b+c.assoc]
+		p, n := l[w].prev, l[w].next
+		l[p].next, l[n].prev = n, p
+		if int(c.mru[s]) == w {
+			c.mru[s] = n
+		}
+	}
 	return true, dirty
 }
 
@@ -549,15 +629,34 @@ func (h *Hierarchy) track(core int, lineAddr uint64, e dirEntry, write bool) {
 
 // ResetStats clears the accumulated statistics, keeping cache contents and
 // NUMA homing intact — useful for excluding a warm-up or initialisation
-// phase from measurement.
+// phase from measurement. It allocates nothing: Stats hands out copies, so
+// the per-level counters are cleared in place.
 func (h *Hierarchy) ResetStats() {
-	st := Stats{
-		LevelHits:    make([]int64, len(h.spec.Levels)),
-		LevelMisses:  make([]int64, len(h.spec.Levels)),
-		LevelBytesIn: make([]int64, len(h.spec.Levels)),
-	}
-	h.stats = st
+	hits, misses, in := h.stats.LevelHits, h.stats.LevelMisses, h.stats.LevelBytesIn
+	clear(hits)
+	clear(misses)
+	clear(in)
+	h.stats = Stats{LevelHits: hits, LevelMisses: misses, LevelBytesIn: in}
 	h.remoteFirstTouch, h.remoteInterleave = 0, 0
+}
+
+// Reset empties the hierarchy in place — every cache, the coherence
+// directory, the first-touch homes and the statistics — leaving it as
+// NewHierarchy built it, with the prefetcher and NUMA accounting still as
+// EnablePrefetch and EnableNUMA set them. It allocates nothing, so a sweep
+// can run every point on one hierarchy.
+func (h *Hierarchy) Reset() {
+	for _, p := range h.private {
+		for _, c := range p {
+			c.reset()
+		}
+	}
+	for _, c := range h.shared {
+		c.reset()
+	}
+	h.dir.reset()
+	clear(h.firstTouch)
+	h.ResetStats()
 }
 
 // Stats returns a copy of the accumulated statistics.

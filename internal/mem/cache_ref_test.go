@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"tenways/internal/machine"
@@ -196,16 +199,130 @@ func checkAgainstReference(t *testing.T, spec machine.LevelSpec, seed int64, ops
 			ref.clean(la)
 		}
 	}
-	// Final contents, LRU stamps included, agree way for way.
-	for s, set := range ref.sets {
-		for w, l := range set {
-			i := s*spec.Assoc + w
-			valid := got.tags[i] != 0
-			if valid != l.valid || got.lastUse[i] != l.lastUse ||
-				(valid && (got.tags[i]-1 != l.tag || got.dirty[i] != l.dirty)) {
-				t.Fatalf("seed %d: set %d way %d holds (tag+1 %d, dirty %v, stamp %d), reference %+v",
-					seed, s, w, got.tags[i], got.dirty[i], got.lastUse[i], l)
-			}
+	checkContents(t, got, ref)
+}
+
+// checkContents requires got to hold what ref holds, way for way, and every
+// set's recency order to be the order of ref's LRU stamps.
+func checkContents(t *testing.T, got *cache, ref *refCache) {
+	t.Helper()
+	for s := range ref.sets {
+		checkSet(t, got, ref, s)
+	}
+}
+
+// checkSet is checkContents for set s alone.
+func checkSet(t *testing.T, got *cache, ref *refCache, s int) {
+	t.Helper()
+	for w, l := range ref.sets[s] {
+		i := s*got.assoc + w
+		valid := got.tags[i] != 0
+		if valid != l.valid || valid != (got.valid[s]&(1<<uint(w)) != 0) ||
+			(valid && (got.tags[i]-1 != l.tag || got.dirty[i] != l.dirty)) {
+			t.Fatalf("set %d way %d holds (tag+1 %d, dirty %v, valid bit %v), reference %+v",
+				s, w, got.tags[i], got.dirty[i], got.valid[s]&(1<<uint(w)) != 0, l)
 		}
 	}
+	if g, r := got.recency(s), ref.recency(s); !slices.Equal(g, r) {
+		t.Fatalf("set %d: ways by recency %v, reference %v", s, g, r)
+	}
+}
+
+// recency lists set s's valid ways from most to least recently used by
+// walking its list from the head, checking that every prev link mirrors a
+// next link.
+func (c *cache) recency(s int) []int {
+	var order []int
+	if c.valid[s] == 0 {
+		return order
+	}
+	l := c.links[s*c.assoc : (s+1)*c.assoc]
+	w := int(c.mru[s])
+	for range bits.OnesCount64(c.valid[s]) {
+		order = append(order, w)
+		n := int(l[w].next)
+		if int(l[n].prev) != w {
+			return append(order, -1) // broken link: cannot match the reference
+		}
+		w = n
+	}
+	if w != int(c.mru[s]) {
+		order = append(order, -1) // the list is not a cycle over the valid ways
+	}
+	return order
+}
+
+// recency lists set s's valid ways from the newest stamp to the oldest.
+func (c *refCache) recency(s int) []int {
+	var order []int
+	for w, l := range c.sets[s] {
+		if l.valid {
+			order = append(order, w)
+		}
+	}
+	set := c.sets[s]
+	sort.Slice(order, func(i, j int) bool { return set[order[i]].lastUse > set[order[j]].lastUse })
+	return order
+}
+
+// FuzzCacheMatchesRef runs the cache and the reference side by side on a
+// geometry and an operation sequence read from the input, comparing every
+// answer and the touched set's contents and recency order after every
+// operation. ops[0] picks the associativity (1–64) and ops[1] the set count
+// (1–16, powers of two and not). Each following 3-byte group is one
+// operation: its kind and dirty bit, then the line's tag (one of 2·assoc+1)
+// and its set.
+func FuzzCacheMatchesRef(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		assoc, nSets := 1+int(ops[0])%machine.MaxAssoc, 1+int(ops[1])%16
+		spec := machine.LevelSpec{Name: "fuzz", CapacityBytes: int64(nSets * assoc * 64), LineBytes: 64, Assoc: assoc}
+		got, ref := newCache(spec), newRefCache(spec)
+		tags := 2*assoc + 1
+		for i := 2; i+2 < len(ops); i += 3 {
+			op, s := ops[i], int(ops[i+2])%nSets
+			la := uint64(int(ops[i+1])%tags)*uint64(nSets) + uint64(s)
+			dirty := op&0x80 != 0
+			switch op % 8 {
+			case 0, 1:
+				_, gotOK := got.lookup(la)
+				_, refOK := ref.lookup(la)
+				if gotOK != refOK {
+					t.Fatalf("op %d: lookup(%d) = %v, reference %v", i/3, la, gotOK, refOK)
+				}
+			case 2, 3:
+				if has := ref.has(la); has != (got.find(la) >= 0) {
+					t.Fatalf("op %d: find(%d) disagrees with reference (resident %v)", i/3, la, has)
+				} else if has {
+					break // fill's contract: the caller has just missed
+				}
+				ge, gd, gv := got.fill(la, dirty)
+				re, rd, rv := ref.fill(la, dirty)
+				if gv != rv || (rv && (ge != re || gd != rd)) {
+					t.Fatalf("op %d: fill(%d) evicted (%d,%v,%v), reference (%d,%v,%v)", i/3, la, ge, gd, gv, re, rd, rv)
+				}
+			case 4:
+				gp, gd := got.invalidate(la)
+				rp, rd := ref.invalidate(la)
+				if gp != rp || gd != rd {
+					t.Fatalf("op %d: invalidate(%d) = (%v,%v), reference (%v,%v)", i/3, la, gp, gd, rp, rd)
+				}
+			case 5:
+				if g, r := got.markDirty(la), ref.markDirty(la); g != r {
+					t.Fatalf("op %d: markDirty(%d) = %v, reference %v", i/3, la, g, r)
+				}
+			case 6:
+				got.clean(la)
+				ref.clean(la)
+			default:
+				got.reset()
+				ref = newRefCache(spec)
+				checkContents(t, got, ref)
+			}
+			checkSet(t, got, ref, s)
+		}
+		checkContents(t, got, ref)
+	})
 }

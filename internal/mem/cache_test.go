@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -548,5 +550,84 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	r := h.Read(0, 0, 8)
 	if r.HitLevel != 0 {
 		t.Fatalf("cache contents lost on ResetStats: level %d", r.HitLevel)
+	}
+}
+
+// A hierarchy that ran one trace and was Reset runs a second exactly as a
+// fresh one does: same results access by access, Stats, time, remote
+// lines under both placements, and energy. Trace A leaves dirty lines,
+// directory entries, prefetch marks and first-touch homes over the span
+// that trace B then reuses.
+func TestHierarchyResetMatchesFresh(t *testing.T) {
+	for _, preset := range machine.Presets() {
+		for _, cores := range []int{1, 4, 8} {
+			for _, on := range []bool{false, true} {
+				spec := func() *machine.Spec {
+					s := machine.Preset(preset.Name)
+					if on && s.NUMA.Uniform() {
+						s.NUMA = machine.NUMASpec{Domains: 2, RemoteLatencyFactor: 1.7, RemotePJFactor: 1.5}
+					}
+					return s
+				}
+				tc := traceCase{spec: spec, cores: cores, prefetch: on, numa: on, place: PlacementFirstTouch, ops: 20000, span: 1 << 20}
+				name := fmt.Sprintf("%s-%dc-prefetch-numa-%v", preset.Name, cores, on)
+				t.Run(name, func(t *testing.T) {
+					a, b := tc, tc
+					a.name, b.name = name+"/A", name+"/B"
+					fresh := newTraceHierarchy(t, b)
+					wantDigest := replayTrace(fresh, b)
+					reused := newTraceHierarchy(t, a)
+					replayTrace(reused, a)
+					reused.Reset()
+					if digest := replayTrace(reused, b); digest != wantDigest {
+						t.Fatalf("after Reset trace B's results digest to %016x, fresh %016x", digest, wantDigest)
+					}
+					if got, want := reused.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after Reset Stats %+v, fresh %+v", got, want)
+					}
+					if got, want := reused.TimeSec(), fresh.TimeSec(); got != want {
+						t.Fatalf("after Reset TimeSec %g, fresh %g", got, want)
+					}
+					for _, p := range []Placement{PlacementFirstTouch, PlacementInterleave} {
+						if got, want := reused.RemoteLines(p), fresh.RemoteLines(p); got != want {
+							t.Fatalf("after Reset RemoteLines(%d) %d, fresh %d", p, got, want)
+						}
+					}
+					mr, mf := energy.NewMeter(), energy.NewMeter()
+					reused.ChargeEnergy(mr)
+					fresh.ChargeEnergy(mf)
+					if got, want := mr.Breakdown(), mf.Breakdown(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after Reset energy %v, fresh %v", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// Reset and ResetStats allocate nothing: a sweep that resets one warm
+// hierarchy between points reruns in the caches, directory slots and
+// first-touch map the first point allocated.
+func TestResetAllocatesNothing(t *testing.T) {
+	const cores = 4
+	h, err := NewHierarchy(machine.Petascale2009(), cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.EnablePrefetch()
+	h.EnableNUMA(PlacementFirstTouch)
+	stream := func() {
+		for c := 0; c < cores; c++ {
+			for a := uint64(0); a < 1<<20; a += 64 {
+				h.Write(c, uint64(c)<<20+a, 8)
+			}
+		}
+	}
+	stream()
+	if allocs := testing.AllocsPerRun(100, h.ResetStats); allocs != 0 {
+		t.Fatalf("ResetStats allocated %v times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { h.Reset(); stream() }); allocs != 0 {
+		t.Fatalf("Reset and a rerun allocated %v times per run, want 0", allocs)
 	}
 }

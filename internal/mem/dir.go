@@ -47,6 +47,12 @@ func (t *dirTable) init(slots int) {
 	t.n = 0
 }
 
+// reset empties the table, keeping its slots for the next run.
+func (t *dirTable) reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
 // home is the slot lineAddr's probe starts at.
 func (t *dirTable) home(lineAddr uint64) int {
 	g := int((lineAddr >> 3) * fibonacci >> t.shift)

@@ -55,6 +55,15 @@ var traceCases = []traceCase{
 // land anywhere in span (evictions at every level).
 func runTrace(tb testing.TB, tc traceCase) (Stats, uint64) {
 	tb.Helper()
+	h := newTraceHierarchy(tb, tc)
+	digest := replayTrace(h, tc)
+	return h.Stats(), digest
+}
+
+// newTraceHierarchy builds tc's hierarchy with its prefetch and NUMA
+// settings.
+func newTraceHierarchy(tb testing.TB, tc traceCase) *Hierarchy {
+	tb.Helper()
 	h, err := NewHierarchy(tc.spec(), tc.cores)
 	if err != nil {
 		tb.Fatal(err)
@@ -65,6 +74,12 @@ func runTrace(tb testing.TB, tc traceCase) (Stats, uint64) {
 	if tc.numa {
 		h.EnableNUMA(tc.place)
 	}
+	return h
+}
+
+// replayTrace replays tc's trace (seeded by its name) on h and returns the
+// digest of its AccessResults.
+func replayTrace(h *Hierarchy, tc traceCase) uint64 {
 	seed := fnv.New64a()
 	seed.Write([]byte(tc.name))
 	rng := rand.New(rand.NewSource(int64(seed.Sum64())))
@@ -103,7 +118,7 @@ func runTrace(tb testing.TB, tc traceCase) (Stats, uint64) {
 		put(uint64(int64(r.HitLevel)))
 		put(uint64(r.LinesUsed))
 	}
-	return h.Stats(), sum.Sum64()
+	return sum.Sum64()
 }
 
 // traceGoldens were captured from the simulator that kept one []line

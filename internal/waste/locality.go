@@ -67,33 +67,41 @@ func RunW1(spec *machine.Spec) (Outcome, error) {
 }
 
 // FalseSharing replays iters rounds of per-core counter increments on
-// `cores` cores with the given stride in bytes between counters (8 =
-// packed on one line, >= line size = padded), returning modeled time,
-// energy, and the invalidation count. Shared by RunW9 and figure F9.
-func FalseSharing(spec *machine.Spec, cores, iters, strideBytes int) (Result, int64, error) {
+// `cores` cores once for each stride in strides, the bytes between
+// counters (8 = packed on one line, >= line size = padded), and returns
+// each stride's modeled time, energy, and invalidation count. Every stride
+// runs on one hierarchy, reset between strides. Shared by RunW9 and figure
+// F9.
+func FalseSharing(spec *machine.Spec, cores, iters int, strides []int) ([]Result, []int64, error) {
 	h, err := mem.NewHierarchy(spec, cores)
 	if err != nil {
-		return Result{}, 0, err
+		return nil, nil, err
 	}
-	for it := 0; it < iters; it++ {
-		for c := 0; c < cores; c++ {
-			addr := uint64(c * strideBytes)
-			h.Read(c, addr, 8)
-			h.Write(c, addr, 8)
+	results := make([]Result, len(strides))
+	invs := make([]int64, len(strides))
+	for i, stride := range strides {
+		h.Reset()
+		for it := 0; it < iters; it++ {
+			for c := 0; c < cores; c++ {
+				addr := uint64(c * stride)
+				h.Read(c, addr, 8)
+				h.Write(c, addr, 8)
+			}
+		}
+		m := energy.NewMeter()
+		h.ChargeEnergy(m)
+		flops := float64(iters * cores) // one add per increment
+		m.Add(energy.Flops, spec.FlopEnergyJ(flops))
+		secs := h.TimeSec() + spec.FlopTimeSec(flops)
+		m.Add(energy.Static, spec.BusyEnergyJ(secs))
+		invs[i] = h.Stats().Invalidations
+		results[i] = Result{
+			Seconds: secs,
+			Joules:  m.Total(),
+			Detail:  fmt.Sprintf("%d invalidations", invs[i]),
 		}
 	}
-	m := energy.NewMeter()
-	h.ChargeEnergy(m)
-	flops := float64(iters * cores) // one add per increment
-	m.Add(energy.Flops, spec.FlopEnergyJ(flops))
-	secs := h.TimeSec() + spec.FlopTimeSec(flops)
-	m.Add(energy.Static, spec.BusyEnergyJ(secs))
-	inv := h.Stats().Invalidations
-	return Result{
-		Seconds: secs,
-		Joules:  m.Total(),
-		Detail:  fmt.Sprintf("%d invalidations", inv),
-	}, inv, nil
+	return results, invs, nil
 }
 
 // RunW9 contrasts packed and padded per-core counters.
@@ -106,13 +114,9 @@ func RunW9(spec *machine.Spec) (Outcome, error) {
 		cores = 2
 	}
 	const iters = 3000
-	packed, _, err := FalseSharing(spec, cores, iters, 8)
+	res, _, err := FalseSharing(spec, cores, iters, []int{8, spec.LineBytes() * 2})
 	if err != nil {
 		return Outcome{}, err
 	}
-	padded, _, err := FalseSharing(spec, cores, iters, spec.LineBytes()*2)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Wasteful: packed, Remedied: padded}, nil
+	return Outcome{Wasteful: res[0], Remedied: res[1]}, nil
 }

@@ -226,19 +226,15 @@ func TestW8FactorsLargerOnExascale(t *testing.T) {
 }
 
 func TestW9InvalidationsVanishWithPadding(t *testing.T) {
-	_, invPacked, err := FalseSharing(spec(), 4, 500, 8)
+	_, inv, err := FalseSharing(spec(), 4, 500, []int{8, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invPacked == 0 {
+	if inv[0] == 0 {
 		t.Fatal("packed counters should invalidate")
 	}
-	_, invPadded, err := FalseSharing(spec(), 4, 500, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if invPadded != 0 {
-		t.Fatalf("padded counters should not invalidate, got %d", invPadded)
+	if inv[1] != 0 {
+		t.Fatalf("padded counters should not invalidate, got %d", inv[1])
 	}
 }
 
